@@ -34,8 +34,8 @@
 //!    step path of `crates/nn/src/plan.rs`, between the
 //!    `// plan-lint: begin step path` and `// plan-lint: end step path`
 //!    markers. The plan executor's whole point is zero allocation per
-//!    replayed step; a line that must allocate (reference-kernel
-//!    fallbacks) carries `// plan-lint: allow-alloc <why>`.
+//!    replayed step; a line that must allocate carries
+//!    `// plan-lint: allow-alloc <why>`.
 //! 8. **`sync-discipline`** — files migrated onto the `gendt-sync`
 //!    facade never reach back into raw `std::sync` primitives
 //!    (`Mutex`, `Condvar`, `RwLock`, `mpsc`, `atomic`, `Barrier`;
@@ -152,7 +152,6 @@ const NO_PRINT_FILES: &[&str] = &[
     "crates/eval/src/main.rs",
     "crates/eval/src/harness.rs",
     "crates/bench/src/lib.rs",
-    "crates/bench/src/bin/bench_kernels.rs",
 ];
 
 /// Files that must speak the `GendtError` taxonomy: the serve request

@@ -7,11 +7,11 @@
 //! cargo run --release -p gendt-audit -- verify      # tape-verify zoo + a real training graph
 //! cargo run --release -p gendt-audit -- smoke       # sanitized train step + generation
 //! cargo run --release -p gendt-audit -- trace-smoke # traced run: bitwise parity + Chrome-trace JSON
-//! cargo run --release -p gendt-audit -- plan-parity # compiled plans vs interpreted tape, bitwise
+//! cargo run --release -p gendt-audit -- plan-parity # compiled plans vs sanitizer-forced tape, bitwise
 //! cargo run --release -p gendt-audit -- chaos       # server + trainer under seeded fault schedules
 //! cargo run --release -p gendt-audit -- sync-check  # schedule-explore serve's concurrency + detector fixtures
 //! cargo run --release -p gendt-audit -- obs-smoke   # fleet trace propagation + federation + flight recorder
-//! cargo run --release -p gendt-audit -- stream-smoke # /v1/stream parity (interpreted + plans), deadline, drain
+//! cargo run --release -p gendt-audit -- stream-smoke # /v1/stream parity, deadline, drain
 //! cargo run --release -p gendt-audit -- all         # everything above
 //! ```
 //!
@@ -294,27 +294,39 @@ fn run_smoke() -> bool {
 }
 
 fn run_plan_parity() -> bool {
-    use gendt::{generate_series, generate_series_batch, GenBatchItem, GenDt};
+    use gendt::{
+        generate_series, generate_series_batch, generate_series_chunk, generation_windows,
+        GenBatchItem, GenChunkItem, GenCursor, GenDt, GeneratedSeries,
+    };
     use gendt_data::Kpi;
 
-    println!("== plan-parity: compiled plans vs interpreted tape (bitwise) ==");
+    println!("== plan-parity: compiled plans vs sanitizer-forced tape (bitwise) ==");
     let Some((mut cfg, ctx, pool)) = tiny_workload(51, 52) else {
         println!("plan-parity: FAILED (no training windows)");
         return false;
     };
     cfg.steps = 6;
     let mut ok = true;
+    let mut check = |what: &str, eq: bool| {
+        println!(
+            "  {what}: {}",
+            if eq { "bitwise-equal" } else { "DIVERGED" }
+        );
+        ok &= eq;
+    };
 
-    // Train the same seed twice: interpreted tape vs compiled plans.
-    // Several steps so later steps replay cached plans, not fresh ones.
-    let train = |plan: bool| {
+    // Train the same seed twice: GENDT_SANITIZE forces the interpreted
+    // tape, otherwise every new shape is recorded once and replayed.
+    // Several steps so later steps replay cached plans, including plans
+    // whose arenas a teacher-forced/free-running key switch released.
+    let train = |tape: bool| {
+        gendt_nn::set_sanitize(tape);
         let mut model = GenDt::new(cfg.clone());
-        model.set_plan_mode(plan);
         model.train(&pool);
         model
     };
-    let mut tape = train(false);
-    let mut plan = train(true);
+    let mut tape = train(true);
+    let mut plan = train(false);
     let weights = |m: &GenDt| -> Vec<Vec<f32>> {
         m.generator
             .store
@@ -323,51 +335,66 @@ fn run_plan_parity() -> bool {
             .map(|p| p.value.data.clone())
             .collect()
     };
-    let w_eq = weights(&tape) == weights(&plan);
-    let trace_eq = tape.trace.iter().map(|t| t.mse).collect::<Vec<_>>()
-        == plan.trace.iter().map(|t| t.mse).collect::<Vec<_>>();
-    println!(
-        "  train: weights {}, trace {}",
-        if w_eq { "bitwise-equal" } else { "DIVERGED" },
-        if trace_eq {
-            "bitwise-equal"
-        } else {
-            "DIVERGED"
-        },
-    );
-    ok &= w_eq && trace_eq;
+    let mse = |m: &GenDt| m.trace.iter().map(|t| t.mse).collect::<Vec<_>>();
+    check("train weights", weights(&tape) == weights(&plan));
+    check("train loss trace", mse(&tape) == mse(&plan));
 
-    // Generation: single-request and batched, compiled + cached replay.
-    tape.set_plan_mode(false);
-    let base = generate_series(&mut tape, &ctx, &Kpi::DATASET_A, false, 7);
-    plan.set_plan_mode(true);
-    let first = generate_series(&mut plan, &ctx, &Kpi::DATASET_A, false, 7);
-    let replay = generate_series(&mut plan, &ctx, &Kpi::DATASET_A, false, 7);
-    let gen_eq = base.series == first.series && base.series == replay.series;
-    println!(
-        "  generate: compiled + cached replay {}",
-        if gen_eq { "bitwise-equal" } else { "DIVERGED" }
-    );
-    ok &= gen_eq;
-
-    let items = [
-        GenBatchItem { ctx: &ctx, seed: 8 },
-        GenBatchItem { ctx: &ctx, seed: 9 },
-    ];
-    let b_base = generate_series_batch(&tape, &Kpi::DATASET_A, &items);
-    let b_first = generate_series_batch(&plan, &Kpi::DATASET_A, &items);
-    let b_replay = generate_series_batch(&plan, &Kpi::DATASET_A, &items);
-    let batch_eq = (0..items.len())
-        .all(|k| b_base[k].series == b_first[k].series && b_base[k].series == b_replay[k].series);
-    println!(
-        "  generate_series_batch: compiled + cached replay {}",
-        if batch_eq {
-            "bitwise-equal"
-        } else {
-            "DIVERGED"
+    let series = |v: Vec<GeneratedSeries>| v.into_iter().map(|g| g.series).collect::<Vec<_>>();
+    let batch = |seeds: &[u64]| -> Vec<GenBatchItem> {
+        seeds
+            .iter()
+            .map(|&seed| GenBatchItem { ctx: &ctx, seed })
+            .collect()
+    };
+    let items = batch(&[8, 9]);
+    // Chunked generation: one window per call, cursor carried across.
+    let windows = generation_windows(&ctx, cfg.n_ch, &cfg.generation_window()).len();
+    let chunked = |m: &GenDt| {
+        let mut items = [GenChunkItem {
+            ctx: &ctx,
+            cursor: GenCursor::fresh(m.cfg(), 10),
+            max_windows: 1,
+        }];
+        let mut cat = vec![Vec::new(); Kpi::DATASET_A.len()];
+        for _ in 0..windows {
+            let chunk = generate_series_chunk(m, &Kpi::DATASET_A, &mut items).remove(0);
+            for (acc, s) in cat.iter_mut().zip(chunk.series) {
+                acc.extend(s);
+            }
         }
+        cat
+    };
+
+    gendt_nn::set_sanitize(true);
+    let base = generate_series(&mut tape, &ctx, &Kpi::DATASET_A, false, 7).series;
+    let b_base = series(generate_series_batch(&tape, &Kpi::DATASET_A, &items));
+    let c_base = chunked(&tape);
+    gendt_nn::set_sanitize(false);
+
+    // Each plan-side call runs twice: the first records the plans, the
+    // second replays them from the cache.
+    let first = generate_series(&mut plan, &ctx, &Kpi::DATASET_A, false, 7).series;
+    let replay = generate_series(&mut plan, &ctx, &Kpi::DATASET_A, false, 7).series;
+    check("generate (recorded)", base == first);
+    check("generate (cached replay)", base == replay);
+    let b_first = series(generate_series_batch(&plan, &Kpi::DATASET_A, &items));
+    let b_replay = series(generate_series_batch(&plan, &Kpi::DATASET_A, &items));
+    check("generate_series_batch (recorded)", b_base == b_first);
+    check("generate_series_batch (cached replay)", b_base == b_replay);
+    check("generate_series_chunk (recorded)", c_base == chunked(&plan));
+    check(
+        "generate_series_chunk (cached replay)",
+        c_base == chunked(&plan),
     );
-    ok &= batch_eq;
+
+    // A new batch shape misses the cache, which releases the arenas of
+    // every cached plan; the next replay reserves them again.
+    let _ = generate_series_batch(&plan, &Kpi::DATASET_A, &batch(&[8, 9, 10]));
+    let b_released = series(generate_series_batch(&plan, &Kpi::DATASET_A, &items));
+    check(
+        "generate_series_batch (replay after arena release)",
+        b_base == b_released,
+    );
 
     println!("plan-parity: {}", if ok { "clean" } else { "FAILED" });
     ok

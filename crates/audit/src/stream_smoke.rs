@@ -4,19 +4,15 @@
 //! Stands up a real single-node server over a demo checkpoint and pins
 //! the streaming API's whole contract:
 //!
-//! 1. **Parity, interpreted** — a session opened with `max_windows`
-//!    budgets and continued to completion must concatenate, chunk by
-//!    chunk across responses, to a series bitwise-identical to the
-//!    one-shot `/v1/generate` answer for the same spec and seed.
-//! 2. **Parity, compiled plans** — the same check with `GENDT_PLAN=1`
-//!    set before the server loads its models, and the two modes'
-//!    concatenations bitwise-equal to each other: compiled execution
-//!    must not perturb streamed bytes any more than one-shot ones.
-//! 3. **Deadline mid-stream** — a request carrying `Deadline-Ms: 1`
+//! 1. **Parity** — a session opened with `max_windows` budgets and
+//!    continued to completion must concatenate, chunk by chunk across
+//!    responses, to a series bitwise-identical to the one-shot
+//!    `/v1/generate` answer for the same spec and seed.
+//! 2. **Deadline mid-stream** — a request carrying `Deadline-Ms: 1`
 //!    ends with a `deadline` trailer and an open session; a follow-up
 //!    continuation finishes the series, and the union of both
 //!    responses' chunks still matches the one-shot bitwise.
-//! 4. **Drain with open sessions** — after `POST /v1/shutdown`, a
+//! 3. **Drain with open sessions** — after `POST /v1/shutdown`, a
 //!    paused session's continuation is refused with a typed 503 (the
 //!    drain shed its state; nothing hangs, nothing panics).
 //!
@@ -44,8 +40,6 @@ pub fn run() -> bool {
             false
         }
     };
-    // Never leak plan mode into the gates that follow.
-    std::env::remove_var("GENDT_PLAN");
     println!("stream-smoke: {}", if ok { "PASS" } else { "FAILED" });
     ok
 }
@@ -178,9 +172,8 @@ fn drain_session(
 
 /// One full parity pass against a fresh server: open with a small
 /// budget, continue to completion, and require the concatenation to be
-/// bitwise-identical to the one-shot series. Returns the concatenation
-/// so the caller can compare across execution modes.
-fn parity_pass(label: &str, dir: &std::path::Path) -> Result<Vec<Vec<f64>>, GendtError> {
+/// bitwise-identical to the one-shot series.
+fn parity_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     let (handle, addr) = start_server(dir)?;
     let reference = one_shot(&addr)?;
 
@@ -204,16 +197,16 @@ fn parity_pass(label: &str, dir: &std::path::Path) -> Result<Vec<Vec<f64>>, Gend
         return Err(fail(format!("final trailer reason {:?}", trailer.reason)));
     }
     if cat != reference {
-        return Err(fail(format!(
-            "{label}: streamed concatenation diverged from the one-shot series"
-        )));
+        return Err(fail(
+            "streamed concatenation diverged from the one-shot series",
+        ));
     }
     println!(
-        "  {label}: {} windows streamed across continuations, concat bitwise-equal to one-shot",
+        "  parity: {} windows streamed across continuations, concat bitwise-equal to one-shot",
         trailer.total_windows
     );
     handle.shutdown();
-    Ok(cat)
+    Ok(())
 }
 
 /// Deadline expiry mid-stream: `deadline` trailer, surviving session,
@@ -296,20 +289,7 @@ fn drain_pass(dir: &std::path::Path) -> Result<(), GendtError> {
 
 fn smoke() -> Result<(), GendtError> {
     let dir = model_dir()?;
-
-    std::env::remove_var("GENDT_PLAN");
-    let interpreted = parity_pass("interpreted", &dir)?;
-
-    std::env::set_var("GENDT_PLAN", "1");
-    let planned = parity_pass("compiled-plan", &dir)?;
-    std::env::remove_var("GENDT_PLAN");
-    if interpreted != planned {
-        return Err(fail(
-            "compiled-plan streamed series diverged from the interpreted one",
-        ));
-    }
-    println!("  modes: interpreted and compiled-plan streams bitwise-equal");
-
+    parity_pass(&dir)?;
     deadline_pass(&dir)?;
     drain_pass(&dir)?;
     Ok(())

@@ -552,7 +552,6 @@ mod tests {
     );
     write_fixture(&root, "crates/eval/src/harness.rs", CLEAN_FILE);
     write_fixture(&root, "crates/bench/src/lib.rs", CLEAN_FILE);
-    write_fixture(&root, "crates/bench/src/bin/bench_kernels.rs", CLEAN_FILE);
     FixtureDir(root)
 }
 

@@ -122,43 +122,31 @@ pub fn generate_series(
     let mut rng = gendt_nn::Rng::seed_from(sample_seed);
     let mut carry = CarryState::zeros(&cfg, 1);
     let mut norm: Vec<Vec<f32>> = vec![Vec::new(); cfg.n_ch];
-    let plan_on = model.plan_mode();
     for w in &wins {
-        let plan_key = plan_on.then(|| {
-            PlanKey::new(
-                "gen",
-                [
-                    1,
-                    w.env.len() as u64,
-                    crate::generator::batch_max_cells(&[w]) as u64,
-                    u64::from(mc_dropout),
-                    0,
-                    0,
-                ],
-            )
-        });
-        let mut g = match plan_key.as_ref().and_then(|k| model.plans.take(k)) {
-            Some(plan) => Graph::replay(plan),
-            None => Graph::new(),
-        };
-        let fwd = model.generator.forward(
-            &mut g,
-            &[w],
-            &carry,
-            ArMode::FreeRunning,
-            mc_dropout,
-            &mut rng,
+        let key = PlanKey::new(
+            "gen",
+            [
+                1,
+                w.env.len() as u64,
+                crate::generator::batch_max_cells(&[w]) as u64,
+                u64::from(mc_dropout),
+                0,
+                0,
+            ],
         );
-        for &out in &fwd.outputs {
-            let v = g.value(out);
-            for (n, &val) in norm.iter_mut().zip(v.data.iter().take(cfg.n_ch)) {
-                n.push(val);
+        carry = model.plans.run(key, |g| {
+            let fwd =
+                model
+                    .generator
+                    .forward(g, &[w], &carry, ArMode::FreeRunning, mc_dropout, &mut rng);
+            for &out in &fwd.outputs {
+                let v = g.value(out);
+                for (n, &val) in norm.iter_mut().zip(v.data.iter().take(cfg.n_ch)) {
+                    n.push(val);
+                }
             }
-        }
-        carry = fwd.carry;
-        if let Some(key) = plan_key {
-            model.plans.put(key, g.into_plan(None));
-        }
+            (fwd.carry, None)
+        });
     }
     let series: Vec<Vec<f64>> = norm
         .into_iter()
@@ -298,53 +286,46 @@ pub fn generate_series_chunk(
             rng_b.push(rngs[i].clone());
         }
 
-        let plan_key = model.plan_mode().then(|| {
-            PlanKey::new(
-                "gen_batch",
-                [
-                    bn as u64,
-                    cfg.generation_window().len as u64,
-                    crate::generator::batch_max_cells(&wrefs) as u64,
-                    0,
-                    0,
-                    0,
-                ],
-            )
-        });
-        let mut g = match plan_key.as_ref().and_then(|k| model.plans.take(k)) {
-            Some(plan) => Graph::replay(plan),
-            None => Graph::new(),
-        };
-        let fwd = model
-            .generator
-            .forward_gen_batch(&mut g, &wrefs, &carry_b, &mut rng_b);
-
-        for &out in &fwd.outputs {
-            let v = g.value(out);
-            for (r, &i) in active.iter().enumerate() {
-                for (ch, acc) in norm[i].iter_mut().enumerate() {
-                    acc.push(v.data[r * cfg.n_ch + ch]);
+        let key = PlanKey::new(
+            "gen_batch",
+            [
+                bn as u64,
+                cfg.generation_window().len as u64,
+                crate::generator::batch_max_cells(&wrefs) as u64,
+                0,
+                0,
+                0,
+            ],
+        );
+        let carry_out = model.plans.run(key, |g| {
+            let fwd = model
+                .generator
+                .forward_gen_batch(g, &wrefs, &carry_b, &mut rng_b);
+            for &out in &fwd.outputs {
+                let v = g.value(out);
+                for (r, &i) in active.iter().enumerate() {
+                    for (ch, acc) in norm[i].iter_mut().enumerate() {
+                        acc.push(v.data[r * cfg.n_ch + ch]);
+                    }
                 }
             }
-        }
+            (fwd.carry, None)
+        });
         // Split the carry rows and advanced RNG streams back out.
         for (r, &i) in active.iter().enumerate() {
             carries[i]
                 .agg_h
                 .data
-                .copy_from_slice(&fwd.carry.agg_h.data[r * hid..(r + 1) * hid]);
+                .copy_from_slice(&carry_out.agg_h.data[r * hid..(r + 1) * hid]);
             carries[i]
                 .agg_c
                 .data
-                .copy_from_slice(&fwd.carry.agg_c.data[r * hid..(r + 1) * hid]);
+                .copy_from_slice(&carry_out.agg_c.data[r * hid..(r + 1) * hid]);
             carries[i]
                 .ar_tail
                 .data
-                .copy_from_slice(&fwd.carry.ar_tail.data[r * tail_w..(r + 1) * tail_w]);
+                .copy_from_slice(&carry_out.ar_tail.data[r * tail_w..(r + 1) * tail_w]);
             rngs[i] = rng_b[r].clone();
-        }
-        if let Some(key) = plan_key {
-            model.plans.put(key, g.into_plan(None));
         }
     }
 
@@ -601,25 +582,28 @@ mod tests {
     #[test]
     fn plan_mode_generation_is_bitwise_equal_to_interpreted() {
         let (mut model, ctx) = tiny_model_and_ctx();
-        model.set_plan_mode(false);
-        let base = generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 9);
-        model.set_plan_mode(true);
-        // Run twice: the first compiles the plans, the second replays
-        // them from the cache — both must match the interpreted output.
-        let first = generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 9);
-        let replay = generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 9);
-        assert_eq!(base.series, first.series, "compiled pass diverges");
-        assert_eq!(base.series, replay.series, "cached replay diverges");
-
         let items = [
             GenBatchItem { ctx: &ctx, seed: 5 },
             GenBatchItem { ctx: &ctx, seed: 6 },
         ];
-        model.set_plan_mode(false);
-        let b_base = generate_series_batch(&model, &Kpi::DATASET_A, &items);
-        model.set_plan_mode(true);
-        let b_first = generate_series_batch(&model, &Kpi::DATASET_A, &items);
-        let b_replay = generate_series_batch(&model, &Kpi::DATASET_A, &items);
+        let (base, b_base) = crate::with_tape(true, || {
+            (
+                generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 9),
+                generate_series_batch(&model, &Kpi::DATASET_A, &items),
+            )
+        });
+        // Run twice: the first compiles the plans, the second replays
+        // them from the cache — both must match the interpreted output.
+        let (first, replay, b_first, b_replay) = crate::with_tape(false, || {
+            (
+                generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 9),
+                generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 9),
+                generate_series_batch(&model, &Kpi::DATASET_A, &items),
+                generate_series_batch(&model, &Kpi::DATASET_A, &items),
+            )
+        });
+        assert_eq!(base.series, first.series, "compiled pass diverges");
+        assert_eq!(base.series, replay.series, "cached replay diverges");
         for k in 0..items.len() {
             assert_eq!(b_base[k].series, b_first[k].series, "batch plan diverges");
             assert_eq!(
@@ -631,47 +615,48 @@ mod tests {
 
     #[test]
     fn chunked_generation_concatenates_to_one_shot() {
-        let (mut model, ctx) = tiny_model_and_ctx();
+        let (model, ctx) = tiny_model_and_ctx();
         assert!(ctx.steps.len() >= 40, "fixture trajectory too short");
         let short = RunContext {
             steps: ctx.steps[..20].to_vec(),
         };
         let cases: [(&RunContext, u64, usize); 3] = [(&ctx, 71, 1), (&short, 72, 2), (&ctx, 73, 3)];
-        for plan in [false, true] {
-            model.set_plan_mode(plan);
-            for &(c, seed, step) in &cases {
-                let one_shot = {
-                    let items = [GenBatchItem { ctx: c, seed }];
-                    generate_series_batch(&model, &Kpi::DATASET_A, &items).remove(0)
-                };
-                // Re-generate the same series in chunks of `step` windows,
-                // carrying the cursor across calls; streams sitting at
-                // different absolute positions share each batch.
-                let mut items = vec![GenChunkItem {
-                    ctx: c,
-                    cursor: GenCursor::fresh(model.cfg(), seed),
-                    max_windows: step,
-                }];
-                let total = generation_windows(c, 4, &model.cfg().generation_window()).len();
-                let mut cat: Vec<Vec<f64>> = vec![Vec::new(); 4];
-                while items[0].cursor.next_window < total {
-                    let chunk = generate_series_chunk(&model, &Kpi::DATASET_A, &mut items);
-                    for (acc, s) in cat.iter_mut().zip(chunk[0].series.iter()) {
-                        acc.extend_from_slice(s);
+        for tape in [true, false] {
+            crate::with_tape(tape, || {
+                for &(c, seed, step) in &cases {
+                    let one_shot = {
+                        let items = [GenBatchItem { ctx: c, seed }];
+                        generate_series_batch(&model, &Kpi::DATASET_A, &items).remove(0)
+                    };
+                    // Re-generate the same series in chunks of `step` windows,
+                    // carrying the cursor across calls; streams sitting at
+                    // different absolute positions share each batch.
+                    let mut items = vec![GenChunkItem {
+                        ctx: c,
+                        cursor: GenCursor::fresh(model.cfg(), seed),
+                        max_windows: step,
+                    }];
+                    let total = generation_windows(c, 4, &model.cfg().generation_window()).len();
+                    let mut cat: Vec<Vec<f64>> = vec![Vec::new(); 4];
+                    while items[0].cursor.next_window < total {
+                        let chunk = generate_series_chunk(&model, &Kpi::DATASET_A, &mut items);
+                        for (acc, s) in cat.iter_mut().zip(chunk[0].series.iter()) {
+                            acc.extend_from_slice(s);
+                        }
                     }
+                    // Exact f64 equality: chunk N+1 must continue bitwise
+                    // where chunk N stopped, on the tape and on plans.
+                    assert_eq!(
+                        one_shot.series, cat,
+                        "chunked concat diverges (tape={tape})"
+                    );
+                    // A further chunk past the end produces nothing and
+                    // leaves the cursor parked.
+                    let tail = generate_series_chunk(&model, &Kpi::DATASET_A, &mut items);
+                    assert!(tail[0].is_empty());
+                    assert_eq!(items[0].cursor.next_window, total);
                 }
-                // Exact f64 equality: chunk N+1 must continue bitwise
-                // where chunk N stopped (plan mode included).
-                assert_eq!(
-                    one_shot.series, cat,
-                    "chunked concat diverges (plan={plan})"
-                );
-                // A further chunk past the end produces nothing and
-                // leaves the cursor parked.
-                let tail = generate_series_chunk(&model, &Kpi::DATASET_A, &mut items);
-                assert!(tail[0].is_empty());
-                assert_eq!(items[0].cursor.next_window, total);
-            }
+            });
         }
     }
 

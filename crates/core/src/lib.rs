@@ -69,3 +69,17 @@ pub use generate::{
 pub use generator::{ArMode, CarryState, ForwardOut, Generator};
 pub use trainer::{GenDt, StepTrace};
 pub use transfer::{pretrain, transfer_to_region, TransferCfg, TransferOutcome, TransferStep};
+
+/// Runs `f` with `GENDT_SANITIZE` set to `tape` (`true` forces the
+/// interpreted tape, the reference side of plan == tape; `false` runs
+/// the compiled plans). The switch is process-global, so callers hold
+/// one lock for the whole run and never overlap.
+#[cfg(test)]
+pub(crate) fn with_tape<R>(tape: bool, f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    gendt_nn::set_sanitize(tape);
+    let out = f();
+    gendt_nn::set_sanitize(false);
+    out
+}

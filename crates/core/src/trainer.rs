@@ -46,10 +46,9 @@ pub struct GenDt {
     pub(crate) opt_g: Adam,
     pub(crate) opt_d: Adam,
     pub(crate) rng: Rng,
-    /// Compiled execution plans keyed by graph shape, populated lazily by
-    /// the train/generate hot paths when [`GenDt::plan_mode`] is on.
+    /// Compiled execution plans keyed by graph shape: the train and
+    /// generate hot paths record each new shape once, then replay it.
     pub(crate) plans: PlanCache,
-    plan_mode: bool,
     /// Per-shard gradient stores, cloned once and reused every step
     /// (re-cloning the full parameter store per shard per step serialized
     /// sharded training on the allocator).
@@ -64,9 +63,6 @@ impl GenDt {
         let discriminator = Discriminator::new(&cfg, &mut rng);
         let opt_g = Adam::new(cfg.lr_g);
         let opt_d = Adam::new(cfg.lr_d);
-        let plan_mode = std::env::var("GENDT_PLAN")
-            .map(|v| v == "1")
-            .unwrap_or(false);
         GenDt {
             generator,
             discriminator,
@@ -75,7 +71,6 @@ impl GenDt {
             opt_d,
             rng,
             plans: PlanCache::new(),
-            plan_mode,
             shard_grads: Vec::new(),
         }
     }
@@ -83,20 +78,6 @@ impl GenDt {
     /// Model configuration.
     pub fn cfg(&self) -> &GenDtCfg {
         &self.generator.cfg
-    }
-
-    /// Whether compiled-plan execution is active. Defaults to the
-    /// `GENDT_PLAN=1` environment switch; forced off while
-    /// `GENDT_SANITIZE` is on (the sanitizer needs the interpreted tape's
-    /// per-op inspection).
-    pub fn plan_mode(&self) -> bool {
-        self.plan_mode && !gendt_nn::sanitize_enabled()
-    }
-
-    /// Enable or disable compiled-plan execution. Cached plans are kept;
-    /// they re-synchronize against the parameter stores on next use.
-    pub fn set_plan_mode(&mut self, on: bool) {
-        self.plan_mode = on;
     }
 
     /// Run `cfg.steps` training steps over a pool of training windows.
@@ -190,7 +171,6 @@ impl GenDt {
         }
         let mut shard_grads = std::mem::take(&mut self.shard_grads);
 
-        let plan_on = self.plan_mode();
         let plans = &self.plans;
         let generator = &self.generator;
         let discriminator = &self.discriminator;
@@ -214,73 +194,64 @@ impl GenDt {
                     }
                 }
             }
-            // Replay the compiled plan for this shard shape when one is
-            // cached; otherwise record the tape and compile it below.
-            let plan_key = plan_on.then(|| {
-                PlanKey::new(
-                    "train_g",
-                    [
-                        bs_s as u64,
-                        l as u64,
-                        crate::generator::batch_max_cells(shard) as u64,
-                        u64::from(matches!(ar_mode, ArMode::FreeRunning)),
-                        u64::from(use_gan),
-                        0,
-                    ],
-                )
-            });
-            let mut g = match plan_key.as_ref().and_then(|k| plans.take(k)) {
-                Some(plan) => Graph::replay(plan),
-                None => Graph::new(),
-            };
-            let fwd: ForwardOut = generator.forward(&mut g, shard, &carry, ar_mode, true, &mut rng);
-            // MSE across steps, on this shard's target rows.
-            let mut mse_terms: Vec<(NodeId, f32)> = Vec::with_capacity(l);
-            for (t, &out) in fwd.outputs.iter().enumerate() {
-                let rows = &real_steps[t].data[range.start * n_ch..range.end * n_ch];
-                let target = g.input(Matrix::from_vec(bs_s, n_ch, rows.to_vec()));
-                let mse_t = g.mse_loss(out, target);
-                mse_terms.push((mse_t, 1.0 / l as f32));
-            }
-            let mse_node = g.weighted_sum(mse_terms);
-            let sigma_mean = if fwd.res_sigma.is_empty() {
-                0.0
-            } else {
-                fwd.res_sigma
-                    .iter()
-                    .map(|&sg| g.value(sg).mean())
-                    .sum::<f32>()
-                    / fwd.res_sigma.len() as f32
-            };
-            let (loss_node, gan_g_val) = if use_gan {
-                let logit = discriminator.forward(&mut g, &fwd.outputs, &fwd.h_avg, true);
-                let rows = g.value(logit).rows;
-                let gan_g = g.bce_with_logits(logit, Matrix::full(rows, 1, 1.0));
-                let v = g.value(gan_g).data[0];
-                (
-                    g.weighted_sum(vec![(mse_node, w_s), (gan_g, lambda * w_s)]),
-                    v,
-                )
-            } else {
-                (g.weighted_sum(vec![(mse_node, w_s)]), 0.0)
-            };
-            let mse_val = g.value(mse_node).data[0];
-            // Backward into this shard's private store; the trainer
-            // reduces the stores in shard order afterwards.
-            grads.zero_grad();
-            g.backward(loss_node, grads);
-            let fake_steps = fwd.outputs.iter().map(|&o| g.value(o).clone()).collect();
-            let ctx_steps = fwd.h_avg.iter().map(|&hn| g.value(hn).clone()).collect();
-            if let Some(key) = plan_key {
-                plans.put(key, g.into_plan(Some(loss_node)));
-            }
-            ShardOut {
-                mse: w_s * mse_val,
-                gan_g: w_s * gan_g_val,
-                sigma_mean: w_s * sigma_mean,
-                fake_steps,
-                ctx_steps,
-            }
+            // Replay the compiled plan for this shard shape, or record it.
+            let key = PlanKey::new(
+                "train_g",
+                [
+                    bs_s as u64,
+                    l as u64,
+                    crate::generator::batch_max_cells(shard) as u64,
+                    u64::from(matches!(ar_mode, ArMode::FreeRunning)),
+                    u64::from(use_gan),
+                    0,
+                ],
+            );
+            plans.run(key, |g| {
+                let fwd: ForwardOut = generator.forward(g, shard, &carry, ar_mode, true, &mut rng);
+                // MSE across steps, on this shard's target rows.
+                let mut mse_terms: Vec<(NodeId, f32)> = Vec::with_capacity(l);
+                for (t, &out) in fwd.outputs.iter().enumerate() {
+                    let rows = &real_steps[t].data[range.start * n_ch..range.end * n_ch];
+                    let target = g.input(Matrix::from_vec(bs_s, n_ch, rows.to_vec()));
+                    let mse_t = g.mse_loss(out, target);
+                    mse_terms.push((mse_t, 1.0 / l as f32));
+                }
+                let mse_node = g.weighted_sum(mse_terms);
+                let sigma_mean = if fwd.res_sigma.is_empty() {
+                    0.0
+                } else {
+                    fwd.res_sigma
+                        .iter()
+                        .map(|&sg| g.value(sg).mean())
+                        .sum::<f32>()
+                        / fwd.res_sigma.len() as f32
+                };
+                let (loss_node, gan_g_val) = if use_gan {
+                    let logit = discriminator.forward(g, &fwd.outputs, &fwd.h_avg, true);
+                    let rows = g.value(logit).rows;
+                    let gan_g = g.bce_with_logits(logit, Matrix::full(rows, 1, 1.0));
+                    let v = g.value(gan_g).data[0];
+                    (
+                        g.weighted_sum(vec![(mse_node, w_s), (gan_g, lambda * w_s)]),
+                        v,
+                    )
+                } else {
+                    (g.weighted_sum(vec![(mse_node, w_s)]), 0.0)
+                };
+                let mse_val = g.value(mse_node).data[0];
+                // Backward into this shard's private store; the trainer
+                // reduces the stores in shard order afterwards.
+                grads.zero_grad();
+                g.backward(loss_node, grads);
+                let out = ShardOut {
+                    mse: w_s * mse_val,
+                    gan_g: w_s * gan_g_val,
+                    sigma_mean: w_s * sigma_mean,
+                    fake_steps: fwd.outputs.iter().map(|&o| g.value(o).clone()).collect(),
+                    ctx_steps: fwd.h_avg.iter().map(|&hn| g.value(hn).clone()).collect(),
+                };
+                (out, Some(loss_node))
+            })
         };
 
         let mut shard_outs: Vec<Option<ShardOut>> = (0..n_shards).map(|_| None).collect();
@@ -379,33 +350,27 @@ impl GenDt {
             };
             let fake_steps = stack(&|o: &ShardOut| &o.fake_steps);
             let ctx_steps = stack(&|o: &ShardOut| &o.ctx_steps);
-            let plan_key = self
-                .plan_mode()
-                .then(|| PlanKey::new("train_d", [bsz as u64, l as u64, 0, 0, 0, 0]));
-            let mut gd = match plan_key.as_ref().and_then(|k| self.plans.take(k)) {
-                Some(plan) => Graph::replay(plan),
-                None => Graph::new(),
-            };
-            let real_nodes: Vec<NodeId> =
-                real_steps.iter().map(|mtx| gd.input(mtx.clone())).collect();
-            let fake_nodes: Vec<NodeId> =
-                fake_steps.iter().map(|mtx| gd.input(mtx.clone())).collect();
-            let ctx_nodes: Vec<NodeId> =
-                ctx_steps.iter().map(|mtx| gd.input(mtx.clone())).collect();
-            let logit_r = self
-                .discriminator
-                .forward(&mut gd, &real_nodes, &ctx_nodes, false);
-            let logit_f = self
-                .discriminator
-                .forward(&mut gd, &fake_nodes, &ctx_nodes, false);
-            let loss_r = gd.bce_with_logits(logit_r, Matrix::full(bsz, 1, 1.0));
-            let loss_f = gd.bce_with_logits(logit_f, Matrix::full(bsz, 1, 0.0));
-            let loss_d = gd.weighted_sum(vec![(loss_r, 0.5), (loss_f, 0.5)]);
-            let v = gd.value(loss_d).data[0];
-            gd.backward(loss_d, &mut self.discriminator.store);
-            if let Some(key) = plan_key {
-                self.plans.put(key, gd.into_plan(Some(loss_d)));
-            }
+            let key = PlanKey::new("train_d", [bsz as u64, l as u64, 0, 0, 0, 0]);
+            let v = self.plans.run(key, |gd| {
+                let real_nodes: Vec<NodeId> =
+                    real_steps.iter().map(|mtx| gd.input(mtx.clone())).collect();
+                let fake_nodes: Vec<NodeId> =
+                    fake_steps.iter().map(|mtx| gd.input(mtx.clone())).collect();
+                let ctx_nodes: Vec<NodeId> =
+                    ctx_steps.iter().map(|mtx| gd.input(mtx.clone())).collect();
+                let logit_r = self
+                    .discriminator
+                    .forward(gd, &real_nodes, &ctx_nodes, false);
+                let logit_f = self
+                    .discriminator
+                    .forward(gd, &fake_nodes, &ctx_nodes, false);
+                let loss_r = gd.bce_with_logits(logit_r, Matrix::full(bsz, 1, 1.0));
+                let loss_f = gd.bce_with_logits(logit_f, Matrix::full(bsz, 1, 0.0));
+                let loss_d = gd.weighted_sum(vec![(loss_r, 0.5), (loss_f, 0.5)]);
+                let v = gd.value(loss_d).data[0];
+                gd.backward(loss_d, &mut self.discriminator.store);
+                (v, Some(loss_d))
+            });
             self.discriminator.store.scrub_non_finite_grads();
             let norm = self
                 .discriminator
@@ -606,10 +571,9 @@ mod tests {
         let pool = training_pool(&cfg);
         type RunSnapshot = (Vec<Vec<f32>>, Vec<Vec<f32>>, Vec<f32>);
         let mut runs: Vec<RunSnapshot> = Vec::new();
-        for plan in [false, true] {
+        for tape in [true, false] {
             let mut model = GenDt::new(cfg.clone());
-            model.set_plan_mode(plan);
-            model.train(&pool);
+            crate::with_tape(tape, || model.train(&pool));
             runs.push((
                 model
                     .generator

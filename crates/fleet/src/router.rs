@@ -32,6 +32,7 @@ use gendt_serve::http::{
     read_request, write_json, write_json_extra, write_response_extra, Request,
 };
 use gendt_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use gendt_sync::mpsc::{self, RecvTimeoutError};
 use gendt_sync::thread::{self, JoinHandle};
 use gendt_sync::time::Instant;
 use serde::Serialize;
@@ -156,6 +157,8 @@ pub struct RouterHandle {
     state: Arc<RouterState>,
     acceptor: Option<JoinHandle<()>>,
     poller: Option<JoinHandle<()>>,
+    /// Dropping this sender wakes the health poller out of its wait.
+    stop_poller: Option<mpsc::Sender<()>>,
 }
 
 impl RouterHandle {
@@ -189,6 +192,7 @@ impl RouterHandle {
     fn finish(&mut self) {
         // sync: Release pairs with the poll loop's Acquire.
         self.state.shutdown.store(true, Ordering::Release);
+        self.stop_poller = None;
         if let Some(p) = self.poller.take() {
             let _ = p.join();
         }
@@ -233,10 +237,14 @@ pub fn route_serve(
     membership.poll_once(probe.as_ref());
     let poll_state = state.clone();
     let interval = Duration::from_millis(cfg.health_interval_ms);
+    let (stop_poller, stop) = mpsc::channel::<()>();
     let poller = thread::spawn_named("fleet-health", move || {
-        // sync: pairs with the Release store in shutdown paths.
-        while !poll_state.shutdown.load(Ordering::Acquire) {
-            thread::sleep(interval);
+        // Wait one interval, or until the handle drops its sender.
+        while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
+            // sync: pairs with the Release store in shutdown paths.
+            if poll_state.shutdown.load(Ordering::Acquire) {
+                break;
+            }
             poll_state.membership.poll_once(probe.as_ref());
         }
     });
@@ -269,6 +277,7 @@ pub fn route_serve(
         state,
         acceptor: Some(acceptor),
         poller: Some(poller),
+        stop_poller: Some(stop_poller),
     })
 }
 

@@ -324,3 +324,20 @@ fn draining_router_sheds_with_typed_envelope() {
         w.shutdown();
     }
 }
+
+#[test]
+fn shutdown_wakes_a_parked_health_poller() {
+    // A 60 s health interval parks the poller in its wait; shutdown must
+    // wake it instead of waiting the interval out.
+    let fleet = TestFleet::start_with(1, 60_000);
+    let t0 = std::time::Instant::now();
+    fleet.router.shutdown();
+    let took = t0.elapsed();
+    for w in fleet.workers {
+        w.shutdown();
+    }
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "router shutdown took {took:?} with a 60 s health interval"
+    );
+}

@@ -265,8 +265,8 @@ impl Default for Graph {
     }
 }
 
-/// Numerically-stable libm sigmoid: the reference activation, also used
-/// unconditionally by the softplus and BCE backward passes.
+/// Numerically-stable libm sigmoid, used by the softplus and BCE
+/// backward passes.
 pub(crate) fn stable_sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
@@ -277,73 +277,35 @@ pub(crate) fn stable_sigmoid(x: f32) -> f32 {
 }
 
 /// Gate activations of one LSTM row: sigmoid over the `i`/`f` and `o`
-/// blocks, tanh over the candidate block, dispatched over the active
-/// kernel set exactly like the tape's cell forward/backward.
+/// blocks, tanh over the candidate block — shared by the tape's and the
+/// plan executor's cell forward/backward so all four agree bitwise. Each
+/// pass runs over a contiguous slice so the polynomial kernels vectorize.
 pub(crate) fn cell_act(gr: &[f32], act: &mut [f32], hidden: usize) {
-    if crate::kernels::reference_kernels() {
-        cell_act_with(gr, act, hidden, stable_sigmoid, f32::tanh);
-    } else {
-        cell_act_with(
-            gr,
-            act,
-            hidden,
-            crate::kernels::fast_sigmoid,
-            crate::kernels::fast_tanh,
-        );
-    }
-}
-
-fn cell_act_with(
-    gr: &[f32],
-    act: &mut [f32],
-    hidden: usize,
-    sig: impl Fn(f32) -> f32,
-    th: impl Fn(f32) -> f32,
-) {
+    use crate::kernels::{fast_sigmoid, fast_tanh};
     for (a, &x) in act[..2 * hidden].iter_mut().zip(&gr[..2 * hidden]) {
-        *a = sig(x); // i, f
+        *a = fast_sigmoid(x); // i, f
     }
     for (a, &x) in act[2 * hidden..3 * hidden]
         .iter_mut()
         .zip(&gr[2 * hidden..3 * hidden])
     {
-        *a = th(x); // candidate
+        *a = fast_tanh(x); // candidate
     }
     for (a, &x) in act[3 * hidden..].iter_mut().zip(&gr[3 * hidden..]) {
-        *a = sig(x); // o
+        *a = fast_sigmoid(x); // o
     }
 }
 
-/// Forward pass of the fused LSTM cell, monomorphized over the activation
-/// pair (polynomial kernels or the libm reference) so each instantiation
-/// stays a straight-line vectorizable loop.
-fn lstm_cell_forward(
-    vg: &Matrix,
-    vc: &Matrix,
-    hidden: usize,
-    sig: impl Fn(f32) -> f32,
-    th: impl Fn(f32) -> f32,
-) -> Matrix {
+/// Forward pass of the fused LSTM cell.
+fn lstm_cell_forward(vg: &Matrix, vc: &Matrix, hidden: usize) -> Matrix {
     let rows = vg.rows;
     let mut v = Matrix::zeros(rows, 2 * hidden);
-    // Per-gate scratch, reused across rows; each pass below runs over a
-    // contiguous slice so the activation kernels vectorize.
+    // Per-gate scratch, reused across rows.
     let mut act = vec![0.0f32; 4 * hidden];
     for r in 0..rows {
         let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
         let cp = &vc.data[r * hidden..(r + 1) * hidden];
-        for (a, &x) in act[..2 * hidden].iter_mut().zip(&gr[..2 * hidden]) {
-            *a = sig(x); // i, f
-        }
-        for (a, &x) in act[2 * hidden..3 * hidden]
-            .iter_mut()
-            .zip(&gr[2 * hidden..3 * hidden])
-        {
-            *a = th(x); // candidate
-        }
-        for (a, &x) in act[3 * hidden..].iter_mut().zip(&gr[3 * hidden..]) {
-            *a = sig(x); // o
-        }
+        cell_act(gr, &mut act, hidden);
         let (i_v, rest) = act.split_at(hidden);
         let (f_v, rest) = rest.split_at(hidden);
         let (cand, o_v) = rest.split_at(hidden);
@@ -352,7 +314,7 @@ fn lstm_cell_forward(
             c_out[k] = f_v[k] * cp[k] + i_v[k] * cand[k];
         }
         for k in 0..hidden {
-            h_out[k] = o_v[k] * th(c_out[k]);
+            h_out[k] = o_v[k] * crate::kernels::fast_tanh(c_out[k]);
         }
     }
     v
@@ -361,14 +323,7 @@ fn lstm_cell_forward(
 /// Backward pass of the fused LSTM cell. Gate activations are recomputed
 /// from the saved pre-activations (bitwise the forward values, since the
 /// same kernel runs on the same inputs); returns `(d_gates, d_c_prev)`.
-fn lstm_cell_backward(
-    grad: &Matrix,
-    vg: &Matrix,
-    vc: &Matrix,
-    hidden: usize,
-    sig: impl Fn(f32) -> f32,
-    th: impl Fn(f32) -> f32,
-) -> (Matrix, Matrix) {
+fn lstm_cell_backward(grad: &Matrix, vg: &Matrix, vc: &Matrix, hidden: usize) -> (Matrix, Matrix) {
     let rows = vg.rows;
     let mut dg = Matrix::zeros(rows, 4 * hidden);
     let mut dc = Matrix::zeros(rows, hidden);
@@ -378,25 +333,14 @@ fn lstm_cell_backward(
         let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
         let cp = &vc.data[r * hidden..(r + 1) * hidden];
         let go = &grad.data[r * 2 * hidden..(r + 1) * 2 * hidden];
-        for (a, &x) in act[..2 * hidden].iter_mut().zip(&gr[..2 * hidden]) {
-            *a = sig(x); // i, f
-        }
-        for (a, &x) in act[2 * hidden..3 * hidden]
-            .iter_mut()
-            .zip(&gr[2 * hidden..3 * hidden])
-        {
-            *a = th(x); // candidate
-        }
-        for (a, &x) in act[3 * hidden..].iter_mut().zip(&gr[3 * hidden..]) {
-            *a = sig(x); // o
-        }
+        cell_act(gr, &mut act, hidden);
         let (i_v, rest) = act.split_at(hidden);
         let (f_v, rest) = rest.split_at(hidden);
         let (cand, o_v) = rest.split_at(hidden);
         let (gh, gc) = go.split_at(hidden);
         let (ct, dc_total) = dct.split_at_mut(hidden);
         for k in 0..hidden {
-            ct[k] = th(f_v[k] * cp[k] + i_v[k] * cand[k]);
+            ct[k] = crate::kernels::fast_tanh(f_v[k] * cp[k] + i_v[k] * cand[k]);
         }
         for k in 0..hidden {
             dc_total[k] = gc[k] + gh[k] * o_v[k] * (1.0 - ct[k] * ct[k]);
@@ -428,8 +372,10 @@ impl Graph {
     /// A graph that *replays* a compiled plan: the same builder code that
     /// recorded the plan re-executes against its arena, and
     /// [`Graph::into_plan`] recovers the plan afterwards for re-caching.
-    /// Allocates nothing.
+    /// Allocates nothing, except to reserve an arena that a plan-cache
+    /// miss released.
     pub fn replay(mut plan: Plan) -> Self {
+        plan.reserve();
         plan.param_memo.clear();
         Graph {
             nodes: Vec::new(),
@@ -526,11 +472,8 @@ impl Graph {
             return None;
         };
         plan.sync_params(store);
-        let memoize = !crate::kernels::reference_kernels();
-        if memoize {
-            if let Some(&(_, step)) = plan.param_memo.iter().find(|&&(pid, _)| pid == id) {
-                return Some(NodeId(step as usize));
-            }
+        if let Some(&(_, step)) = plan.param_memo.iter().find(|&&(pid, _)| pid == id) {
+            return Some(NodeId(step as usize));
         }
         let i = *cursor;
         plan.expect_step(i, "Param");
@@ -538,9 +481,7 @@ impl Graph {
             plan.diverged(i, "Param");
         }
         *cursor = i + 1;
-        if memoize {
-            plan.param_memo.push((id, i as u32));
-        }
+        plan.param_memo.push((id, i as u32));
         Some(NodeId(i))
     }
 
@@ -762,10 +703,6 @@ impl Graph {
         if let Some(n) = self.r_param(store, id) {
             return n;
         }
-        if crate::kernels::reference_kernels() {
-            // Seed behavior: a fresh leaf (and value clone) per use.
-            return self.push(Op::Param(id), store.value(id).clone(), true);
-        }
         if let Some(&n) = self.param_nodes.get(&id) {
             return n;
         }
@@ -931,8 +868,7 @@ impl Graph {
         self.push(Op::Offset(a, s), v, ng)
     }
 
-    /// Elementwise sigmoid (vectorizable polynomial kernel; the libm
-    /// reference when [`crate::kernels::set_reference_kernels`] is set).
+    /// Elementwise sigmoid (vectorizable polynomial kernel).
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
         if let Some(n) = self.r_step(
             "Sigmoid",
@@ -941,26 +877,17 @@ impl Graph {
         ) {
             return n;
         }
-        let v = if crate::kernels::reference_kernels() {
-            self.nodes[a.0].value.map(stable_sigmoid)
-        } else {
-            self.nodes[a.0].value.map(crate::kernels::fast_sigmoid)
-        };
+        let v = self.nodes[a.0].value.map(crate::kernels::fast_sigmoid);
         let ng = self.needs(a);
         self.push(Op::Sigmoid(a), v, ng)
     }
 
-    /// Elementwise tanh (vectorizable polynomial kernel; the libm
-    /// reference when [`crate::kernels::set_reference_kernels`] is set).
+    /// Elementwise tanh (vectorizable polynomial kernel).
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         if let Some(n) = self.r_step("Tanh", |op| matches!(op, Op::Tanh(x) if *x == a), None) {
             return n;
         }
-        let v = if crate::kernels::reference_kernels() {
-            self.nodes[a.0].value.map(f32::tanh)
-        } else {
-            self.nodes[a.0].value.map(crate::kernels::fast_tanh)
-        };
+        let v = self.nodes[a.0].value.map(crate::kernels::fast_tanh);
         let ng = self.needs(a);
         self.push(Op::Tanh(a), v, ng)
     }
@@ -981,17 +908,12 @@ impl Graph {
         self.push(Op::LeakyRelu(a, slope), v, ng)
     }
 
-    /// Elementwise exp (vectorizable polynomial kernel; the libm
-    /// reference when [`crate::kernels::set_reference_kernels`] is set).
+    /// Elementwise exp (vectorizable polynomial kernel).
     pub fn exp(&mut self, a: NodeId) -> NodeId {
         if let Some(n) = self.r_step("Exp", |op| matches!(op, Op::Exp(x) if *x == a), None) {
             return n;
         }
-        let v = if crate::kernels::reference_kernels() {
-            self.nodes[a.0].value.map(f32::exp)
-        } else {
-            self.nodes[a.0].value.map(crate::kernels::fast_exp)
-        };
+        let v = self.nodes[a.0].value.map(crate::kernels::fast_exp);
         let ng = self.needs(a);
         self.push(Op::Exp(a), v, ng)
     }
@@ -1159,17 +1081,7 @@ impl Graph {
             (vg.rows, hidden),
             "lstm_cell: c_prev shape mismatch"
         );
-        let v = if crate::kernels::reference_kernels() {
-            lstm_cell_forward(vg, vc, hidden, stable_sigmoid, f32::tanh)
-        } else {
-            lstm_cell_forward(
-                vg,
-                vc,
-                hidden,
-                crate::kernels::fast_sigmoid,
-                crate::kernels::fast_tanh,
-            )
-        };
+        let v = lstm_cell_forward(vg, vc, hidden);
         let ng = self.needs(gates) || self.needs(c_prev);
         self.push(
             Op::LstmCell {
@@ -1720,22 +1632,12 @@ impl Graph {
                     c_prev,
                     hidden,
                 } => {
-                    let (dg, dc) = {
-                        let vg = &self.nodes[gates.0].value;
-                        let vc = &self.nodes[c_prev.0].value;
-                        if crate::kernels::reference_kernels() {
-                            lstm_cell_backward(&g, vg, vc, hidden, stable_sigmoid, f32::tanh)
-                        } else {
-                            lstm_cell_backward(
-                                &g,
-                                vg,
-                                vc,
-                                hidden,
-                                crate::kernels::fast_sigmoid,
-                                crate::kernels::fast_tanh,
-                            )
-                        }
-                    };
+                    let (dg, dc) = lstm_cell_backward(
+                        &g,
+                        &self.nodes[gates.0].value,
+                        &self.nodes[c_prev.0].value,
+                        hidden,
+                    );
                     if self.needs(gates) {
                         self.accum(gates, dg);
                     }

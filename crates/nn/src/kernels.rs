@@ -32,30 +32,6 @@
 
 use crate::matrix::Matrix;
 use crate::threads;
-use gendt_sync::atomic::{AtomicBool, Ordering};
-
-/// When set, [`Matrix::matmul`] and the activation helpers fall back to
-/// the seed implementations (naive triple loop, libm transcendentals).
-static REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
-
-/// Route matrix products and activations through the seed reference
-/// implementations instead of the optimized kernels.
-///
-/// Before/after benchmarks flip this to time the pre-kernel-layer code
-/// path inside one build; it is not intended for production use. Note
-/// the reference path still enjoys this build's compiler flags, so
-/// speedups measured against it are conservative.
-pub fn set_reference_kernels(on: bool) {
-    // sync: benchmark toggle flipped between timed sections, never
-    // concurrently with kernel execution.
-    REFERENCE_KERNELS.store(on, Ordering::Relaxed);
-}
-
-/// True when the seed reference implementations are selected.
-pub(crate) fn reference_kernels() -> bool {
-    // sync: see set_reference_kernels.
-    REFERENCE_KERNELS.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------
 // Elementwise transcendentals
@@ -100,10 +76,6 @@ pub(crate) fn fast_exp(x: f32) -> f32 {
 
 /// Numerically stable sigmoid on top of [`fast_exp`]: `1/(1 + e^-x)`.
 /// The clamp inside `fast_exp` makes both tails well-behaved.
-///
-/// Callers dispatch between this and the libm reference once per
-/// matrix, not per element — a per-element [`reference_kernels`] check
-/// would put an atomic load in the hot loop and defeat vectorization.
 pub(crate) fn fast_sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + fast_exp(-x))
 }

@@ -193,32 +193,11 @@ impl Lstm {
         let xi = g.matmul(x, w_ih);
         let hh = g.matmul(state.h, w_hh);
         let h = self.hidden;
-        if crate::kernels::reference_kernels() {
-            // Seed-era op-by-op composition, kept as the timing and
-            // numeric reference for the fused cell below.
-            let pre = g.add(xi, hh);
-            let gates = g.add_row(pre, b);
-            let i_g = g.slice_cols(gates, 0, h);
-            let f_g = g.slice_cols(gates, h, 2 * h);
-            let g_g = g.slice_cols(gates, 2 * h, 3 * h);
-            let o_g = g.slice_cols(gates, 3 * h, 4 * h);
-            let i = g.sigmoid(i_g);
-            let f = g.sigmoid(f_g);
-            let cand = g.tanh(g_g);
-            let o = g.sigmoid(o_g);
-            let fc = g.mul(f, state.c);
-            let ig = g.mul(i, cand);
-            let c_new = g.add(fc, ig);
-            let c_tanh = g.tanh(c_new);
-            let h_new = g.mul(o, c_tanh);
-            LstmNodeState { h: h_new, c: c_new }
-        } else {
-            let gates = g.add_add_row(xi, hh, b);
-            let hc = g.lstm_cell(gates, state.c, h);
-            let h_new = g.slice_cols(hc, 0, h);
-            let c_new = g.slice_cols(hc, h, 2 * h);
-            LstmNodeState { h: h_new, c: c_new }
-        }
+        let gates = g.add_add_row(xi, hh, b);
+        let hc = g.lstm_cell(gates, state.c, h);
+        let h_new = g.slice_cols(hc, 0, h);
+        let c_new = g.slice_cols(hc, h, 2 * h);
+        LstmNodeState { h: h_new, c: c_new }
     }
 
     /// Apply the SRNN stochastic layer to a state: `h' = (h + a*n) *
@@ -278,44 +257,7 @@ impl Lstm {
         if a == 0.0 {
             return x;
         }
-        if !crate::kernels::reference_kernels() {
-            return g.noisy_renorm(x, a, u);
-        }
-        // Seed-era op-by-op composition, kept as the timing and numeric
-        // reference for the fused node above.
-        let v = g.value(x).clone();
-        assert_eq!(u.shape(), v.shape(), "noise shape must match state shape");
-        // Per-row noise scale: the (signed) mean of the row — the paper's
-        // `ĥ_t`, "the average value of h_t of all hidden dimensions" — so
-        // the noise adapts to the hidden-state level and stays small when
-        // activations cancel out.
-        let mut noise = Matrix::zeros(v.rows, v.cols);
-        for r in 0..v.rows {
-            let row = v.row_slice(r);
-            let mean = row.iter().sum::<f32>() / v.cols.max(1) as f32;
-            for c in 0..v.cols {
-                noise.data[r * v.cols + c] = u.data[r * v.cols + c] * mean;
-            }
-        }
-        let n = g.input(noise);
-        let an = g.scale(n, a);
-        let pert = g.add(x, an);
-        // ratio = row_sum(x) / row_sum(pert); guard near-zero denominators
-        // by offsetting both sums (cancels in the stable regime).
-        let sx = g.row_sum(x);
-        let sp = g.row_sum(pert);
-        let sx_off = g.offset(sx, 1e-3);
-        let sp_off = g.offset(sp, 1e-3);
-        // ratio = sx_off * 1/sp_off; reciprocal via exp(-ln) is not in the
-        // op set, so compute it with a constant-value division trick:
-        // treat ratio = sx_off ⊙ recip(sp_off) where recip is built from a
-        // constant snapshot. Gradient flows through sx_off only; the
-        // denominator is treated as locally constant, which empirically
-        // stabilizes training (it only rescales noise).
-        let recip_vals = g.value(sp_off).map(|x| 1.0 / x);
-        let recip = g.input(recip_vals);
-        let ratio = g.mul(sx_off, recip);
-        g.mul_col(pert, ratio)
+        g.noisy_renorm(x, a, u)
     }
 }
 

@@ -70,7 +70,6 @@ pub mod rng {
 }
 
 pub use graph::{Graph, NodeId, Op};
-pub use kernels::set_reference_kernels;
 pub use layers::{dropout, Linear, Lstm, LstmNodeState, LstmState, Mlp, StochasticCfg};
 pub use matrix::Matrix;
 pub use params::{Adam, ParamId, ParamStore, Sgd};

@@ -118,9 +118,6 @@ impl Matrix {
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if crate::kernels::reference_kernels() {
-            return self.matmul_naive(rhs);
-        }
         crate::kernels::gemm_nn(self, rhs)
     }
 
@@ -135,9 +132,6 @@ impl Matrix {
             "matmul_tn shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if crate::kernels::reference_kernels() {
-            return self.matmul_tn_naive(rhs);
-        }
         crate::kernels::gemm_tn(self, rhs)
     }
 
@@ -153,15 +147,12 @@ impl Matrix {
             "matmul_nt shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        if crate::kernels::reference_kernels() {
-            return self.matmul_nt_naive(rhs);
-        }
         crate::kernels::gemm_nt(self, rhs)
     }
 
     /// Reference `self * rhs`: the original i-k-j scalar loop. Retained
     /// as the ground truth for property tests and as the benchmark
-    /// baseline; not used on hot paths.
+    /// baseline; never called by the library itself.
     pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,

@@ -34,11 +34,12 @@
 //! Plan execution is **bitwise identical** to the interpreted tape: every
 //! forward kernel and every backward contribution replicates the
 //! interpreted arithmetic exactly, including accumulation order and the
-//! `±0.0` behavior of sparse gradient scatters. `GENDT_PLAN=1` therefore
-//! changes wall-clock, never numbers; the interpreted tape remains the
-//! reference and the parity gate in `scripts/ci.sh` enforces agreement.
+//! `±0.0` behavior of sparse gradient scatters. Replaying a plan therefore
+//! changes wall-clock, never numbers; the interpreted tape records every
+//! new plan and remains the reference, and the parity gate in
+//! `scripts/ci.sh` enforces agreement.
 
-use crate::graph::{cell_act, NodeId, Op};
+use crate::graph::{cell_act, Graph, NodeId, Op};
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
@@ -169,6 +170,13 @@ pub struct Plan {
     /// Shared scratch for GEMM packing, LSTM activations, and backward
     /// row reductions. Sized at compile time to the largest need.
     ws: Vec<f32>,
+    /// Compiled length of `ws` (kept while the arena is released).
+    ws_len: usize,
+    /// True while the arena (slots, `ws` and `pack_bufs`) is freed: a
+    /// cache miss releases idle plans, and
+    /// [`crate::graph::Graph::replay`] reserves the arena again before the
+    /// next replay.
+    released: bool,
     /// Loss step index when the plan was compiled from a tape that runs
     /// backward; `None` for generation-only plans.
     loss: Option<usize>,
@@ -210,9 +218,17 @@ impl Plan {
         self.caps.len()
     }
 
-    /// Total bytes held by the arena (slot capacities plus workspace).
+    /// Total bytes of the arena (slot capacities, workspace and hoisted
+    /// weight packs) while it is resident.
     pub fn arena_bytes(&self) -> usize {
-        4 * (self.caps.iter().sum::<usize>() + self.ws.len())
+        let packs: usize = (0..self.pack_bufs.len()).map(|k| self.pack_len(k)).sum();
+        4 * (self.caps.iter().sum::<usize>() + self.ws_len + packs)
+    }
+
+    /// Element count of hoisted weight pack `k`.
+    fn pack_len(&self, k: usize) -> usize {
+        let st = &self.steps[self.pack_steps[k] as usize];
+        kernels::packed_b_len(st.rows as usize, st.cols as usize)
     }
 
     /// All binding intervals assigned by the liveness pass.
@@ -261,6 +277,36 @@ impl Plan {
             st.op.describe()
         );
         &self.slots[st.val_slot as usize]
+    }
+
+    /// Free the arena while the plan sits idle in a cache. Parameter
+    /// slots and weight packs lose their synchronized values, so the next
+    /// replay re-syncs them.
+    fn release(&mut self) {
+        self.slots.fill_with(Matrix::default);
+        self.ws = Vec::new();
+        self.pack_bufs.fill_with(Vec::new);
+        self.param_version = u64::MAX;
+        self.released = true;
+    }
+
+    /// Re-allocate a released arena at its compiled capacities; a no-op
+    /// on a resident plan, so warm replays stay allocation-free.
+    pub(crate) fn reserve(&mut self) {
+        if !self.released {
+            return;
+        }
+        for (slot, &cap) in self.slots.iter_mut().zip(&self.caps) {
+            slot.data.reserve_exact(cap);
+        }
+        self.ws.reserve_exact(self.ws_len);
+        self.ws.resize(self.ws_len, 0.0);
+        for k in 0..self.pack_bufs.len() {
+            let len = self.pack_len(k);
+            self.pack_bufs[k].reserve_exact(len);
+            self.pack_bufs[k].resize(len, 0.0);
+        }
+        self.released = false;
     }
 
     // -----------------------------------------------------------------
@@ -354,14 +400,7 @@ impl Plan {
             // Values written by the constructor / param sync, not here.
             Op::Input | Op::Param(_) => {}
             Op::MatMul(a, b) => {
-                if kernels::reference_kernels() {
-                    let va = self.val_ref(a.index());
-                    let vb = self.val_ref(b.index());
-                    let res = va.matmul_naive(vb); // plan-lint: allow-alloc (reference kernels)
-                    out.data.copy_from_slice(&res.data);
-                } else {
-                    self.gemm_step(a.index(), b.index(), &mut out, &mut ws, false);
-                }
+                self.gemm_step(a.index(), b.index(), &mut out, &mut ws, false);
             }
             Op::Add(a, b) => {
                 let (va, vb) = (self.val_ref(a.index()), self.val_ref(b.index()));
@@ -418,26 +457,14 @@ impl Plan {
             }
             Op::Sigmoid(a) => {
                 let va = self.val_ref(a.index());
-                if kernels::reference_kernels() {
-                    for (o, &x) in out.data.iter_mut().zip(&va.data) {
-                        *o = crate::graph::stable_sigmoid(x);
-                    }
-                } else {
-                    for (o, &x) in out.data.iter_mut().zip(&va.data) {
-                        *o = kernels::fast_sigmoid(x);
-                    }
+                for (o, &x) in out.data.iter_mut().zip(&va.data) {
+                    *o = kernels::fast_sigmoid(x);
                 }
             }
             Op::Tanh(a) => {
                 let va = self.val_ref(a.index());
-                if kernels::reference_kernels() {
-                    for (o, &x) in out.data.iter_mut().zip(&va.data) {
-                        *o = x.tanh();
-                    }
-                } else {
-                    for (o, &x) in out.data.iter_mut().zip(&va.data) {
-                        *o = kernels::fast_tanh(x);
-                    }
+                for (o, &x) in out.data.iter_mut().zip(&va.data) {
+                    *o = kernels::fast_tanh(x);
                 }
             }
             Op::LeakyRelu(a, slope) => {
@@ -449,14 +476,8 @@ impl Plan {
             }
             Op::Exp(a) => {
                 let va = self.val_ref(a.index());
-                if kernels::reference_kernels() {
-                    for (o, &x) in out.data.iter_mut().zip(&va.data) {
-                        *o = x.exp();
-                    }
-                } else {
-                    for (o, &x) in out.data.iter_mut().zip(&va.data) {
-                        *o = kernels::fast_exp(x);
-                    }
+                for (o, &x) in out.data.iter_mut().zip(&va.data) {
+                    *o = kernels::fast_exp(x);
                 }
             }
             Op::Softplus(a) => {
@@ -535,14 +556,8 @@ impl Plan {
                     for k in 0..hidden {
                         c_out[k] = f_v[k] * cp[k] + i_v[k] * cand[k];
                     }
-                    if kernels::reference_kernels() {
-                        for k in 0..hidden {
-                            h_out[k] = o_v[k] * c_out[k].tanh();
-                        }
-                    } else {
-                        for k in 0..hidden {
-                            h_out[k] = o_v[k] * kernels::fast_tanh(c_out[k]);
-                        }
+                    for k in 0..hidden {
+                        h_out[k] = o_v[k] * kernels::fast_tanh(c_out[k]);
                     }
                 }
             }
@@ -764,14 +779,8 @@ impl Plan {
                     c_out[k] = f_v[k] * cp[k] + i_v[k] * cand[k];
                 }
                 let h_out = &mut hout.data[r * hidden..(r + 1) * hidden];
-                if kernels::reference_kernels() {
-                    for k in 0..hidden {
-                        h_out[k] = o_v[k] * c_out[k].tanh();
-                    }
-                } else {
-                    for k in 0..hidden {
-                        h_out[k] = o_v[k] * kernels::fast_tanh(c_out[k]);
-                    }
+                for k in 0..hidden {
+                    h_out[k] = o_v[k] * kernels::fast_tanh(c_out[k]);
                 }
             }
         }
@@ -894,27 +903,19 @@ impl Plan {
         };
         if self.needs(a) {
             let (mut m, present) = self.take_grad(a);
-            if kernels::reference_kernels() {
-                let g = self.grad_ref(gsrc);
-                let res = g.matmul_nt_naive(self.val_ref(b)); // plan-lint: allow-alloc (reference kernels)
-                fold_into(&mut m, &res, present);
-            } else {
-                let g = self.grad_ref(gsrc);
-                kernels::gemm_nt_into(g, self.val_ref(b), &mut m, present);
-            }
+            kernels::gemm_nt_into(self.grad_ref(gsrc), self.val_ref(b), &mut m, present);
             self.put_grad(a, m);
         }
         if self.needs(b) {
             let (mut m, present) = self.take_grad(b);
             let mut ws = std::mem::take(&mut self.ws);
-            if kernels::reference_kernels() {
-                let g = self.grad_ref(gsrc);
-                let res = self.val_ref(a).matmul_tn_naive(g); // plan-lint: allow-alloc (reference kernels)
-                fold_into(&mut m, &res, present);
-            } else {
-                let g = self.grad_ref(gsrc);
-                kernels::gemm_tn_into(self.val_ref(a), g, &mut m, &mut ws, present);
-            }
+            kernels::gemm_tn_into(
+                self.val_ref(a),
+                self.grad_ref(gsrc),
+                &mut m,
+                &mut ws,
+                present,
+            );
             self.ws = ws;
             self.put_grad(b, m);
         }
@@ -973,7 +974,6 @@ impl Plan {
             };
             let gh_all = slot_data(gsrc_h, hp);
             let gc_all = slot_data(gsrc_c, cp);
-            let reference = kernels::reference_kernels();
             let (act, dct) = ws[..6 * hidden].split_at_mut(4 * hidden);
             for r in 0..rows {
                 let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
@@ -996,14 +996,8 @@ impl Plan {
                     go.split_at(hidden)
                 };
                 let (ct, dc_total) = dct.split_at_mut(hidden);
-                if reference {
-                    for k in 0..hidden {
-                        ct[k] = (f_v[k] * cpv[k] + i_v[k] * cand[k]).tanh();
-                    }
-                } else {
-                    for k in 0..hidden {
-                        ct[k] = kernels::fast_tanh(f_v[k] * cpv[k] + i_v[k] * cand[k]);
-                    }
+                for k in 0..hidden {
+                    ct[k] = kernels::fast_tanh(f_v[k] * cpv[k] + i_v[k] * cand[k]);
                 }
                 for k in 0..hidden {
                     let (gh_k, gc_k) = grad_pair(gh_row, gc_row, k, hp, cp, split);
@@ -1671,17 +1665,6 @@ fn grad_pair(gh: &[f32], gc: &[f32], k: usize, hp: bool, cp: bool, split: bool) 
     }
 }
 
-/// Fold a reference-kernel product into a gradient target (set or add).
-fn fold_into(m: &mut Matrix, res: &Matrix, present: bool) {
-    if present {
-        for (d, &x) in m.data.iter_mut().zip(&res.data) {
-            *d += x;
-        }
-    } else {
-        m.data.copy_from_slice(&res.data);
-    }
-}
-
 /// `Option<(Matrix, bool)>` helper: unwrap or provide placeholder
 /// values for the untaken branch (never read when the need flag is off).
 trait UnzipOrDefault {
@@ -1731,65 +1714,60 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
         }
     }
 
-    // Plan-time fusion. Skipped under reference kernels, whose forward
-    // products must keep routing through the naive reference.
+    // Plan-time fusion.
     let mut kind: Vec<Kind> = vec![Kind::Plain; n];
     let mut slice_parent: Vec<u32> = vec![NONE; n];
-    if !kernels::reference_kernels() {
-        for i in 0..n {
-            if let Op::AddAddRow(a, b, _) = &nodes[i].op {
-                let (a, b) = (a.index(), b.index());
-                if a != b
-                    && matches!(nodes[a].op, Op::MatMul(..))
-                    && matches!(nodes[b].op, Op::MatMul(..))
-                    && consumers[a].len() == 1
-                    && consumers[b].len() == 1
-                    && !nodes[a].ext
-                    && !nodes[b].ext
-                    && kind[a] == Kind::Plain
-                    && kind[b] == Kind::Plain
-                {
-                    kind[i] = Kind::FusedGates {
-                        xi: a as u32,
-                        hh: b as u32,
-                    };
-                    kind[a] = Kind::GateMatmul { parent: i as u32 };
-                    kind[b] = Kind::GateMatmul { parent: i as u32 };
-                }
+    for i in 0..n {
+        if let Op::AddAddRow(a, b, _) = &nodes[i].op {
+            let (a, b) = (a.index(), b.index());
+            if a != b
+                && matches!(nodes[a].op, Op::MatMul(..))
+                && matches!(nodes[b].op, Op::MatMul(..))
+                && consumers[a].len() == 1
+                && consumers[b].len() == 1
+                && !nodes[a].ext
+                && !nodes[b].ext
+                && kind[a] == Kind::Plain
+                && kind[b] == Kind::Plain
+            {
+                kind[i] = Kind::FusedGates {
+                    xi: a as u32,
+                    hh: b as u32,
+                };
+                kind[a] = Kind::GateMatmul { parent: i as u32 };
+                kind[b] = Kind::GateMatmul { parent: i as u32 };
             }
         }
-        for i in 0..n {
-            if let Op::LstmCell { hidden, .. } = nodes[i].op {
-                if nodes[i].ext || consumers[i].len() != 2 {
-                    continue;
-                }
-                let mut h_step = None;
-                let mut c_step = None;
-                for &s in &consumers[i] {
-                    let s = s as usize;
-                    match nodes[s].op {
-                        Op::SliceCols(p, 0, c1) if p.index() == i && c1 == hidden => {
-                            h_step = Some(s)
-                        }
-                        Op::SliceCols(p, c0, c1)
-                            if p.index() == i && c0 == hidden && c1 == 2 * hidden =>
-                        {
-                            c_step = Some(s)
-                        }
-                        _ => {}
+    }
+    for i in 0..n {
+        if let Op::LstmCell { hidden, .. } = nodes[i].op {
+            if nodes[i].ext || consumers[i].len() != 2 {
+                continue;
+            }
+            let mut h_step = None;
+            let mut c_step = None;
+            for &s in &consumers[i] {
+                let s = s as usize;
+                match nodes[s].op {
+                    Op::SliceCols(p, 0, c1) if p.index() == i && c1 == hidden => h_step = Some(s),
+                    Op::SliceCols(p, c0, c1)
+                        if p.index() == i && c0 == hidden && c1 == 2 * hidden =>
+                    {
+                        c_step = Some(s)
                     }
+                    _ => {}
                 }
-                if let (Some(hs), Some(cs)) = (h_step, c_step) {
-                    if hs != cs {
-                        kind[i] = Kind::CellSplit {
-                            h_step: hs as u32,
-                            c_step: cs as u32,
-                        };
-                        kind[hs] = Kind::CellSlice;
-                        kind[cs] = Kind::CellSlice;
-                        slice_parent[hs] = i as u32;
-                        slice_parent[cs] = i as u32;
-                    }
+            }
+            if let (Some(hs), Some(cs)) = (h_step, c_step) {
+                if hs != cs {
+                    kind[i] = Kind::CellSplit {
+                        h_step: hs as u32,
+                        c_step: cs as u32,
+                    };
+                    kind[hs] = Kind::CellSlice;
+                    kind[cs] = Kind::CellSlice;
+                    slice_parent[hs] = i as u32;
+                    slice_parent[cs] = i as u32;
                 }
             }
         }
@@ -2115,6 +2093,8 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
         slots,
         caps,
         ws: vec![0.0; ws_len],
+        ws_len,
+        released: false,
         loss,
         param_steps,
         param_memo: Vec::with_capacity(memo_cap),
@@ -2178,11 +2158,40 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Remove and return the plan for `key`, if present.
+    /// Execute the graph keyed by `key` once: replay its cached plan on
+    /// a hit; on a miss, record a tape and cache its compiled plan.
+    /// `build` runs the model code on the graph and returns its result
+    /// plus the loss node it ran backward from (`None` for forward-only
+    /// graphs).
+    ///
+    /// `GENDT_SANITIZE` forces an uncached tape: its per-op checks
+    /// inspect recorded values, which a replay never produces.
+    pub fn run<R>(&self, key: PlanKey, build: impl FnOnce(&mut Graph) -> (R, Option<NodeId>)) -> R {
+        let tape_only = crate::sanitize::sanitize_enabled();
+        let plan = if tape_only { None } else { self.take(&key) };
+        let mut g = plan.map_or_else(Graph::new, Graph::replay);
+        let (out, loss) = build(&mut g);
+        if !tape_only {
+            self.put(key, g.into_plan(loss));
+        }
+        out
+    }
+
+    /// Remove and return the plan for `key`, if present. A miss releases
+    /// the arenas of the plans left in the cache: the tape recorded next
+    /// would otherwise stack on top of every idle arena. A released plan
+    /// reserves its arena again on its next replay.
     pub fn take(&self, key: &PlanKey) -> Option<Plan> {
         let mut inner = self.inner.lock();
-        let pos = inner.iter().position(|(k, _)| k == key)?;
-        Some(inner.remove(pos).1)
+        match inner.iter().position(|(k, _)| k == key) {
+            Some(pos) => Some(inner.remove(pos).1),
+            None => {
+                for (_, plan) in inner.iter_mut() {
+                    plan.release();
+                }
+                None
+            }
+        }
     }
 
     /// Store (or return) a plan under `key`.

@@ -7,7 +7,10 @@
 //! at op granularity. A violation panics with the offending op, its
 //! attributes, and the state of its inputs, so corruption is caught
 //! where it is *born* (e.g. a Gaussian head blowing up) instead of
-//! surfacing steps later as a silently wrong fidelity table.
+//! surfacing steps later as a silently wrong fidelity table. While it is
+//! on, [`crate::plan::PlanCache::run`] records the tape for every step
+//! instead of replaying compiled plans, since the checks inspect
+//! recorded values.
 //!
 //! The checks cost one linear scan per recorded node and per gradient,
 //! so the mode is off by default; `scripts/ci.sh` runs one sanitized

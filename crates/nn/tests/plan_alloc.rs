@@ -1,6 +1,8 @@
 //! Proof of the plan executor's headline property: replaying a compiled
 //! plan — forward, backward, and optimizer step — performs **zero heap
-//! allocations** after the first (warm-up) replay.
+//! allocations** after the first (warm-up) replay. A plan whose arena a
+//! cache miss released allocates exactly that arena on its next replay,
+//! and nothing after.
 //!
 //! The test binary installs the vendored counting allocator globally and
 //! diffs its per-thread counters around replayed training steps. The
@@ -8,7 +10,7 @@
 //! in `vendor/alloc-counter`; everything here is safe code.
 
 use alloc_counter::{snapshot, CountingAlloc};
-use gendt_nn::{Graph, Matrix, NodeId, ParamId, ParamStore, Rng, Sgd};
+use gendt_nn::{Graph, Matrix, NodeId, ParamId, ParamStore, PlanCache, PlanKey, Rng, Sgd};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -127,6 +129,69 @@ fn replayed_train_steps_do_not_allocate() {
             "replayed step {step} allocated {} time(s) / {} byte(s)",
             traffic.allocs,
             traffic.bytes
+        );
+    }
+}
+
+#[test]
+fn released_arena_is_reserved_on_the_next_replay_only() {
+    gendt_nn::set_num_threads(1);
+    let mut rng = Rng::seed_from(23);
+    let mut store = ParamStore::new();
+    let p = init(&mut store, &mut rng);
+    let mut x = Matrix::zeros(BATCH, IN);
+    let c0 = Matrix::zeros(BATCH, HIDDEN);
+    let mut tgt = Matrix::zeros(BATCH, OUT);
+    for v in x.data.iter_mut().chain(tgt.data.iter_mut()) {
+        *v = rng.uniform(-1.0, 1.0) as f32;
+    }
+    let grads = |store: &ParamStore| -> Vec<Vec<f32>> {
+        store.iter().map(|q| q.grad.data.clone()).collect()
+    };
+
+    // Record one step, replay it once so its parameter slots are synced,
+    // and cache the plan. No optimizer step follows, so every replay
+    // below sees the recording's inputs and parameters.
+    let step = |g: &mut Graph, store: &mut ParamStore| -> NodeId {
+        store.zero_grad();
+        let loss = build(g, store, &p, &x, &c0, &tgt);
+        g.backward(loss, store);
+        loss
+    };
+    let mut g = Graph::new();
+    let loss = step(&mut g, &mut store);
+    let recorded = (g.value(loss).data[0].to_bits(), grads(&store));
+    let mut g = Graph::replay(g.into_plan(Some(loss)));
+    let loss = step(&mut g, &mut store);
+    let cache = PlanCache::new();
+    let key = PlanKey::new("step", [BATCH as u64, 0, 0, 0, 0, 0]);
+    cache.put(key, g.into_plan(Some(loss)));
+
+    // A miss on another key releases the cached plan's arena.
+    assert!(cache.take(&PlanKey::new("other", [0; 6])).is_none());
+    let mut plan = cache
+        .take(&key)
+        .expect("a miss keeps the other plans cached");
+    let arena = plan.arena_bytes() as u64;
+    assert!(arena > 0);
+
+    for replay in 0..3 {
+        let before = snapshot();
+        let mut g = Graph::replay(plan);
+        let loss = step(&mut g, &mut store);
+        let l = g.value(loss).data[0];
+        plan = g.into_plan(Some(loss));
+        let traffic = snapshot().since(before);
+        assert_eq!(
+            (l.to_bits(), grads(&store)),
+            recorded,
+            "replay {replay} after the release diverged from the recording"
+        );
+        let want = if replay == 0 { arena } else { 0 };
+        assert_eq!(
+            traffic.bytes, want,
+            "replay {replay} allocated {} byte(s) in {} call(s)",
+            traffic.bytes, traffic.allocs
         );
     }
 }

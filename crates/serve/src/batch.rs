@@ -102,34 +102,34 @@ mod tests {
     }
 
     /// The scheduler's compute step must produce the same bits whether
-    /// the model runs the interpreted tape or compiled plans; each
-    /// `ModelEntry` owns its plan cache, so a `/reload` (fresh entries)
-    /// invalidates plans by construction.
+    /// the model runs the interpreted tape (forced by `GENDT_SANITIZE`)
+    /// or compiled plans; each `ModelEntry` owns its plan cache, so a
+    /// `/reload` (fresh entries) invalidates plans by construction.
     #[test]
     fn plan_mode_batches_match_interpreted() {
-        let entry = |plan: bool| {
-            let mut model = demo_model(3);
-            model.set_plan_mode(plan);
-            ModelEntry {
-                name: "demo".to_string(),
-                version: 0,
-                model,
-                kpis: Kpi::DATASET_A.to_vec(),
-            }
+        let entry = || ModelEntry {
+            name: "demo".to_string(),
+            version: 0,
+            model: demo_model(3),
+            kpis: Kpi::DATASET_A.to_vec(),
         };
         let ctx = demo_ctx();
-        let tape = entry(false);
-        let plan = entry(true);
+        let (tape, plan) = (entry(), entry());
         let jobs: Vec<GenJob> = [11u64, 12]
             .iter()
             .map(|&seed| GenJob {
-                entry: Arc::new(entry(false)),
+                entry: Arc::new(entry()),
                 ctx: Arc::clone(&ctx),
                 sample_seed: seed,
                 stream: None,
             })
             .collect();
+        // The switch is process-global: hold a lock for both runs.
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        gendt_nn::set_sanitize(true);
         let base = run_batch(&tape, &jobs);
+        gendt_nn::set_sanitize(false);
         let first = run_batch(&plan, &jobs);
         let replay = run_batch(&plan, &jobs);
         for k in 0..jobs.len() {

@@ -4,8 +4,8 @@
 use std::path::Path;
 
 /// Version of the bench-output schema. Bump when a field in
-/// `BENCH_serve.json` / `BENCH_kernels.json` changes meaning, so the
-/// cross-PR bench trajectory can tell layouts apart.
+/// `BENCH_serve.json` changes meaning, so the cross-PR bench trajectory
+/// can tell layouts apart.
 ///
 /// v2: serve bench moved from fixed-concurrency closed loop to
 /// open-loop Poisson arrivals (`offered_rps`/`achieved_rps`), latency

@@ -14,6 +14,11 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
+# The benchmark is a package of its own (perfbench/), outside the
+# workspace: build it and run its unit tests, so an API change in the
+# workspace crates cannot break it unnoticed.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Verification layer (crates/audit): repo-invariant lint, per-op
 # finite-difference gradcheck, tape verifier, and a sanitized
 # (GENDT_SANITIZE) train step + generation smoke run.
@@ -27,10 +32,11 @@ cargo run --release -p gendt-audit -- smoke
 # Chrome-trace JSON parses with the expected spans + telemetry records.
 cargo run --release -p gendt-audit -- trace-smoke
 
-# Plan parity gate: the compiled-plan executor (GENDT_PLAN) must be
-# bitwise-identical to the interpreted tape for training (weights +
-# loss trace) and for single/batched generation, including cached
-# plan replays.
+# Plan parity gate: compiled plans (how train and generate run) must be
+# bitwise-identical to the interpreted tape, forced by GENDT_SANITIZE,
+# for training (weights + loss trace) and for single, batched and
+# chunked generation, including cached replays and a replay after a
+# cache miss released the plan arenas.
 cargo run --release -p gendt-audit -- plan-parity
 
 # Concurrency gate: the interleave model checker explores >10k thread
@@ -51,11 +57,10 @@ cargo run --release -p gendt-audit -- chaos
 
 # Stream gate: the stateful /v1/stream surface end to end. Asserts the
 # concatenation of a session's chunks across open + continuations is
-# bitwise-identical to the one-shot /v1/generate series in BOTH the
-# interpreted and GENDT_PLAN=1 compiled-plan modes (and that the two
-# modes agree), that a mid-stream deadline yields a `deadline` trailer
-# with a resumable session, and that draining refuses continuations of
-# shed sessions with a typed 503.
+# bitwise-identical to the one-shot /v1/generate series, that a
+# mid-stream deadline yields a `deadline` trailer with a resumable
+# session, and that draining refuses continuations of shed sessions
+# with a typed 503.
 cargo run --release -p gendt-audit -- stream-smoke
 
 # Serving layer (crates/serve): one end-to-end request against an
