@@ -295,7 +295,7 @@ fn run_smoke() -> bool {
 
 fn run_plan_parity() -> bool {
     use gendt::{
-        generate_series, generate_series_batch, generate_series_chunk, generation_windows,
+        generate_series, generate_series_batch, generate_series_chunk, generation_window_count,
         GenBatchItem, GenChunkItem, GenCursor, GenDt, GeneratedSeries,
     };
     use gendt_data::Kpi;
@@ -348,7 +348,7 @@ fn run_plan_parity() -> bool {
     };
     let items = batch(&[8, 9]);
     // Chunked generation: one window per call, cursor carried across.
-    let windows = generation_windows(&ctx, cfg.n_ch, &cfg.generation_window()).len();
+    let windows = generation_window_count(&ctx, &cfg.generation_window());
     let chunked = |m: &GenDt| {
         let mut items = [GenChunkItem {
             ctx: &ctx,

@@ -13,20 +13,22 @@ use gendt_radio::cells::Deployment;
 use gendt_radio::kpi::{KpiCfg, KpiEngine};
 use gendt_radio::propagation::{PropagationCfg, ShadowField};
 
+fn rand_matrix(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols)
+            .map(|_| rng.uniform(-1.0, 1.0) as f32)
+            .collect(),
+    )
+}
+
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
     for n in [32usize, 64, 128] {
         let mut rng = Rng::seed_from(1);
-        let a = Matrix::from_vec(
-            n,
-            n,
-            (0..n * n).map(|_| rng.uniform(-1.0, 1.0) as f32).collect(),
-        );
-        let b = Matrix::from_vec(
-            n,
-            n,
-            (0..n * n).map(|_| rng.uniform(-1.0, 1.0) as f32).collect(),
-        );
+        let a = rand_matrix(&mut rng, n, n);
+        let b = rand_matrix(&mut rng, n, n);
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bch, _| {
             bch.iter(|| std::hint::black_box(a.matmul(&b)));
         });
@@ -38,6 +40,31 @@ fn bench_matmul(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("nt_blocked", n), &n, |bch, _| {
             bch.iter(|| std::hint::black_box(a.matmul_nt(&b)));
+        });
+    }
+    group.finish();
+}
+
+/// The three products at the paper's LSTM shapes (H = 100, four gates
+/// = 400 columns) for the node LSTM's 32 rows (a training shard of 4
+/// windows × 8 cells) and the aggregation LSTM's 4 rows: `nn` is the
+/// forward gate product `h·W_hh`, `tn` the weight gradient `hᵀ·dG`, `nt`
+/// the state gradient `dG·W_hhᵀ`.
+fn bench_matmul_paper_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("matmul_paper");
+    let mut rng = Rng::seed_from(4);
+    let w_hh = rand_matrix(&mut rng, 100, 400);
+    for rows in [32usize, 4] {
+        let h = rand_matrix(&mut rng, rows, 100);
+        let d_gates = rand_matrix(&mut rng, rows, 400);
+        group.bench_with_input(BenchmarkId::new("nn", rows), &rows, |bch, _| {
+            bch.iter(|| std::hint::black_box(h.matmul(&w_hh)));
+        });
+        group.bench_with_input(BenchmarkId::new("tn", rows), &rows, |bch, _| {
+            bch.iter(|| std::hint::black_box(h.matmul_tn(&d_gates)));
+        });
+        group.bench_with_input(BenchmarkId::new("nt", rows), &rows, |bch, _| {
+            bch.iter(|| std::hint::black_box(d_gates.matmul_nt(&w_hh)));
         });
     }
     group.finish();
@@ -204,6 +231,6 @@ fn bench_simulator(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_lstm_step, bench_generator_forward, bench_train_step, bench_metrics, bench_simulator
+    targets = bench_matmul, bench_matmul_paper_shapes, bench_lstm_step, bench_generator_forward, bench_train_step, bench_metrics, bench_simulator
 }
 criterion_main!(benches);

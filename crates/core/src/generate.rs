@@ -20,53 +20,62 @@ use serde::{Deserialize, Serialize};
 /// what "generating for a new trajectory without field measurements"
 /// means). Targets and AR seeds are zero-filled placeholders.
 pub fn generation_windows(ctx: &RunContext, n_ch: usize, cfg: &WindowCfg) -> Vec<Window> {
-    let n = ctx.steps.len();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start + cfg.len <= n {
-        let end = start + cfg.len;
-        // Rank cells by presence over the window, as in training.
-        let mut presence: std::collections::BTreeMap<u32, usize> = Default::default();
-        for step in &ctx.steps[start..end] {
-            for &(id, _) in &step.cells {
-                *presence.entry(id).or_insert(0) += 1;
-            }
-        }
-        let mut ranked: Vec<(u32, usize)> = presence.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(cfg.max_cells);
-        let cell_ids: Vec<u32> = ranked.into_iter().map(|(id, _)| id).collect();
-        let cells = cell_ids
-            .iter()
-            .map(|&id| {
-                ctx.steps[start..end]
-                    .iter()
-                    .map(|s| {
-                        s.cells
-                            .iter()
-                            .find(|&&(cid, _)| cid == id)
-                            .map(|&(_, f)| f)
-                            .unwrap_or([0.0, 0.0, 0.0, 0.0, 1.0])
-                    })
-                    .collect()
-            })
-            .collect();
-        let env: Vec<Vec<f32>> = ctx.steps[start..end]
-            .iter()
-            .map(|s| s.env.clone())
-            .collect();
-        debug_assert!(env.iter().all(|e| e.len() == ENV_ATTRS));
-        out.push(Window {
-            targets: vec![vec![0.0; cfg.len]; n_ch],
-            cells,
-            cell_ids,
-            env,
-            ar_seed: vec![vec![0.0; cfg.ar_context]; n_ch],
-            start,
-        });
-        start += cfg.stride;
+    (0..generation_window_count(ctx, cfg))
+        .map(|i| build_generation_window(ctx, n_ch, cfg, i))
+        .collect()
+}
+
+/// How many windows [`generation_windows`] builds for `ctx`, without
+/// building them: every `cfg.len`-step window starting at a multiple of
+/// `cfg.stride` (positive in every validated config) that fits.
+pub fn generation_window_count(ctx: &RunContext, cfg: &WindowCfg) -> usize {
+    match ctx.steps.len().checked_sub(cfg.len) {
+        Some(room) => room / cfg.stride + 1,
+        None => 0,
     }
-    out
+}
+
+/// Generation window `index` of `ctx`: the one starting at step
+/// `index * cfg.stride`, which must fit in the trajectory.
+fn build_generation_window(ctx: &RunContext, n_ch: usize, cfg: &WindowCfg, index: usize) -> Window {
+    let start = index * cfg.stride;
+    let steps = &ctx.steps[start..start + cfg.len];
+    // Rank cells by presence over the window, as in training.
+    let mut presence: std::collections::BTreeMap<u32, usize> = Default::default();
+    for step in steps {
+        for &(id, _) in &step.cells {
+            *presence.entry(id).or_insert(0) += 1;
+        }
+    }
+    let mut ranked: Vec<(u32, usize)> = presence.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.truncate(cfg.max_cells);
+    let cell_ids: Vec<u32> = ranked.into_iter().map(|(id, _)| id).collect();
+    let cells = cell_ids
+        .iter()
+        .map(|&id| {
+            steps
+                .iter()
+                .map(|s| {
+                    s.cells
+                        .iter()
+                        .find(|&&(cid, _)| cid == id)
+                        .map(|&(_, f)| f)
+                        .unwrap_or([0.0, 0.0, 0.0, 0.0, 1.0])
+                })
+                .collect()
+        })
+        .collect();
+    let env: Vec<Vec<f32>> = steps.iter().map(|s| s.env.clone()).collect();
+    debug_assert!(env.iter().all(|e| e.len() == ENV_ATTRS));
+    Window {
+        targets: vec![vec![0.0; cfg.len]; n_ch],
+        cells,
+        cell_ids,
+        env,
+        ar_seed: vec![vec![0.0; cfg.ar_context]; n_ch],
+        start,
+    }
 }
 
 /// One generated multi-KPI series in physical units.
@@ -244,21 +253,33 @@ pub fn generate_series_chunk(
         "KPI list does not match model channels"
     );
     let n = items.len();
-    let wins: Vec<Vec<Window>> = items
-        .iter()
-        .map(|it| generation_windows(it.ctx, cfg.n_ch, &cfg.generation_window()))
-        .collect();
+    let wcfg = cfg.generation_window();
     // Window range this chunk covers for stream i: [starts[i], ends[i]).
+    let totals: Vec<usize> = items
+        .iter()
+        .map(|it| generation_window_count(it.ctx, &wcfg))
+        .collect();
     let starts: Vec<usize> = items
         .iter()
-        .zip(wins.iter())
-        .map(|(it, w)| it.cursor.next_window.min(w.len()))
+        .zip(&totals)
+        .map(|(it, &t)| it.cursor.next_window.min(t))
         .collect();
     let ends: Vec<usize> = items
         .iter()
-        .zip(wins.iter())
-        .zip(starts.iter())
-        .map(|((it, w), &s)| s.saturating_add(it.max_windows).min(w.len()))
+        .zip(&totals)
+        .zip(&starts)
+        .map(|((it, &t), &s)| s.saturating_add(it.max_windows).min(t))
+        .collect();
+    // Build only those windows: a continuation costs its own windows, not
+    // the whole trajectory's.
+    let wins: Vec<Vec<Window>> = items
+        .iter()
+        .enumerate()
+        .map(|(i, it)| {
+            (starts[i]..ends[i])
+                .map(|w| build_generation_window(it.ctx, cfg.n_ch, &wcfg, w))
+                .collect()
+        })
         .collect();
     let mut rngs: Vec<gendt_nn::Rng> = items
         .iter()
@@ -269,10 +290,14 @@ pub fn generate_series_chunk(
 
     let hid = cfg.hidden;
     let tail_w = cfg.n_ch * cfg.window.ar_context;
-    let max_len = (0..n).map(|i| ends[i] - starts[i]).max().unwrap_or(0);
+    let max_len = wins.iter().map(Vec::len).max().unwrap_or(0);
     for k in 0..max_len {
-        let active: Vec<usize> = (0..n).filter(|&i| starts[i] + k < ends[i]).collect();
-        let wrefs: Vec<&Window> = active.iter().map(|&i| &wins[i][starts[i] + k]).collect();
+        // The streams whose chunk has a k-th window, and those windows.
+        let (active, wrefs): (Vec<usize>, Vec<&Window>) = wins
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| Some((i, w.get(k)?)))
+            .unzip();
         let bn = active.len();
 
         // Stack per-stream carry rows and RNG streams for the active set.
@@ -727,6 +752,49 @@ mod tests {
         assert!(rep.model_uncertainty > 0.0);
         assert!(rep.data_uncertainty > 0.0);
         assert_eq!(rep.samples, 3);
+    }
+
+    #[test]
+    fn window_count_and_builder_agree_with_training_windows() {
+        // gendt-data's training windows rank and gather cells the same way
+        // in code of their own: generation windows must match them on
+        // everything but the KPI targets and AR seeds.
+        let ds = dataset_a(&BuildCfg::quick(47));
+        let run = &ds.runs[0];
+        let ctx_cfg = ContextCfg {
+            max_cells: 3,
+            ..ContextCfg::default()
+        };
+        let ctx = extract(&ds.world, &ds.deployment, &run.traj, &ctx_cfg);
+        for stride in [10, 4] {
+            let cfg = WindowCfg {
+                len: 10,
+                stride,
+                max_cells: 3,
+                ar_context: 4,
+            };
+            let l = cfg.len;
+            assert!(ctx.steps.len() >= 3 * l + 7, "fixture trajectory too short");
+            for steps in [0, l - 1, l, l + 1, 3 * l + 7] {
+                let sub = RunContext {
+                    steps: ctx.steps[..steps].to_vec(),
+                };
+                let mut sub_run = run.clone();
+                sub_run.samples.truncate(steps);
+                let want = gendt_data::windows::windows(&sub_run, &sub, &Kpi::DATASET_A, &cfg);
+                let at = format!("{steps} steps, stride {stride}");
+                assert_eq!(generation_window_count(&sub, &cfg), want.len(), "{at}");
+                assert_eq!(generation_windows(&sub, 4, &cfg).len(), want.len(), "{at}");
+                for (i, w) in want.iter().enumerate() {
+                    let g = build_generation_window(&sub, 4, &cfg, i);
+                    assert_eq!(
+                        (g.start, &g.cell_ids, &g.cells, &g.env),
+                        (w.start, &w.cell_ids, &w.cells, &w.env),
+                        "window {i}, {at}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -63,8 +63,9 @@ pub use checkpoint::{
 };
 pub use discriminator::Discriminator;
 pub use generate::{
-    generate_series, generate_series_batch, generate_series_chunk, generation_windows,
-    model_uncertainty, GenBatchItem, GenChunkItem, GenCursor, GeneratedSeries, UncertaintyReport,
+    generate_series, generate_series_batch, generate_series_chunk, generation_window_count,
+    generation_windows, model_uncertainty, GenBatchItem, GenChunkItem, GenCursor, GeneratedSeries,
+    UncertaintyReport,
 };
 pub use generator::{ArMode, CarryState, ForwardOut, Generator};
 pub use trainer::{GenDt, StepTrace};

@@ -1,25 +1,30 @@
 //! Cache-blocked, autovectorization-friendly matrix-product kernels.
 //!
 //! Three product shapes back the autograd engine: `A·B` (forward),
-//! `Aᵀ·B` and `A·Bᵀ` (backward). All three share the same design:
+//! `Aᵀ·B` and `A·Bᵀ` (backward). They share one design:
 //!
-//! * **Register tiling.** The inner loops compute an `MR x NR` output
-//!   tile held in a local accumulator array, so each loaded element of
-//!   `A` and `B` is reused `NR`- resp. `MR`-fold before going back to
-//!   memory. The tile loops have constant trip counts over plain `f32`
-//!   arrays, which LLVM autovectorizes to the full SIMD width of the
-//!   target — no `unsafe`, no explicit intrinsics (this crate forbids
-//!   `unsafe_code`).
-//! * **Column-block packing.** `B` columns are packed `NR` at a time
-//!   into a contiguous `K x NR` scratch buffer, so the hot loop streams
-//!   exactly one cache line per `k` regardless of the parent matrix
-//!   stride.
+//! * **Register tiling.** The inner loops compute an output tile held in
+//!   local accumulator arrays, so each loaded element of `A` and `B` is
+//!   reused across the tile before going back to memory: `MR x NR` for
+//!   `A·B` and `Aᵀ·B`, and for `A·Bᵀ` a 2-row x 4-column tile of dot
+//!   products whose eight accumulators each hold eight lanes. The tile
+//!   loops have constant trip counts over plain `f32` arrays, which LLVM
+//!   autovectorizes to the SIMD width of the target — no `unsafe`, no
+//!   explicit intrinsics (this crate forbids `unsafe_code`).
+//! * **Column-block packing.** For `A·B` and `Aᵀ·B`, `B` columns are
+//!   packed `NR` at a time into a contiguous `K x NR` scratch buffer, so
+//!   the hot loop streams exactly one cache line per `k` regardless of
+//!   the parent matrix stride. `A·Bᵀ` reads rows of both operands, which
+//!   are contiguous already.
 //! * **Deterministic accumulation.** Every output element accumulates
 //!   its `k` (resp. `r`) terms in ascending order, the same order the
 //!   naive reference uses, so the blocked kernels are bit-for-bit
 //!   reproducible run to run. `A·Bᵀ` reassociates its dot products into
-//!   eight fixed partial-sum lanes — still a fixed order, just not the
-//!   naive one, hence the documented 1e-5 agreement tolerance.
+//!   eight fixed partial-sum lanes ([`dot8`]) — still a fixed order, just
+//!   not the naive one, hence the documented 1e-5 agreement tolerance.
+//!   Its 2x4 tile keeps each output's own lanes, tail and reduction
+//!   tree, so it is bitwise equal to one `dot8` per output. Tiling that
+//!   keeps each output's sums is allowed; reassociating them is not.
 //! * **Shape-only parallel partitioning.** Large products split their
 //!   *output rows* into fixed [`CHUNK_ROWS`]-row chunks dispatched via
 //!   [`threads::par_chunks_mut`]. Chunks are derived from the problem
@@ -39,10 +44,10 @@ use crate::threads;
 // `f32::exp` / `f32::tanh` are scalar libm calls, and the LSTM gate
 // activations make ~L * B * 8H of them per generator forward — they
 // rival the matrix products once those are blocked. The polynomial
-// versions below are branchless straight-line arithmetic, so the
-// activation loops autovectorize like the matmul microkernels. They are
-// pure f32 arithmetic: bitwise reproducible on every run, build, and
-// thread count.
+// versions below are branchless straight-line arithmetic with no
+// float-to-int cast, so the activation loops autovectorize like the
+// matmul microkernels. They are pure f32 arithmetic: bitwise
+// reproducible on every run, build, and thread count.
 // ---------------------------------------------------------------------
 
 /// Branchless `e^x` via Cephes-style range reduction: `x = n·ln2 + r`
@@ -51,6 +56,13 @@ use crate::threads;
 /// the clamped range; inputs are clamped to `[-87, 88]` where f32 `e^x`
 /// is finite and normal.
 pub(crate) fn fast_exp(x: f32) -> f32 {
+    exp_with_scale(x, exp2i)
+}
+
+/// [`fast_exp`] with its `2^n` scale builder as a parameter, so the tests
+/// can run it with the `f32 → i32` cast that [`exp2i`] replaced.
+#[inline]
+fn exp_with_scale(x: f32, pow2: impl Fn(f32) -> f32) -> f32 {
     const LOG2_E: f32 = std::f32::consts::LOG2_E;
     // Written out in full: these are the exact hi/lo split of ln 2.
     #[allow(clippy::excessive_precision)]
@@ -70,8 +82,19 @@ pub(crate) fn fast_exp(x: f32) -> f32 {
     p = p * r + 1.666_666_5e-1;
     p = p * r + 0.5;
     let poly = (p * r * r + r) + 1.0;
-    let scale = f32::from_bits(((n as i32 + 127) << 23) as u32);
-    poly * scale
+    poly * pow2(n)
+}
+
+/// `2^n` for an integral `n` in `[-126, 127]` (what the clamp in
+/// [`fast_exp`] leaves), built from exponent bits without an `f32 → i32`
+/// cast: `n + 127` is exact, adding `2^23` puts it in the low mantissa
+/// bits, and the shift moves those into the exponent field. The result
+/// is bit-identical to `((n as i32 + 127) << 23) as u32`, but it is pure
+/// float and integer lane arithmetic, so loops over `fast_exp` vectorize
+/// (the saturating `as` cast blocks that).
+#[inline]
+fn exp2i(n: f32) -> f32 {
+    f32::from_bits(((n + 127.0) + 8_388_608.0).to_bits() << 23)
 }
 
 /// Numerically stable sigmoid on top of [`fast_exp`]: `1/(1 + e^-x)`.
@@ -102,14 +125,15 @@ const CHUNK_ROWS: usize = 64;
 /// Minimum multiply-add count before parallel dispatch pays for itself.
 const PAR_FLOPS: usize = 1 << 21;
 
-/// View a `chunks_exact(NR)` chunk as a fixed-size array reference.
-/// The length is guaranteed by `chunks_exact`, so the fallback arm is
-/// genuinely unreachable (kept panic-free for the repo lint on this file).
+/// View an exactly `N`-long chunk (from `chunks_exact(N)` or an
+/// `o..o + N` range) as a fixed-size array reference. Callers guarantee
+/// the length, so the fallback arm is genuinely unreachable (kept
+/// panic-free for the repo lint on this file).
 #[inline]
-fn as_nr(chunk: &[f32]) -> &[f32; NR] {
+fn as_array<const N: usize>(chunk: &[f32]) -> &[f32; N] {
     match chunk.try_into() {
         Ok(arr) => arr,
-        Err(_) => unreachable!("chunks_exact yields NR-length chunks"),
+        Err(_) => unreachable!("chunk length is N by construction"),
     }
 }
 
@@ -207,7 +231,7 @@ fn micro_4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], packed: &[f32]) -> [[
     let mut c2 = [0.0f32; NR];
     let mut c3 = [0.0f32; NR];
     for (kk, bk) in packed.chunks_exact(NR).enumerate() {
-        let bk = as_nr(bk);
+        let bk: &[f32; NR] = as_array(bk);
         let x0 = a0[kk];
         let x1 = a1[kk];
         let x2 = a2[kk];
@@ -227,7 +251,7 @@ fn micro_4(a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32], packed: &[f32]) -> [[
 fn micro_1(ar: &[f32], packed: &[f32]) -> [f32; NR] {
     let mut c = [0.0f32; NR];
     for (kk, bk) in packed.chunks_exact(NR).enumerate() {
-        let bk = as_nr(bk);
+        let bk: &[f32; NR] = as_array(bk);
         let x = ar[kk];
         for j in 0..NR {
             c[j] += x * bk[j];
@@ -402,19 +426,50 @@ fn tn_block(
 }
 
 /// `A·Bᵀ` over one horizontal slab of output rows: row-row dot products
-/// with eight fixed partial-sum lanes.
+/// with [`dot8`]'s eight fixed partial-sum lanes. Output rows go two at
+/// a time and columns four at a time through [`lanes_2x4`], which loads
+/// each 8-float chunk of the two `A` rows and four `B` rows once for all
+/// eight outputs of the tile; every output then gets the same tail and
+/// reduction tree as [`dot8`] via [`reduce8`], so the result is bitwise
+/// equal to one `dot8` per output. Leftover rows and columns run on
+/// `dot8` itself.
 fn nt_block_ws(a: &[f32], kdim: usize, b: &[f32], n: usize, out: &mut [f32], acc: bool) {
     let rows = out.len() / n;
-    for i in 0..rows {
-        let arow = &a[i * kdim..(i + 1) * kdim];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            let v = dot8(arow, &b[j * kdim..(j + 1) * kdim]);
-            if acc {
-                *o += v;
-            } else {
-                *o = v;
+    let full = kdim - kdim % 8;
+    let a_row = |i: usize| &a[i * kdim..(i + 1) * kdim];
+    let b_row = |j: usize| &b[j * kdim..(j + 1) * kdim];
+    let put = |o: &mut f32, v: f32| {
+        if acc {
+            *o += v;
+        } else {
+            *o = v;
+        }
+    };
+    let mut i = 0;
+    while i + 2 <= rows {
+        let ar = [a_row(i), a_row(i + 1)];
+        let (o0, o1) = out[i * n..(i + 2) * n].split_at_mut(n);
+        let mut j = 0;
+        while j + 4 <= n {
+            let br = [b_row(j), b_row(j + 1), b_row(j + 2), b_row(j + 3)];
+            let tile = lanes_2x4(ar, br, full);
+            for (r, orow) in [&mut *o0, &mut *o1].into_iter().enumerate() {
+                for c in 0..4 {
+                    let v = reduce8(&tile[r][c], &ar[r][full..], &br[c][full..]);
+                    put(&mut orow[j + c], v);
+                }
             }
+            j += 4;
+        }
+        for j in j..n {
+            put(&mut o0[j], dot8(ar[0], b_row(j)));
+            put(&mut o1[j], dot8(ar[1], b_row(j)));
+        }
+        i += 2;
+    }
+    if i < rows {
+        for (j, o) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
+            put(o, dot8(a_row(i), b_row(j)));
         }
     }
 }
@@ -600,6 +655,51 @@ fn dot8(x: &[f32], y: &[f32]) -> f32 {
             p[l] += xs[l] * ys[l];
         }
     }
+    reduce8(&p, tail_x, tail_y)
+}
+
+/// [`dot8`]'s lane sums for a 2-row × 4-column tile: `p[r][c][l]` adds
+/// `a[r][o + l] * b[c][o + l]` over the 8-float chunks `o < full` in
+/// ascending order, exactly as `dot8` does for the pair `(a[r], b[c])`.
+/// The eight accumulators are distinct locals (see [`NR`]) and fill 8 of
+/// AVX2's 16 vector registers, leaving room for the six chunk loads; a
+/// 4×4 tile would spill there.
+#[inline]
+fn lanes_2x4(a: [&[f32]; 2], b: [&[f32]; 4], full: usize) -> [[[f32; 8]; 4]; 2] {
+    let mut p00 = [0.0f32; 8];
+    let mut p01 = [0.0f32; 8];
+    let mut p02 = [0.0f32; 8];
+    let mut p03 = [0.0f32; 8];
+    let mut p10 = [0.0f32; 8];
+    let mut p11 = [0.0f32; 8];
+    let mut p12 = [0.0f32; 8];
+    let mut p13 = [0.0f32; 8];
+    for o in (0..full).step_by(8) {
+        let (x0, x1) = (lane8(a[0], o), lane8(a[1], o));
+        let (y0, y1, y2, y3) = (
+            lane8(b[0], o),
+            lane8(b[1], o),
+            lane8(b[2], o),
+            lane8(b[3], o),
+        );
+        for l in 0..8 {
+            p00[l] += x0[l] * y0[l];
+            p01[l] += x0[l] * y1[l];
+            p02[l] += x0[l] * y2[l];
+            p03[l] += x0[l] * y3[l];
+            p10[l] += x1[l] * y0[l];
+            p11[l] += x1[l] * y1[l];
+            p12[l] += x1[l] * y2[l];
+            p13[l] += x1[l] * y3[l];
+        }
+    }
+    [[p00, p01, p02, p03], [p10, p11, p12, p13]]
+}
+
+/// Finish one [`dot8`]: the sequential tail over the `k % 8` leftover
+/// products, then the fixed reduction tree over the eight lanes.
+#[inline]
+fn reduce8(p: &[f32; 8], tail_x: &[f32], tail_y: &[f32]) -> f32 {
     let mut tail = 0.0f32;
     for (a, b) in tail_x.iter().zip(tail_y.iter()) {
         tail += a * b;
@@ -607,11 +707,63 @@ fn dot8(x: &[f32], y: &[f32]) -> f32 {
     (((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))) + tail
 }
 
+/// `s[o..o + 8]` as a fixed-size array reference.
+#[inline]
+fn lane8(s: &[f32], o: usize) -> &[f32; 8] {
+    as_array(&s[o..o + 8])
+}
+
 #[cfg(test)]
 mod tests {
     use crate::matrix::Matrix;
     use crate::threads;
     use gendt_rng::Rng;
+
+    /// The `2^n` scale `fast_exp` used to build with a saturating cast,
+    /// which kept the activation loops scalar.
+    fn exp2i_cast(n: f32) -> f32 {
+        f32::from_bits(((n as i32 + 127) << 23) as u32)
+    }
+
+    #[test]
+    fn cast_free_exp_is_bit_identical_to_the_cast() {
+        for n in -126..=127 {
+            let n = n as f32;
+            let (got, want) = (super::exp2i(n), exp2i_cast(n));
+            assert_eq!(got.to_bits(), want.to_bits(), "2^{n}");
+        }
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            -f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            f32::MIN,
+            -1e9,
+            1e9,
+        ];
+        // The clamp edges and their neighbours on both sides.
+        for edge in [-87.0f32, 88.0] {
+            xs.extend([edge, edge.next_down(), edge.next_up()]);
+        }
+        let mut x = -100.0f32;
+        while x <= 100.0 {
+            xs.push(x);
+            x += 1e-3;
+        }
+        for x in xs {
+            let want = super::exp_with_scale(x, exp2i_cast);
+            assert_eq!(super::fast_exp(x).to_bits(), want.to_bits(), "e^{x}");
+        }
+    }
 
     #[test]
     fn fast_transcendentals_match_libm() {
@@ -759,6 +911,60 @@ mod tests {
             refr.add_assign(&super::gemm_nt(&a, &bt));
             assert_eq!(acc.data, refr.data, "nt acc {m}x{k}x{n}");
         }
+    }
+
+    /// The row-at-a-time `A·Bᵀ` loop the 2×4 tile replaced: one `dot8`
+    /// per output, stored or added.
+    fn nt_rowwise(a: &Matrix, b: &Matrix, out: &mut Matrix, acc: bool) {
+        let (kdim, n) = (a.cols, b.rows);
+        for i in 0..a.rows {
+            let arow = &a.data[i * kdim..(i + 1) * kdim];
+            for (j, o) in out.data[i * n..(i + 1) * n].iter_mut().enumerate() {
+                let v = super::dot8(arow, &b.data[j * kdim..(j + 1) * kdim]);
+                if acc {
+                    *o += v;
+                } else {
+                    *o = v;
+                }
+            }
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tiled_nt_is_bitwise_equal_to_rowwise_dot8() {
+        // Row counts hit the 2-row tile, its leftover row and the 64-row
+        // parallel chunks; column counts the 4-column tile and leftover
+        // columns; k the empty, sub-chunk, exact-chunk and tail cases.
+        let mut rng = Rng::seed_from(13);
+        for nthreads in [1, 4] {
+            threads::set_num_threads(nthreads);
+            for m in [1, 2, 3, 5, 64, 65, 130] {
+                for n in [1, 3, 4, 5, 100] {
+                    for k in [0, 1, 7, 8, 9, 400] {
+                        let ctx = format!("nt {m}x{k}·({n}x{k})ᵀ, {nthreads} threads");
+                        let a = rand_mat(&mut rng, m, k);
+                        let b = rand_mat(&mut rng, n, k);
+                        let base = rand_mat(&mut rng, m, n);
+                        let mut want = Matrix::zeros(m, n);
+                        nt_rowwise(&a, &b, &mut want, false);
+                        assert_eq!(bits(&super::gemm_nt(&a, &b)), bits(&want), "{ctx}");
+                        let mut got = base.clone();
+                        super::gemm_nt_into(&a, &b, &mut got, false);
+                        assert_eq!(bits(&got), bits(&want), "{ctx} into");
+                        let mut want = base.clone();
+                        nt_rowwise(&a, &b, &mut want, true);
+                        let mut got = base.clone();
+                        super::gemm_nt_into(&a, &b, &mut got, true);
+                        assert_eq!(bits(&got), bits(&want), "{ctx} acc");
+                    }
+                }
+            }
+        }
+        threads::set_num_threads(1);
     }
 
     #[test]

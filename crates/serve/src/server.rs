@@ -33,7 +33,7 @@ use crate::metrics::ServeMetrics;
 use crate::registry::{ModelEntry, Registry};
 use crate::scheduler::{SchedCfg, Scheduler, SubmitError};
 use crate::session::{Checkout, SessionTable, StreamSession};
-use gendt::{generation_windows, GenCursor};
+use gendt::{generation_window_count, GenCursor};
 use gendt_data::context::{extract, ContextCfg, RunContext};
 use gendt_faults::GendtError;
 use gendt_geo::{trajectory, World, WorldCfg, XY};
@@ -979,7 +979,7 @@ fn handle_stream(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request
                 }
             };
             let cfg = entry.model.cfg();
-            let total_windows = generation_windows(&ctx, cfg.n_ch, &cfg.generation_window()).len();
+            let total_windows = generation_window_count(&ctx, &cfg.generation_window());
             let chunk_windows = match parsed.chunk_windows {
                 Some(n) if n > 0 => n,
                 _ => state.chunk_windows,

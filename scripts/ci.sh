@@ -12,6 +12,10 @@ fi
 
 cargo build --release
 cargo test -q
+# The kernel tests again on the optimized, autovectorized codegen that
+# training, serving and the benchmark run: the bitwise oracles must hold
+# for the code that ships, not only for the debug build.
+cargo test -q --release -p gendt-nn
 cargo clippy --workspace -- -D warnings
 
 # The benchmark is a package of its own (perfbench/), outside the
