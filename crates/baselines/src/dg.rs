@@ -220,11 +220,10 @@ impl DoppelGanger {
             h: g.input(Matrix::zeros(b, 16)),
             c: g.input(Matrix::zeros(b, 16)),
         };
+        let w = self.ts_disc_lstm.weights(g, &self.d_store, frozen);
         for &x in xs {
             let inp = g.concat_cols(x, meta_node);
-            st = self
-                .ts_disc_lstm
-                .step_mode(g, &self.d_store, inp, st, frozen);
+            st = self.ts_disc_lstm.step_with(g, w, inp, st);
         }
         self.ts_disc_head
             .forward_mode(g, &self.d_store, st.h, frozen)

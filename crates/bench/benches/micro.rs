@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gendt::{ArMode, CarryState, GenDt, GenDtCfg, Generator};
 use gendt_data::windows::Window;
+use gendt_data::{extract, ContextCfg};
 use gendt_geo::landuse::ENV_ATTRS;
 use gendt_geo::trajectory::{generate, Scenario, TrajectoryCfg};
 use gendt_geo::world::{World, WorldCfg};
@@ -202,8 +203,24 @@ fn bench_simulator(c: &mut Criterion) {
     c.bench_function("cells_within_2km", |b| {
         b.iter(|| std::hint::black_box(deployment.cells_within(XY::new(100.0, -50.0), 2000.0)))
     });
+    c.bench_function("nearest_within_2km_k8", |b| {
+        b.iter(|| std::hint::black_box(deployment.nearest_within(XY::new(100.0, -50.0), 2000.0, 8)))
+    });
     c.bench_function("env_context_500m", |b| {
         b.iter(|| std::hint::black_box(world.env_context(XY::new(100.0, -50.0), 500.0)))
+    });
+    // Context extraction for a one-hour walk, 8 cells per step as the
+    // paper-shape model takes them.
+    let walk = generate(
+        &world,
+        &TrajectoryCfg::new(Scenario::Walk, 3600.0, XY::new(0.0, 0.0), 5),
+    );
+    let ctx_cfg = ContextCfg {
+        max_cells: 8,
+        ..ContextCfg::default()
+    };
+    c.bench_function("extract_1h_walk", |b| {
+        b.iter(|| std::hint::black_box(extract(&world, &deployment, &walk, &ctx_cfg)))
     });
     let prop = PropagationCfg::default();
     let shadow = ShadowField::new(7, 3, &prop);

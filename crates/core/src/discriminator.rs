@@ -46,9 +46,10 @@ impl Discriminator {
             h: g.input(Matrix::zeros(b, self.hidden)),
             c: g.input(Matrix::zeros(b, self.hidden)),
         };
+        let w = self.lstm.weights(g, &self.store, frozen);
         for (&x, &c) in xs.iter().zip(ctx.iter()) {
             let inp = g.concat_cols(x, c);
-            st = self.lstm.step_mode(g, &self.store, inp, st, frozen);
+            st = self.lstm.step_with(g, w, inp, st);
         }
         self.head.forward_mode(g, &self.store, st.h, frozen)
     }
@@ -121,6 +122,60 @@ mod tests {
         let lr = g.value(lr_node).data[0];
         let lf = g.value(lf_node).data[0];
         assert!(lr > lf + 1.0, "real logit {lr} should exceed fake {lf}");
+    }
+
+    #[test]
+    fn frozen_weights_enter_once_with_unchanged_values_and_gradients() {
+        // The frozen forward leafs each weight once per forward. Leafing
+        // the LSTM weights again at every step, as the discriminator once
+        // did, must give the same logit and input gradients, bit for bit.
+        let cfg = tiny();
+        let d = Discriminator::new(&cfg, &mut Rng::seed_from(3));
+        let run = |per_step: bool| {
+            let mut g = Graph::new();
+            let mut rng = Rng::seed_from(4);
+            let mut leaf = |g: &mut Graph, cols| {
+                let data = (0..3 * cols).map(|_| rng.normal() as f32).collect();
+                g.input_with_grad(Matrix::from_vec(3, cols, data))
+            };
+            let xs: Vec<NodeId> = (0..5).map(|_| leaf(&mut g, 2)).collect();
+            let cs: Vec<NodeId> = (0..5).map(|_| leaf(&mut g, 6)).collect();
+            let logit = if per_step {
+                let mut st = LstmNodeState {
+                    h: g.input(Matrix::zeros(3, d.hidden)),
+                    c: g.input(Matrix::zeros(3, d.hidden)),
+                };
+                for (&x, &c) in xs.iter().zip(cs.iter()) {
+                    let inp = g.concat_cols(x, c);
+                    let w = d.lstm.weights(&mut g, &d.store, true);
+                    st = d.lstm.step_with(&mut g, w, inp, st);
+                }
+                d.head.forward_mode(&mut g, &d.store, st.h, true)
+            } else {
+                d.forward(&mut g, &xs, &cs, true)
+            };
+            let loss = g.bce_with_logits(logit, Matrix::full(3, 1, 1.0));
+            g.backward(loss, &mut ParamStore::new());
+            let mut bits: Vec<u32> = g.value(logit).data.iter().map(|v| v.to_bits()).collect();
+            for &n in xs.iter().chain(cs.iter()) {
+                bits.extend(
+                    g.grad(n)
+                        .expect("input gradient")
+                        .data
+                        .iter()
+                        .map(|v| v.to_bits()),
+                );
+            }
+            (g.len(), bits)
+        };
+        let (once_nodes, once) = run(false);
+        let (per_step_nodes, per_step) = run(true);
+        assert_eq!(once, per_step);
+        assert_eq!(
+            per_step_nodes - once_nodes,
+            3 * 4,
+            "three leaves per extra step"
+        );
     }
 
     /// Rebuild a discriminator skeleton with the same layer structure (the

@@ -108,9 +108,8 @@ pub fn extract(
         .points
         .iter()
         .map(|pt| {
-            let mut ids = deployment.cells_within(pt.pos, cfg.d_s);
-            ids.truncate(cfg.max_cells);
-            let cells = ids
+            let cells = deployment
+                .nearest_within(pt.pos, cfg.d_s, cfg.max_cells)
                 .into_iter()
                 .map(|id| (id, cell_features(cfg, deployment, id, pt.pos)))
                 .collect();

@@ -433,10 +433,18 @@ impl World {
                 *v /= total as f64;
             }
         }
-        // PoI counts via the bucket index.
+        // PoI counts via the bucket index. A bucket's PoIs lie inside its
+        // rectangle (PoIs outside the extent are not indexed), so a bucket
+        // farther than the radius from p holds none of the disc; the 1 m
+        // margin covers bucket-index rounding.
         let br = (radius_m / self.bucket_m).ceil() as isize + 1;
         let bx = ((p.x + self.cfg.extent_m) / self.bucket_m) as isize;
         let by = ((p.y + self.cfg.extent_m) / self.bucket_m) as isize;
+        let gap = |q: f64, g: isize| {
+            let lo = -self.cfg.extent_m + g as f64 * self.bucket_m;
+            (lo - q).max(q - (lo + self.bucket_m)).max(0.0)
+        };
+        let reach = radius_m + 1.0;
         for dy in -br..=br {
             for dx in -br..=br {
                 let gx = bx + dx;
@@ -445,14 +453,17 @@ impl World {
                     || gy < 0
                     || gx >= self.bucket_side as isize
                     || gy >= self.bucket_side as isize
+                    || gap(p.x, gx).hypot(gap(p.y, gy)) > reach
                 {
                     continue;
                 }
+                // Adding 0.0 for a PoI outside the disc leaves the count's
+                // bits as they are, and spares a branch that a bucket's
+                // PoIs, in no spatial order, would mispredict often.
                 for &pi in &self.poi_buckets[gy as usize * self.bucket_side + gx as usize] {
                     let poi = self.pois[pi as usize];
-                    if poi.pos.dist(&p) <= radius_m {
-                        out[LandUse::COUNT + poi.kind.index()] += 1.0;
-                    }
+                    out[LandUse::COUNT + poi.kind.index()] +=
+                        f64::from(u8::from(poi.pos.dist(&p) <= radius_m));
                 }
             }
         }
@@ -614,6 +625,81 @@ mod tests {
         let n_small: f64 = small[12..].iter().sum();
         let n_large: f64 = large[12..].iter().sum();
         assert!(n_large >= n_small);
+    }
+
+    /// The unpruned PoI loop `env_context` ran before it skipped buckets
+    /// out of reach: every bucket of the window, every PoI distance-checked.
+    fn unpruned_poi_counts(w: &World, p: XY, radius_m: f64) -> Vec<f64> {
+        let mut out = vec![0.0; PoiKind::COUNT];
+        let br = (radius_m / w.bucket_m).ceil() as isize + 1;
+        let bx = ((p.x + w.cfg.extent_m) / w.bucket_m) as isize;
+        let by = ((p.y + w.cfg.extent_m) / w.bucket_m) as isize;
+        for dy in -br..=br {
+            for dx in -br..=br {
+                let gx = bx + dx;
+                let gy = by + dy;
+                if gx < 0 || gy < 0 || gx >= w.bucket_side as isize || gy >= w.bucket_side as isize
+                {
+                    continue;
+                }
+                for &pi in &w.poi_buckets[gy as usize * w.bucket_side + gx as usize] {
+                    let poi = w.pois[pi as usize];
+                    if poi.pos.dist(&p) <= radius_m {
+                        out[poi.kind.index()] += 1.0;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pruned_poi_counts_are_bit_identical_to_the_full_window() {
+        for (w, seed) in [
+            (World::generate(WorldCfg::city(42)), 201),
+            (World::generate(WorldCfg::region(13)), 202),
+        ] {
+            let mut rng = Rng::seed_from(seed);
+            let e = w.cfg.extent_m;
+            for i in 0..300 {
+                // Random points up to 15% outside the extent, every fourth
+                // on a PoI-bucket edge.
+                let mut p = XY::new(
+                    rng.uniform(-1.15 * e, 1.15 * e),
+                    rng.uniform(-1.15 * e, 1.15 * e),
+                );
+                if i % 4 == 0 {
+                    p.x = -e + rng.gen_range(w.bucket_side + 1) as f64 * w.bucket_m;
+                }
+                for r in [250.0, 500.0, 1000.0] {
+                    let got = w.env_context(p, r);
+                    let want = unpruned_poi_counts(&w, p, r);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got[LandUse::COUNT..]), bits(&want), "at {p:?}, r {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn poi_pruning_margin_covers_a_poi_indexed_across_a_bucket_edge() {
+        // In the 4 km city extent, `x + extent` rounds PoI A, 2^-42 m west
+        // of the 1.5 km bucket edge, into the bucket east of it. A lies
+        // exactly 500 m from p, so it counts, but that bucket's rectangle
+        // lies 500 m + 2^-42 from p: without the margin it would be pruned.
+        let mut w = World::generate(WorldCfg::city(42));
+        let tiny = 2f64.powi(-42);
+        w.pois = vec![Poi {
+            pos: XY::new(1500.0 - tiny, 250.0),
+            kind: PoiKind::Cafe,
+        }];
+        w.poi_buckets = vec![Vec::new(); w.bucket_side * w.bucket_side];
+        let b = bucket_of(w.pois[0].pos, w.cfg.extent_m, w.bucket_m, w.bucket_side);
+        w.poi_buckets[b.unwrap()].push(0);
+        let p = XY::new(1000.0 - tiny, 250.0);
+        let got = w.env_context(p, 500.0);
+        assert_eq!(got[LandUse::COUNT..], unpruned_poi_counts(&w, p, 500.0)[..]);
+        assert_eq!(got[LandUse::COUNT + PoiKind::Cafe.index()], 1.0);
     }
 
     #[test]

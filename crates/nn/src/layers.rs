@@ -96,6 +96,17 @@ pub struct LstmNodeState {
     pub c: NodeId,
 }
 
+/// An [`Lstm`]'s weights as graph nodes (see [`Lstm::weights`]).
+#[derive(Clone, Copy, Debug)]
+pub struct LstmWeights {
+    /// Input-to-gates weight node.
+    pub w_ih: NodeId,
+    /// Hidden-to-gates weight node.
+    pub w_hh: NodeId,
+    /// Gate-bias node.
+    pub b: NodeId,
+}
+
 /// Configuration of the SRNN stochastic layer (paper §4.3.4, appendix A.2):
 /// uniform noise added to the LSTM hidden state and memory each step, then
 /// renormalized so the per-row total stays unchanged.
@@ -164,36 +175,41 @@ impl Lstm {
         x: NodeId,
         state: LstmNodeState,
     ) -> LstmNodeState {
-        self.step_mode(g, store, x, state, false)
+        let w = self.weights(g, store, false);
+        self.step_with(g, w, x, state)
     }
 
-    /// Like [`Lstm::step`], but with `frozen = true` the weights enter as
-    /// constants (gradients still flow through to `x` and the state).
-    pub fn step_mode(
+    /// Leaf the weights into `g`, once per unroll: every step of the
+    /// unroll then takes the same nodes through [`Lstm::step_with`]. With
+    /// `frozen = true` they enter as constants (gradients still flow
+    /// through to the inputs and the state, never into `store`).
+    pub fn weights(&self, g: &mut Graph, store: &ParamStore, frozen: bool) -> LstmWeights {
+        let leaf = |g: &mut Graph, id| {
+            if frozen {
+                g.param_frozen(store, id)
+            } else {
+                g.param(store, id)
+            }
+        };
+        LstmWeights {
+            w_ih: leaf(g, self.w_ih),
+            w_hh: leaf(g, self.w_hh),
+            b: leaf(g, self.b),
+        }
+    }
+
+    /// One LSTM step on weights from [`Lstm::weights`].
+    pub fn step_with(
         &self,
         g: &mut Graph,
-        store: &ParamStore,
+        w: LstmWeights,
         x: NodeId,
         state: LstmNodeState,
-        frozen: bool,
     ) -> LstmNodeState {
-        let (w_ih, w_hh, b) = if frozen {
-            (
-                g.param_frozen(store, self.w_ih),
-                g.param_frozen(store, self.w_hh),
-                g.param_frozen(store, self.b),
-            )
-        } else {
-            (
-                g.param(store, self.w_ih),
-                g.param(store, self.w_hh),
-                g.param(store, self.b),
-            )
-        };
-        let xi = g.matmul(x, w_ih);
-        let hh = g.matmul(state.h, w_hh);
+        let xi = g.matmul(x, w.w_ih);
+        let hh = g.matmul(state.h, w.w_hh);
         let h = self.hidden;
-        let gates = g.add_add_row(xi, hh, b);
+        let gates = g.add_add_row(xi, hh, w.b);
         let hc = g.lstm_cell(gates, state.c, h);
         let h_new = g.slice_cols(hc, 0, h);
         let c_new = g.slice_cols(hc, h, 2 * h);

@@ -70,7 +70,9 @@ pub mod rng {
 }
 
 pub use graph::{Graph, NodeId, Op};
-pub use layers::{dropout, Linear, Lstm, LstmNodeState, LstmState, Mlp, StochasticCfg};
+pub use layers::{
+    dropout, Linear, Lstm, LstmNodeState, LstmState, LstmWeights, Mlp, StochasticCfg,
+};
 pub use matrix::Matrix;
 pub use params::{Adam, ParamId, ParamStore, Sgd};
 pub use plan::{fold_dims, LiveRange, Plan, PlanCache, PlanKey};

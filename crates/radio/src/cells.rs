@@ -38,7 +38,12 @@ pub struct Deployment {
     extent_m: f64,
     bucket_m: f64,
     side: usize,
-    buckets: Vec<Vec<CellId>>,
+    /// Cell ids bucket by bucket, buckets in row-major order and cells in
+    /// insertion order within a bucket: a cell's position here is its
+    /// rank in a row-major scan of the buckets.
+    bucket_cells: Vec<CellId>,
+    /// Bucket `b` holds `bucket_cells[bucket_start[b]..bucket_start[b + 1]]`.
+    bucket_start: Vec<usize>,
 }
 
 /// Transmit EIRP by district: urban sites run lower power (smaller cells),
@@ -95,12 +100,18 @@ impl Deployment {
             let gy = (((c.pos.y + extent_m) / bucket_m) as isize).clamp(0, side as isize - 1);
             buckets[gy as usize * side + gx as usize].push(c.id);
         }
+        let (mut bucket_start, mut total) = (vec![0], 0);
+        for b in &buckets {
+            total += b.len();
+            bucket_start.push(total);
+        }
         Deployment {
             cells,
             extent_m,
             bucket_m,
             side,
-            buckets,
+            bucket_cells: buckets.concat(),
+            bucket_start,
         }
     }
 
@@ -120,29 +131,101 @@ impl Deployment {
     }
 
     /// Ids of all cells within `radius_m` of `p` — the "visible region"
-    /// of potential serving cells (paper Fig. 3). Sorted by distance.
+    /// of potential serving cells (paper Fig. 3).
+    ///
+    /// Order contract, which context extraction and the KPI simulator rely
+    /// on: nearest first, and cells at equal distance (co-sited sectors)
+    /// in row-major bucket-scan order — bucket rows south to north, buckets
+    /// west to east within a row, insertion order within a bucket. This is
+    /// [`Deployment::nearest_within`] with no cap.
     pub fn cells_within(&self, p: XY, radius_m: f64) -> Vec<CellId> {
+        self.nearest_within(p, radius_m, usize::MAX)
+    }
+
+    /// The first `k` ids of [`Deployment::cells_within`]`(p, radius_m)`,
+    /// bit for bit: nearest first, ties in row-major bucket-scan order.
+    ///
+    /// Candidates come from the 1-km buckets within
+    /// `ceil(radius_m / 1 km) + 1` of `p`'s bucket, visited in square rings
+    /// outward from it. After each ring the scan stops once the visited
+    /// block's clearance from `p`, less 1 m for bucket-index rounding,
+    /// exceeds the radius or the `k`-th candidate's distance: every cell
+    /// not yet visited lies at least that far away. Outside the world
+    /// extent that bound does not hold — cells beyond the extent sit
+    /// clamped in the edge buckets — so there every ring is scanned.
+    pub fn nearest_within(&self, p: XY, radius_m: f64, k: usize) -> Vec<CellId> {
+        if k == 0 {
+            return Vec::new();
+        }
         let br = (radius_m / self.bucket_m).ceil() as isize + 1;
         let bx = ((p.x + self.extent_m) / self.bucket_m) as isize;
         let by = ((p.y + self.extent_m) / self.bucket_m) as isize;
-        let mut out: Vec<(f64, CellId)> = Vec::new();
-        for dy in -br..=br {
-            for dx in -br..=br {
-                let gx = bx + dx;
-                let gy = by + dy;
-                if gx < 0 || gy < 0 || gx >= self.side as isize || gy >= self.side as isize {
-                    continue;
-                }
-                for &id in &self.buckets[gy as usize * self.side + gx as usize] {
-                    let d = self.cells[id as usize].pos.dist(&p);
-                    if d <= radius_m {
-                        out.push((d, id));
+        let inside = p.x.abs() <= self.extent_m && p.y.abs() <= self.extent_m;
+        let edge = |g: isize| -self.extent_m + g as f64 * self.bucket_m;
+        // (distance, rank in the row-major scan).
+        type Candidate = (f64, usize);
+        let key = |a: &Candidate, b: &Candidate| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let mut found: Vec<Candidate> = Vec::new();
+        // The radius, then the k-th candidate's distance once k are found:
+        // a cell farther away cannot make the cut.
+        let mut bound = radius_m;
+        for t in 0..=br {
+            self.visit_ring(bx, by, t, |b| {
+                for rank in self.bucket_start[b]..self.bucket_start[b + 1] {
+                    let d = self.cells[self.bucket_cells[rank] as usize].pos.dist(&p);
+                    if d <= bound {
+                        found.push((d, rank));
                     }
+                }
+            });
+            if found.len() >= k {
+                // Keep the k best; a dropped candidate stays behind them.
+                found.select_nth_unstable_by(k - 1, key);
+                found.truncate(k);
+                bound = found[k - 1].0;
+            }
+            if inside {
+                let clear = (p.x - edge(bx - t))
+                    .min(edge(bx + t + 1) - p.x)
+                    .min(p.y - edge(by - t))
+                    .min(edge(by + t + 1) - p.y)
+                    - 1.0;
+                if clear > bound {
+                    break;
                 }
             }
         }
-        out.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        out.into_iter().map(|(_, id)| id).collect()
+        found.sort_unstable_by(key);
+        found
+            .into_iter()
+            .map(|(_, rank)| self.bucket_cells[rank])
+            .collect()
+    }
+
+    /// Call `f` with the index of every in-grid bucket at Chebyshev
+    /// distance exactly `t` from bucket `(bx, by)`.
+    fn visit_ring(&self, bx: isize, by: isize, t: isize, mut f: impl FnMut(usize)) {
+        let side = self.side as isize;
+        let (x0, x1) = ((bx - t).max(0), (bx + t).min(side - 1));
+        let (y0, y1) = ((by - t).max(0), (by + t).min(side - 1));
+        if x0 > x1 || y0 > y1 {
+            return;
+        }
+        for gy in y0..=y1 {
+            let row = (gy * side) as usize;
+            if gy == by - t || gy == by + t {
+                for gx in x0..=x1 {
+                    f(row + gx as usize);
+                }
+            } else {
+                if bx - t >= 0 {
+                    f(row + (bx - t) as usize);
+                }
+                if bx + t < side {
+                    f(row + (bx + t) as usize);
+                }
+            }
+        }
     }
 }
 
@@ -152,7 +235,7 @@ const DEPLOY_SEED_SALT: u64 = 0xCE11_0DE9_107A_55A1;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gendt_geo::world::{World, WorldCfg};
+    use gendt_geo::world::WorldCfg;
 
     fn deployment() -> (World, Deployment) {
         let w = World::generate(WorldCfg::city(11));
@@ -200,20 +283,214 @@ mod tests {
         }
     }
 
+    /// The full-window scan and stable sort `cells_within` ran before the
+    /// ring scan: the bitwise oracle for both queries.
+    fn full_window_scan(d: &Deployment, p: XY, radius_m: f64) -> Vec<CellId> {
+        let br = (radius_m / d.bucket_m).ceil() as isize + 1;
+        let bx = ((p.x + d.extent_m) / d.bucket_m) as isize;
+        let by = ((p.y + d.extent_m) / d.bucket_m) as isize;
+        let mut out: Vec<(f64, CellId)> = Vec::new();
+        for dy in -br..=br {
+            for dx in -br..=br {
+                let gx = bx + dx;
+                let gy = by + dy;
+                if gx < 0 || gy < 0 || gx >= d.side as isize || gy >= d.side as isize {
+                    continue;
+                }
+                let b = gy as usize * d.side + gx as usize;
+                for &id in &d.bucket_cells[d.bucket_start[b]..d.bucket_start[b + 1]] {
+                    let dist = d.cells[id as usize].pos.dist(&p);
+                    if dist <= radius_m {
+                        out.push((dist, id));
+                    }
+                }
+            }
+        }
+        out.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        out.into_iter().map(|(_, id)| id).collect()
+    }
+
+    const RADII: [f64; 5] = [250.0, 999.9, 1000.0, 2000.0, 4000.0];
+    const CAPS: [usize; 6] = [0, 1, 3, 8, 48, usize::MAX];
+
+    /// Query points for a deployment: random points up to `spread` times
+    /// the extent from the origin, points on bucket edges (exactly, and
+    /// nudged by less than the 1 m rounding margin), and the extent's
+    /// corners and edge midpoints.
+    fn probe_points(d: &Deployment, seed: u64, spread: f64) -> Vec<XY> {
+        let mut rng = Rng::seed_from(seed);
+        let e = d.extent_m;
+        let mut pts: Vec<XY> = (0..120)
+            .map(|_| {
+                XY::new(
+                    rng.uniform(-spread * e, spread * e),
+                    rng.uniform(-spread * e, spread * e),
+                )
+            })
+            .collect();
+        let nudges = [0.0, 1e-7, -1e-7, 0.5, -0.5];
+        for i in 0..60 {
+            let on_edge = |rng: &mut Rng| -e + rng.gen_range(d.side + 1) as f64 * d.bucket_m;
+            let x = on_edge(&mut rng) + nudges[i % nudges.len()];
+            let y = if i % 3 == 0 {
+                on_edge(&mut rng) + nudges[(i / 5) % nudges.len()]
+            } else {
+                rng.uniform(-e, e)
+            };
+            pts.push(if i % 2 == 0 {
+                XY::new(x, y)
+            } else {
+                XY::new(y, x)
+            });
+        }
+        for (x, y) in [
+            (-1.0, -1.0),
+            (-1.0, 1.0),
+            (1.0, -1.0),
+            (1.0, 1.0),
+            (1.0, 0.0),
+            (0.0, -1.0),
+        ] {
+            pts.push(XY::new(x * e, y * e));
+        }
+        pts
+    }
+
+    /// `nearest_within(p, r, k)` is the oracle truncated to `k` and
+    /// `cells_within(p, r)` is the oracle, for every probe point, radius
+    /// and cap.
+    fn assert_matches_oracle(d: &Deployment, pts: &[XY]) {
+        for &p in pts {
+            for r in RADII {
+                let want = full_window_scan(d, p, r);
+                assert_eq!(d.cells_within(p, r), want, "cells_within at {p:?}, r {r}");
+                for k in CAPS {
+                    assert_eq!(
+                        d.nearest_within(p, r, k),
+                        want[..k.min(want.len())],
+                        "nearest_within at {p:?}, r {r}, k {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_within_is_the_truncated_full_scan_in_city_and_region() {
+        for (d, seed) in [
+            (deployment().1, 101),
+            (
+                Deployment::from_world(&World::generate(WorldCfg::region(13))),
+                102,
+            ),
+        ] {
+            assert_matches_oracle(&d, &probe_points(&d, seed, 1.15));
+        }
+    }
+
+    #[test]
+    fn nearest_within_is_the_truncated_full_scan_with_clamped_and_cosited_cells() {
+        // Extent 2.5 km (5 x 5 buckets) of three-sector sites. Seen from
+        // (0, -50), the first four sites tie at 500 m, the first in the
+        // bucket row below p's, so the tie spans rings and buckets and the
+        // row-major rank decides it. The next four tie at 500 m around the
+        // origin; six lie outside the extent, clamped into edge buckets.
+        let sites = [
+            (0.0, -550.0),
+            (0.0, 450.0),
+            (-500.0, -50.0),
+            (500.0, -50.0),
+            (500.0, 0.0),
+            (-500.0, 0.0),
+            (0.0, 500.0),
+            (0.0, -500.0),
+            (3200.0, 100.0),
+            (-4000.0, -4000.0),
+            (0.0, 2600.0),
+            (2600.0, 2600.0),
+            (-2501.0, 0.0),
+            (10_000.0, 0.0),
+            (1200.0, -1800.0),
+            (-2400.0, 2450.0),
+        ];
+        let mut cells = Vec::new();
+        for (x, y) in sites {
+            for s in 0..3 {
+                cells.push(Cell {
+                    id: cells.len() as CellId,
+                    pos: XY::new(x, y),
+                    latlon: LatLon::new(0.0, 0.0),
+                    azimuth_deg: 120.0 * s as f64,
+                    p_max_dbm: 43.0,
+                    district: DistrictKind::Urban,
+                });
+            }
+        }
+        let d = Deployment::from_cells(cells, 2500.0);
+        let mut pts = probe_points(&d, 103, 4.5);
+        pts.extend(sites.iter().map(|&(x, y)| XY::new(x, y)));
+        pts.extend([
+            XY::new(0.0, -50.0),
+            XY::new(0.0, 0.0),
+            XY::new(2499.0, 0.0),
+            XY::new(2500.0, 2500.0),
+        ]);
+        assert_matches_oracle(&d, &pts);
+        // Three sectors at 450 m, then the tie's first site, found in the
+        // second ring after p's own bucket had filled the cut.
+        let near = d.nearest_within(XY::new(0.0, -50.0), 600.0, 8);
+        assert_eq!(near, [21, 22, 23, 0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn rounding_margin_covers_a_cell_indexed_across_a_bucket_edge() {
+        // In a 20 km extent, `x + extent` rounds cell A, 2^-39 m west of the
+        // 15 km bucket edge, into the bucket east of it. From p, 3.6e-12 m
+        // west of A, A is nearer than B in p's own bucket, yet without the
+        // margin p's 5.5e-12 m clearance to that edge would end the scan at
+        // B.
+        let cell = |id, x, y| Cell {
+            id,
+            pos: XY::new(x, y),
+            latlon: LatLon::new(0.0, 0.0),
+            azimuth_deg: 0.0,
+            p_max_dbm: 43.0,
+            district: DistrictKind::Urban,
+        };
+        let edge = 15_000.0;
+        let tick = 2f64.powi(-39);
+        let p = XY::new(edge - 3.0 * tick, 500.0);
+        let d = Deployment::from_cells(
+            vec![cell(0, edge - tick, 500.0), cell(1, p.x, 500.0 + 4.5e-12)],
+            20_000.0,
+        );
+        assert_matches_oracle(&d, &[p]);
+        assert_eq!(d.nearest_within(p, 250.0, 1), [0]);
+    }
+
     #[test]
     fn cells_within_matches_brute_force() {
-        let (_, d) = deployment();
-        let p = XY::new(500.0, -750.0);
-        let fast = d.cells_within(p, 1500.0);
-        let brute: Vec<CellId> = d
-            .cells
-            .iter()
-            .filter(|c| c.pos.dist(&p) <= 1500.0)
-            .map(|c| c.id)
-            .collect();
-        assert_eq!(fast.len(), brute.len());
-        for id in brute {
-            assert!(fast.contains(&id));
+        for (d, seed) in [
+            (deployment().1, 101),
+            (
+                Deployment::from_world(&World::generate(WorldCfg::region(13))),
+                102,
+            ),
+        ] {
+            for p in probe_points(&d, seed, 1.15) {
+                for r in RADII {
+                    let mut fast = d.cells_within(p, r);
+                    let mut brute: Vec<CellId> = d
+                        .cells
+                        .iter()
+                        .filter(|c| c.pos.dist(&p) <= r)
+                        .map(|c| c.id)
+                        .collect();
+                    fast.sort_unstable();
+                    brute.sort_unstable();
+                    assert_eq!(fast, brute, "at {p:?}, r {r}");
+                }
+            }
         }
     }
 

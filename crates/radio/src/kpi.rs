@@ -164,10 +164,11 @@ impl<'a> KpiEngine<'a> {
         for pt in &traj.points {
             let dt = (pt.t - last_t).max(1e-3);
             last_t = pt.t;
-            let mut visible = self
-                .deployment
-                .cells_within(pt.pos, self.cfg.serving_range_m);
-            visible.truncate(self.cfg.max_cells);
+            let visible = self.deployment.nearest_within(
+                pt.pos,
+                self.cfg.serving_range_m,
+                self.cfg.max_cells,
+            );
             if visible.is_empty() {
                 // Out of coverage: emit a floor sample attached to the last
                 // serving cell (or cell 0) so series stay dense.

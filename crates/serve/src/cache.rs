@@ -1,7 +1,10 @@
 //! Context cache: repeated trajectories skip `gendt_data::extract`.
 //!
-//! Extraction walks every trajectory point against the deployment's
-//! cell set, which dominates request latency for long routes. The cache
+//! Extraction runs, for every trajectory point, a k-nearest query over
+//! the deployment's cell buckets and a PoI count over the buckets that
+//! reach the environment disc: about 2.3 µs per point on 2 vCPUs, so
+//! tens of milliseconds for a multi-hour route, more than generating its
+//! first window. The cache
 //! keys on an FNV-1a hash of the full trajectory specification plus the
 //! `ContextCfg` the model extracts with, so two requests for the same
 //! route and the same extraction settings share one `Arc<RunContext>`.

@@ -16,7 +16,9 @@ cargo test -q
 # training, serving and the benchmark run: the bitwise oracles must hold
 # for the code that ships, not only for the debug build.
 cargo test -q --release -p gendt-nn
-cargo clippy --workspace -- -D warnings
+# Every target: tests, benches and examples are linted as well as the
+# library and binary code.
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The benchmark is a package of its own (perfbench/), outside the
 # workspace: build it and run its unit tests, so an API change in the
