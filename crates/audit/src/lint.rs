@@ -103,6 +103,9 @@ const NO_UNWRAP_NONTEST: &[&str] = &[
     // The session table sits inside every /v1/stream response; a panic
     // here takes the whole streaming connection pool down with it.
     "crates/serve/src/session.rs",
+    // Every generate and stream open resolves its context here; a
+    // panicking resolver would also strand the requests waiting on it.
+    "crates/serve/src/cache.rs",
     // The fleet routing path: a panicking router connection thread
     // strands its client, and a panicking supervisor leaks workers.
     "crates/fleet/src/router.rs",
@@ -166,6 +169,7 @@ const ERROR_TAXONOMY_FILES: &[&str] = &[
     "crates/serve/src/registry.rs",
     "crates/serve/src/api.rs",
     "crates/serve/src/session.rs",
+    "crates/serve/src/cache.rs",
     "crates/serve/src/bin/gendt_serve.rs",
     "crates/core/src/checkpoint.rs",
     "crates/core/src/bin/gendt_train.rs",

@@ -15,6 +15,11 @@
 //! 3. **Drain with open sessions** — after `POST /v1/shutdown`, a
 //!    paused session's continuation is refused with a typed 503 (the
 //!    drain shed its state; nothing hangs, nothing panics).
+//! 4. **One extraction per route** — concurrent opens of one route,
+//!    released together, raise the worker's
+//!    `gendt_serve_context_cache_misses_total` by exactly 1 (the opens
+//!    share one single-flight extraction), and every session's chunks
+//!    still equal the one-shot series.
 //!
 //! Every window of every checked series is compared exactly; a single
 //! flipped bit anywhere fails the gate.
@@ -26,13 +31,14 @@ use gendt_serve::api::{
 use gendt_serve::http::{http_request_full, HttpResponse};
 use gendt_serve::{serve, ServerCfg, ServerHandle};
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 
 /// Sample seed shared by every run; parity only holds within a seed.
 const SEED: u64 = 11;
 
 /// Run the gate; prints its findings and returns overall success.
 pub fn run() -> bool {
-    println!("== stream-smoke: /v1/stream parity, deadline, drain ==");
+    println!("== stream-smoke: /v1/stream parity, deadline, drain, shared context ==");
     let ok = match smoke() {
         Ok(()) => true,
         Err(e) => {
@@ -77,19 +83,26 @@ fn start_server(dir: &std::path::Path) -> Result<(ServerHandle, String), GendtEr
     Ok((handle, addr))
 }
 
-fn open_body(chunk_windows: usize, max_windows: usize) -> String {
+/// Route length of the parity, deadline and drain passes, seconds.
+const SHORT_ROUTE_S: f64 = 30.0;
+
+/// Route length of the shared-context pass: the longest a request may
+/// ask for, so its extraction (tens of milliseconds) spans the opens.
+const LONG_ROUTE_S: f64 = 4.0 * 3600.0;
+
+fn open_body(duration_s: f64, chunk_windows: usize, max_windows: usize) -> String {
     format!(
-        "{{\"model\":\"demo\",\"scenario\":\"walk\",\"duration_s\":30.0,\
+        "{{\"model\":\"demo\",\"scenario\":\"walk\",\"duration_s\":{duration_s:?},\
          \"start_x\":0.0,\"start_y\":0.0,\"traj_seed\":3,\"sample_seed\":{SEED},\
          \"chunk_windows\":{chunk_windows},\"max_windows\":{max_windows}}}"
     )
 }
 
-fn one_shot(addr: &str) -> Result<Vec<Vec<f64>>, GendtError> {
+fn one_shot(addr: &str, duration_s: f64) -> Result<Vec<Vec<f64>>, GendtError> {
     let body = serde_json::to_string(&GenerateRequest {
         model: "demo".to_string(),
         scenario: "walk".to_string(),
-        duration_s: 30.0,
+        duration_s,
         start_x: 0.0,
         start_y: 0.0,
         traj_seed: 3,
@@ -175,9 +188,14 @@ fn drain_session(
 /// bitwise-identical to the one-shot series.
 fn parity_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     let (handle, addr) = start_server(dir)?;
-    let reference = one_shot(&addr)?;
+    let reference = one_shot(&addr, SHORT_ROUTE_S)?;
 
-    let resp = http(&addr, "/v1/stream", &[], Some(&open_body(1, 2)))?;
+    let resp = http(
+        &addr,
+        "/v1/stream",
+        &[],
+        Some(&open_body(SHORT_ROUTE_S, 1, 2)),
+    )?;
     let sid = resp
         .header(SESSION_HEADER)
         .ok_or_else(|| fail("stream response is missing the session id header"))?
@@ -213,13 +231,13 @@ fn parity_pass(dir: &std::path::Path) -> Result<(), GendtError> {
 /// and parity across the expired response plus its continuation.
 fn deadline_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     let (handle, addr) = start_server(dir)?;
-    let reference = one_shot(&addr)?;
+    let reference = one_shot(&addr, SHORT_ROUTE_S)?;
 
     let resp = http(
         &addr,
         "/v1/stream",
         &[("Deadline-Ms", "1")],
-        Some(&open_body(1, 0)),
+        Some(&open_body(SHORT_ROUTE_S, 1, 0)),
     )?;
     let sid = resp
         .header(SESSION_HEADER)
@@ -260,7 +278,12 @@ fn deadline_pass(dir: &std::path::Path) -> Result<(), GendtError> {
 /// continuation refused with a typed 503 instead of hanging.
 fn drain_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     let (handle, addr) = start_server(dir)?;
-    let resp = http(&addr, "/v1/stream", &[], Some(&open_body(1, 1)))?;
+    let resp = http(
+        &addr,
+        "/v1/stream",
+        &[],
+        Some(&open_body(SHORT_ROUTE_S, 1, 1)),
+    )?;
     let sid = resp
         .header(SESSION_HEADER)
         .ok_or_else(|| fail("drain stream is missing the session id header"))?
@@ -287,10 +310,70 @@ fn drain_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     Ok(())
 }
 
+/// The worker's context-cache miss counter, scraped from `/v1/metrics`.
+fn cache_misses(addr: &str) -> Result<u64, GendtError> {
+    let resp = http_request_full(addr, "GET", "/v1/metrics", &[], None)
+        .map_err(|e| fail(format!("GET /v1/metrics: {e}")))?;
+    resp.body
+        .lines()
+        .find_map(|l| l.strip_prefix("gendt_serve_context_cache_misses_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .ok_or_else(|| fail("/v1/metrics has no context-cache miss counter"))
+}
+
+/// Concurrent opens of one not-yet-cached route: exactly one
+/// extraction between them, and every session still bitwise-equal to
+/// the one-shot series.
+fn shared_context_pass(dir: &std::path::Path) -> Result<(), GendtError> {
+    const OPENS: usize = 6;
+    let (handle, addr) = start_server(dir)?;
+    let before = cache_misses(&addr)?;
+    let gate = Arc::new(Barrier::new(OPENS));
+    let opens: Vec<_> = (0..OPENS)
+        .map(|_| {
+            let (gate, addr) = (gate.clone(), addr.clone());
+            std::thread::spawn(move || {
+                gate.wait();
+                let body = open_body(LONG_ROUTE_S, 64, 0);
+                let resp = http(&addr, "/v1/stream", &[], Some(&body))?;
+                let (chunks, trailer) = parse_stream(&resp)?;
+                if trailer.reason != stream_reason::COMPLETE {
+                    return Err(fail(format!("open ended {:?}", trailer.reason)));
+                }
+                let mut cat: Vec<Vec<f64>> = Vec::new();
+                concat_into(&mut cat, &chunks);
+                Ok(cat)
+            })
+        })
+        .collect();
+    let mut sessions = Vec::new();
+    for h in opens {
+        sessions.push(h.join().map_err(|_| fail("open thread panicked"))??);
+    }
+    let extractions = cache_misses(&addr)? - before;
+    if extractions != 1 {
+        return Err(fail(format!(
+            "{OPENS} concurrent opens of one route ran {extractions} extractions, want 1"
+        )));
+    }
+    let reference = one_shot(&addr, LONG_ROUTE_S)?;
+    if sessions.iter().any(|cat| *cat != reference) {
+        return Err(fail(
+            "shared context: a concurrently opened session diverged from one-shot",
+        ));
+    }
+    println!(
+        "  shared context: {OPENS} concurrent opens, 1 extraction, every session bitwise-equal to one-shot"
+    );
+    handle.shutdown();
+    Ok(())
+}
+
 fn smoke() -> Result<(), GendtError> {
     let dir = model_dir()?;
     parity_pass(&dir)?;
     deadline_pass(&dir)?;
     drain_pass(&dir)?;
+    shared_context_pass(&dir)?;
     Ok(())
 }

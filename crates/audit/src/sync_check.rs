@@ -30,6 +30,8 @@ use gendt::{GenDt, GenDtCfg, GeneratedSeries};
 use gendt_data::context::RunContext;
 use gendt_data::Kpi;
 use gendt_faults::GendtError;
+use gendt_geo::trajectory::{Scenario, TrajectoryCfg};
+use gendt_geo::XY;
 use gendt_serve::api::InfoResponse;
 use gendt_serve::batch::{BatchOut, GenJob};
 use gendt_serve::cache::{ContextCache, ContextKey};
@@ -65,7 +67,7 @@ fn test_entry(name: &str, seed: u64) -> Arc<ModelEntry> {
 }
 
 fn empty_ctx() -> Arc<RunContext> {
-    Arc::new(RunContext { steps: Vec::new() })
+    Arc::new(RunContext::default())
 }
 
 /// Harness batch executor: asserts the scheduler's version-homogeneity
@@ -366,57 +368,114 @@ fn model_registry_swap(v1: &Arc<ModelEntry>, v2: &Arc<ModelEntry>) -> Report {
     })
 }
 
-/// LRU cache under concurrent insert/get: within-capacity entries are
-/// never lost, over-capacity keeps exactly `cap` survivors, and the
-/// hit/miss counters stay consistent with observed outcomes.
+/// A context whose length tells which key's extraction built it.
+fn ctx_of_len(n: usize) -> RunContext {
+    let mut ctx = RunContext::default();
+    for _ in 0..n {
+        ctx.push_step([], &[0.0; gendt_geo::landuse::ENV_ATTRS]);
+    }
+    ctx
+}
+
+/// A resolver thread for `k` whose extractor builds `ctx_of_len(n)` and
+/// counts its runs in `runs`.
+fn spawn_resolver(
+    cache: &Arc<ContextCache>,
+    k: ContextKey,
+    n: usize,
+    runs: &Arc<AtomicU64>,
+) -> thread::JoinHandle<Arc<RunContext>> {
+    let (c, runs) = (cache.clone(), runs.clone());
+    thread::spawn(move || {
+        let got = c
+            .resolve(k, None, || {
+                // sync: SeqCst tally, read after every resolver joined.
+                runs.fetch_add(1, Ordering::SeqCst);
+                ctx_of_len(n)
+            })
+            .expect("no deadline, no timeout");
+        assert_eq!(got.len(), n, "wrong context for key");
+        got
+    })
+}
+
+/// Single-flight LRU resolution: concurrent resolvers of one key share
+/// one extraction and one `Arc`, within-capacity entries are never
+/// lost, over-capacity keeps exactly `cap` survivors, a waiter gets its
+/// flight's context even when eviction races the publish, no flight is
+/// stranded, and the hit/miss counters match the observed extractions.
 fn model_cache_linearizes() -> Report {
     let cfg = Config::random(1_500, 0x5eed_0006);
     interleave::explore(&cfg, move || {
-        let k1 = ContextKey::new("walk", 60.0, 0.0, 0.0, 1, &Default::default());
-        let k2 = ContextKey::new("walk", 60.0, 0.0, 0.0, 2, &Default::default());
+        let walk = |seed| {
+            let traj = TrajectoryCfg::new(Scenario::Walk, 60.0, XY::new(0.0, 0.0), seed);
+            ContextKey::new(&traj, &Default::default())
+        };
+        let (k1, k2) = (walk(1), walk(2));
+        let runs = |c: &Arc<AtomicU64>| c.load(Ordering::SeqCst);
 
-        // Capacity 2, two keys: nothing can ever be evicted.
+        // Capacity 2, two resolvers of k1 and one of k2: nothing can be
+        // evicted, so each key is extracted exactly once.
         let roomy = Arc::new(ContextCache::new(2));
-        let writers: Vec<_> = [(k1, 1usize), (k2, 2usize)]
+        let (r1, r2) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let hs = [
+            spawn_resolver(&roomy, k1, 1, &r1),
+            spawn_resolver(&roomy, k1, 1, &r1),
+            spawn_resolver(&roomy, k2, 2, &r2),
+        ];
+        let got: Vec<_> = hs
             .into_iter()
-            .map(|(k, n)| {
-                let c = roomy.clone();
-                thread::spawn(move || {
-                    c.insert(
-                        k,
-                        Arc::new(RunContext {
-                            steps: Vec::with_capacity(n),
-                        }),
-                    );
-                    let got = c.get(k).expect("within-capacity entry lost");
-                    assert_eq!(got.steps.capacity(), n, "wrong context for key");
-                })
-            })
+            .map(|h| h.join().expect("resolver must not panic"))
             .collect();
-        for h in writers {
-            h.join().expect("writer must not panic");
+        assert_eq!((runs(&r1), runs(&r2)), (1, 1), "a key was extracted twice");
+        assert!(Arc::ptr_eq(&got[0], &got[1]), "one key, two contexts");
+        assert_eq!(roomy.stats(), (1, 2), "hit/miss counters drifted");
+        let probe = Arc::new(AtomicU64::new(0));
+        for (k, want) in [(k1, &got[0]), (k2, &got[2])] {
+            let again = spawn_resolver(&roomy, k, want.len(), &probe)
+                .join()
+                .expect("resolver must not panic");
+            assert!(Arc::ptr_eq(&again, want), "within-capacity entry lost");
         }
-        assert!(roomy.get(k1).is_some() && roomy.get(k2).is_some());
-        assert_eq!(roomy.stats(), (4, 0), "hit/miss counters drifted");
+        assert_eq!(runs(&probe), 0, "within-capacity entry extracted again");
 
-        // Capacity 1, two racing inserts: exactly one survivor.
+        // Capacity 1: an extractor and a same-key waiter on k1 race a
+        // resolver of k2, whose publish can evict k1 before the waiter
+        // wakes; the waiter must still get the extractor's context.
         let tight = Arc::new(ContextCache::new(1));
-        let writers: Vec<_> = [k1, k2]
+        let (r1, r2) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let hs = [
+            spawn_resolver(&tight, k1, 1, &r1),
+            spawn_resolver(&tight, k1, 1, &r1),
+            spawn_resolver(&tight, k2, 2, &r2),
+        ];
+        let got: Vec<_> = hs
             .into_iter()
-            .map(|k| {
-                let c = tight.clone();
-                thread::spawn(move || c.insert(k, Arc::new(RunContext { steps: Vec::new() })))
-            })
+            .map(|h| h.join().expect("resolver must not panic"))
             .collect();
-        for h in writers {
-            h.join().expect("writer must not panic");
+        // k1 is extracted twice only when the second resolver arrived
+        // after the first flight ended and k2 had evicted its entry.
+        assert!(matches!(runs(&r1), 1 | 2) && runs(&r2) == 1);
+        if runs(&r1) == 1 {
+            assert!(
+                Arc::ptr_eq(&got[0], &got[1]),
+                "a waiter got a context other than its flight's"
+            );
         }
-        let survivors = [k1, k2].iter().filter(|&&k| tight.get(k).is_some()).count();
+        let (hits, misses) = tight.stats();
+        assert_eq!(misses, runs(&r1) + runs(&r2), "a miss is one extraction");
+        assert_eq!(hits + misses, 3, "every resolve is a hit or a miss");
         assert_eq!(
-            survivors, 1,
+            tight.resident(),
+            1,
             "LRU at capacity 1 must keep exactly one entry"
         );
-        assert_eq!(tight.stats(), (1, 1));
+        // No flight is left behind: both keys resolve again.
+        for (k, n) in [(k1, 1), (k2, 2)] {
+            spawn_resolver(&tight, k, n, &probe)
+                .join()
+                .expect("resolver must not panic");
+        }
     })
 }
 

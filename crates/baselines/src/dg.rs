@@ -116,18 +116,16 @@ pub fn window_metadata(w: &Window) -> Vec<f32> {
 /// Metadata for a slice of context steps (generation path).
 fn ctx_metadata(ctx: &RunContext, start: usize, len: usize) -> Vec<f32> {
     let mut meta = vec![0.0f32; META_DIM];
-    let steps = &ctx.steps[start..start + len];
-    for s in steps {
-        for (i, &v) in s.env.iter().enumerate() {
+    for step in start..start + len {
+        for (i, &v) in ctx.env(step).iter().enumerate() {
             meta[i] += v / len as f32;
         }
-        meta[ENV_ATTRS] += s.cells.len() as f32 / (10.0 * len as f32);
-        if !s.cells.is_empty() {
-            let n = s.cells.len() as f32;
-            meta[ENV_ATTRS + 1] +=
-                s.cells.iter().map(|(_, f)| f[4]).sum::<f32>() / (n * len as f32);
-            meta[ENV_ATTRS + 2] +=
-                s.cells.iter().map(|(_, f)| f[2]).sum::<f32>() / (n * len as f32);
+        let cells = ctx.cells(step);
+        meta[ENV_ATTRS] += cells.len() as f32 / (10.0 * len as f32);
+        if !cells.is_empty() {
+            let n = cells.len() as f32;
+            meta[ENV_ATTRS + 1] += cells.iter().map(|(_, f)| f[4]).sum::<f32>() / (n * len as f32);
+            meta[ENV_ATTRS + 2] += cells.iter().map(|(_, f)| f[2]).sum::<f32>() / (n * len as f32);
         }
     }
     meta
@@ -340,7 +338,7 @@ impl DoppelGanger {
     pub fn generate(&mut self, ctx: &RunContext, kpis: &[Kpi], seed: u64) -> Vec<Vec<f64>> {
         assert_eq!(kpis.len(), self.cfg.n_ch, "KPI/channel mismatch");
         let l = self.cfg.window.len;
-        let n_windows = ctx.steps.len() / l;
+        let n_windows = ctx.len() / l;
         let mut rng = Rng::seed_from(seed);
         let mut out = vec![Vec::new(); self.cfg.n_ch];
         for wi in 0..n_windows {
@@ -427,7 +425,7 @@ mod tests {
         dg.train(&pool);
         let out = dg.generate(&ctx, &Kpi::DATASET_A, 5);
         assert_eq!(out.len(), 4);
-        assert_eq!(out[0].len(), (ctx.steps.len() / 10) * 10);
+        assert_eq!(out[0].len(), (ctx.len() / 10) * 10);
         assert!(out[0].iter().all(|v| v.is_finite()));
     }
 

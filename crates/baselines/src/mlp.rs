@@ -5,7 +5,7 @@
 //! cells). No temporal model, no stochasticity — exactly the baseline's
 //! documented weaknesses (poor HWD, intermediate MAE/DTW).
 
-use gendt_data::context::{RunContext, StepContext, CELL_FEATS};
+use gendt_data::context::{RunContext, CELL_FEATS};
 use gendt_data::kpi_types::Kpi;
 use gendt_geo::landuse::ENV_ATTRS;
 use gendt_nn::{Adam, Graph, Matrix, Mlp, ParamStore, Rng};
@@ -28,17 +28,18 @@ pub struct MlpBaseline {
     rng: Rng,
 }
 
-/// Flatten a step context into the MLP feature vector.
-pub fn step_features(step: &StepContext) -> Vec<f32> {
+/// Flatten step `i` of a context into the MLP feature vector.
+pub fn step_features(ctx: &RunContext, i: usize) -> Vec<f32> {
+    let cells = ctx.cells(i);
     let mut f = Vec::with_capacity(MLP_FEATS);
-    f.extend_from_slice(&step.env);
+    f.extend_from_slice(ctx.env(i));
     for k in 0..K_CELLS {
-        match step.cells.get(k) {
+        match cells.get(k) {
             Some((_, feats)) => f.extend_from_slice(feats),
             None => f.extend_from_slice(&[0.0, 0.0, 0.0, 0.0, 1.0]),
         }
     }
-    f.push((step.cells.len() as f32 / 10.0).min(2.0));
+    f.push((cells.len() as f32 / 10.0).min(2.0));
     f
 }
 
@@ -76,12 +77,12 @@ impl MlpBaseline {
         let mut ys: Vec<Vec<f32>> = Vec::new();
         for (ctx, t) in contexts.iter().zip(targets.iter()) {
             assert_eq!(t.len(), self.kpis.len(), "target channel count mismatch");
-            let n = ctx.steps.len();
-            for (i, step) in ctx.steps.iter().enumerate() {
+            let n = ctx.len();
+            for i in 0..n {
                 if t.iter().any(|ch| ch.len() != n) {
                     continue;
                 }
-                xs.push(step_features(step));
+                xs.push(step_features(ctx, i));
                 ys.push(
                     self.kpis
                         .iter()
@@ -120,10 +121,10 @@ impl MlpBaseline {
     /// Predict (deterministically) the KPI series for a trajectory
     /// context, in physical units: `[n_kpis][T]`.
     pub fn generate(&self, ctx: &RunContext) -> Vec<Vec<f64>> {
-        let n = ctx.steps.len();
+        let n = ctx.len();
         let mut out = vec![Vec::with_capacity(n); self.kpis.len()];
-        for step in &ctx.steps {
-            let f = step_features(step);
+        for i in 0..n {
+            let f = step_features(ctx, i);
             let mut g = Graph::new();
             let x = g.input(Matrix::from_vec(1, MLP_FEATS, f));
             let pred = self.net.forward(&mut g, &self.store, x);
@@ -169,7 +170,7 @@ mod tests {
         mlp.fit(&ctx_refs, &targets);
         let pred = mlp.generate(&ctxs[0]);
         assert_eq!(pred.len(), 2);
-        assert_eq!(pred[0].len(), ctxs[0].steps.len());
+        assert_eq!(pred[0].len(), ctxs[0].len());
         // Should beat a constant-at-midrange predictor on training data.
         let real = &targets[0][0];
         let mae_pred = gendt_metrics::mae(real, &pred[0]);

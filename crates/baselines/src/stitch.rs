@@ -25,14 +25,12 @@ pub fn generate_stitched(
     seed: u64,
 ) -> GeneratedSeries {
     assert!(segment_steps > 0, "segment length must be positive");
-    let n = ctx.steps.len();
+    let n = ctx.len();
     let mut series: Vec<Vec<f64>> = vec![Vec::new(); kpis.len()];
     let mut start = 0usize;
     let mut k = 0u64;
     while start + segment_steps <= n {
-        let sub = RunContext {
-            steps: ctx.steps[start..start + segment_steps].to_vec(),
-        };
+        let sub = ctx.slice(start..start + segment_steps);
         let out = generate_series(model, &sub, kpis, false, seed ^ ((k + 1) << 24));
         for (ch, s) in out.series.into_iter().enumerate() {
             series[ch].extend(s);
@@ -81,7 +79,7 @@ mod tests {
         model.train(&pool);
         let out = generate_stitched(&mut model, &ctx, &Kpi::DATASET_A, 20, 3);
         // 20-step segments, each yielding 2 windows of 10.
-        let expected = (ctx.steps.len() / 20) * 20;
+        let expected = (ctx.len() / 20) * 20;
         assert_eq!(out.len(), expected);
         assert!(out
             .channel(Kpi::Rsrp)

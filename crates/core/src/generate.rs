@@ -11,8 +11,7 @@ use crate::generator::{ArMode, CarryState};
 use crate::trainer::GenDt;
 use gendt_data::context::RunContext;
 use gendt_data::kpi_types::Kpi;
-use gendt_data::windows::{Window, WindowCfg};
-use gendt_geo::landuse::ENV_ATTRS;
+use gendt_data::windows::{context_window, Window, WindowCfg};
 use gendt_nn::{Graph, PlanKey};
 use serde::{Deserialize, Serialize};
 
@@ -29,7 +28,7 @@ pub fn generation_windows(ctx: &RunContext, n_ch: usize, cfg: &WindowCfg) -> Vec
 /// building them: every `cfg.len`-step window starting at a multiple of
 /// `cfg.stride` (positive in every validated config) that fits.
 pub fn generation_window_count(ctx: &RunContext, cfg: &WindowCfg) -> usize {
-    match ctx.steps.len().checked_sub(cfg.len) {
+    match ctx.len().checked_sub(cfg.len) {
         Some(room) => room / cfg.stride + 1,
         None => 0,
     }
@@ -38,44 +37,13 @@ pub fn generation_window_count(ctx: &RunContext, cfg: &WindowCfg) -> usize {
 /// Generation window `index` of `ctx`: the one starting at step
 /// `index * cfg.stride`, which must fit in the trajectory.
 fn build_generation_window(ctx: &RunContext, n_ch: usize, cfg: &WindowCfg, index: usize) -> Window {
-    let start = index * cfg.stride;
-    let steps = &ctx.steps[start..start + cfg.len];
-    // Rank cells by presence over the window, as in training.
-    let mut presence: std::collections::BTreeMap<u32, usize> = Default::default();
-    for step in steps {
-        for &(id, _) in &step.cells {
-            *presence.entry(id).or_insert(0) += 1;
-        }
-    }
-    let mut ranked: Vec<(u32, usize)> = presence.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    ranked.truncate(cfg.max_cells);
-    let cell_ids: Vec<u32> = ranked.into_iter().map(|(id, _)| id).collect();
-    let cells = cell_ids
-        .iter()
-        .map(|&id| {
-            steps
-                .iter()
-                .map(|s| {
-                    s.cells
-                        .iter()
-                        .find(|&&(cid, _)| cid == id)
-                        .map(|&(_, f)| f)
-                        .unwrap_or([0.0, 0.0, 0.0, 0.0, 1.0])
-                })
-                .collect()
-        })
-        .collect();
-    let env: Vec<Vec<f32>> = steps.iter().map(|s| s.env.clone()).collect();
-    debug_assert!(env.iter().all(|e| e.len() == ENV_ATTRS));
-    Window {
-        targets: vec![vec![0.0; cfg.len]; n_ch],
-        cells,
-        cell_ids,
-        env,
-        ar_seed: vec![vec![0.0; cfg.ar_context]; n_ch],
-        start,
-    }
+    context_window(
+        ctx,
+        index * cfg.stride,
+        cfg,
+        vec![vec![0.0; cfg.len]; n_ch],
+        vec![vec![0.0; cfg.ar_context]; n_ch],
+    )
 }
 
 /// One generated multi-KPI series in physical units.
@@ -556,7 +524,7 @@ mod tests {
     fn generated_series_has_expected_length_and_ranges() {
         let (mut model, ctx) = tiny_model_and_ctx();
         let out = generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 5);
-        let expected = (ctx.steps.len() / 10) * 10;
+        let expected = (ctx.len() / 10) * 10;
         assert_eq!(out.len(), expected);
         let rsrp = out.channel(Kpi::Rsrp).unwrap();
         assert!(rsrp.iter().all(|&v| (-140.0..=-44.0).contains(&v)));
@@ -569,16 +537,12 @@ mod tests {
     #[test]
     fn batched_generation_is_bitwise_equal_to_direct() {
         let (mut model, ctx) = tiny_model_and_ctx();
-        assert!(ctx.steps.len() >= 40, "fixture trajectory too short");
+        assert!(ctx.len() >= 40, "fixture trajectory too short");
         // Different-length views of the trajectory give the requests
         // different window counts (the batch shrinks over window index)
         // and different visible-cell sets (padding inside the batch).
-        let short = RunContext {
-            steps: ctx.steps[..20].to_vec(),
-        };
-        let mid = RunContext {
-            steps: ctx.steps[7..37].to_vec(),
-        };
+        let short = ctx.slice(0..20);
+        let mid = ctx.slice(7..37);
         let items = [
             GenBatchItem {
                 ctx: &short,
@@ -641,10 +605,8 @@ mod tests {
     #[test]
     fn chunked_generation_concatenates_to_one_shot() {
         let (model, ctx) = tiny_model_and_ctx();
-        assert!(ctx.steps.len() >= 40, "fixture trajectory too short");
-        let short = RunContext {
-            steps: ctx.steps[..20].to_vec(),
-        };
+        assert!(ctx.len() >= 40, "fixture trajectory too short");
+        let short = ctx.slice(0..20);
         let cases: [(&RunContext, u64, usize); 3] = [(&ctx, 71, 1), (&short, 72, 2), (&ctx, 73, 3)];
         for tape in [true, false] {
             crate::with_tape(tape, || {
@@ -688,9 +650,7 @@ mod tests {
     #[test]
     fn mixed_position_streams_batch_bitwise_equal() {
         let (model, ctx) = tiny_model_and_ctx();
-        let short = RunContext {
-            steps: ctx.steps[..20].to_vec(),
-        };
+        let short = ctx.slice(0..20);
         // Solo references: each stream chunked alone.
         let solo = |c: &RunContext, seed: u64, step: usize| -> Vec<Vec<f64>> {
             let mut items = vec![GenChunkItem {
@@ -774,11 +734,9 @@ mod tests {
                 ar_context: 4,
             };
             let l = cfg.len;
-            assert!(ctx.steps.len() >= 3 * l + 7, "fixture trajectory too short");
+            assert!(ctx.len() >= 3 * l + 7, "fixture trajectory too short");
             for steps in [0, l - 1, l, l + 1, 3 * l + 7] {
-                let sub = RunContext {
-                    steps: ctx.steps[..steps].to_vec(),
-                };
+                let sub = ctx.slice(0..steps);
                 let mut sub_run = run.clone();
                 sub_run.samples.truncate(steps);
                 let want = gendt_data::windows::windows(&sub_run, &sub, &Kpi::DATASET_A, &cfg);
@@ -807,7 +765,7 @@ mod tests {
             ar_context: 4,
         };
         let wins = generation_windows(&ctx, 4, &cfg);
-        assert_eq!(wins.len(), ctx.steps.len() / 10);
+        assert_eq!(wins.len(), ctx.len() / 10);
         for w in &wins {
             assert!(w.cells.len() <= 3);
             assert_eq!(w.env.len(), 10);

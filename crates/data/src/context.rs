@@ -49,20 +49,69 @@ impl Default for ContextCfg {
     }
 }
 
-/// Per-step context snapshot.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct StepContext {
-    /// Visible cells (nearest-first, capped), with their feature vectors.
-    pub cells: Vec<(CellId, [f32; CELL_FEATS])>,
-    /// Environment attribute vector (length [`ENV_ATTRS`]).
-    pub env: Vec<f32>,
+/// Context for a whole trajectory, aligned with its points.
+///
+/// Stored flat: every step's visible cells (nearest-first, capped) in one
+/// vector with per-step end offsets, and every step's [`ENV_ATTRS`]
+/// environment attributes in another. A long route is three allocations,
+/// not two per point; read it through [`len`](Self::len),
+/// [`cells`](Self::cells) and [`env`](Self::env).
+#[derive(Clone, Debug, Default)]
+pub struct RunContext {
+    /// Every step's cells with their feature vectors, in step order.
+    cells: Vec<(CellId, [f32; CELL_FEATS])>,
+    /// End of each step's run in `cells`: step `i` holds
+    /// `cells[cell_ends[i - 1]..cell_ends[i]]` (from 0 for step 0).
+    cell_ends: Vec<usize>,
+    /// Every step's environment attributes, `ENV_ATTRS` per step.
+    env: Vec<f32>,
 }
 
-/// Context for a whole trajectory, aligned with its points.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RunContext {
-    /// One snapshot per trajectory point.
-    pub steps: Vec<StepContext>,
+impl RunContext {
+    /// Number of steps (trajectory points).
+    pub fn len(&self) -> usize {
+        self.cell_ends.len()
+    }
+
+    /// True when the context covers no step.
+    pub fn is_empty(&self) -> bool {
+        self.cell_ends.is_empty()
+    }
+
+    /// Visible cells at step `i`, nearest-first, with their features.
+    pub fn cells(&self, i: usize) -> &[(CellId, [f32; CELL_FEATS])] {
+        let start = if i == 0 { 0 } else { self.cell_ends[i - 1] };
+        &self.cells[start..self.cell_ends[i]]
+    }
+
+    /// Environment attribute vector at step `i` (length [`ENV_ATTRS`]).
+    pub fn env(&self, i: usize) -> &[f32] {
+        &self.env[i * ENV_ATTRS..(i + 1) * ENV_ATTRS]
+    }
+
+    /// Append one step.
+    ///
+    /// # Panics
+    /// Panics if `env` is not [`ENV_ATTRS`] long.
+    pub fn push_step(
+        &mut self,
+        cells: impl IntoIterator<Item = (CellId, [f32; CELL_FEATS])>,
+        env: &[f32],
+    ) {
+        assert_eq!(env.len(), ENV_ATTRS, "environment vector length");
+        self.cells.extend(cells);
+        self.cell_ends.push(self.cells.len());
+        self.env.extend_from_slice(env);
+    }
+
+    /// A copy of steps `range`.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> RunContext {
+        let mut out = RunContext::default();
+        for i in range {
+            out.push_step(self.cells(i).iter().copied(), self.env(i));
+        }
+        out
+    }
 }
 
 /// Compute the cell feature vector for one cell seen from `ue`.
@@ -104,21 +153,26 @@ pub fn extract(
     traj: &Trajectory,
     cfg: &ContextCfg,
 ) -> RunContext {
-    let steps = traj
-        .points
-        .iter()
-        .map(|pt| {
-            let cells = deployment
-                .nearest_within(pt.pos, cfg.d_s, cfg.max_cells)
-                .into_iter()
-                .map(|id| (id, cell_features(cfg, deployment, id, pt.pos)))
-                .collect();
-            let env = normalize_env(&world.env_context(pt.pos, cfg.env_radius_m));
-            debug_assert_eq!(env.len(), ENV_ATTRS);
-            StepContext { cells, env }
-        })
-        .collect();
-    RunContext { steps }
+    let n = traj.points.len();
+    let mut ctx = RunContext {
+        cells: Vec::new(),
+        cell_ends: Vec::with_capacity(n),
+        env: Vec::with_capacity(n * ENV_ATTRS),
+    };
+    for pt in &traj.points {
+        let cells = deployment
+            .nearest_within(pt.pos, cfg.d_s, cfg.max_cells)
+            .into_iter()
+            .map(|id| (id, cell_features(cfg, deployment, id, pt.pos)));
+        ctx.push_step(
+            cells,
+            &normalize_env(&world.env_context(pt.pos, cfg.env_radius_m)),
+        );
+    }
+    // A served context stays resident for as long as its sessions live:
+    // give back the growth slack of the one vector sized on the fly.
+    ctx.cells.shrink_to_fit();
+    ctx
 }
 
 #[cfg(test)]
@@ -141,7 +195,7 @@ mod tests {
     fn context_aligned_with_trajectory() {
         let (w, d, t) = setup();
         let ctx = extract(&w, &d, &t, &ContextCfg::default());
-        assert_eq!(ctx.steps.len(), t.points.len());
+        assert_eq!(ctx.len(), t.points.len());
     }
 
     #[test]
@@ -152,9 +206,9 @@ mod tests {
             ..ContextCfg::default()
         };
         let ctx = extract(&w, &d, &t, &cfg);
-        for step in &ctx.steps {
-            assert!(step.cells.len() <= 4);
-            let dists: Vec<f32> = step.cells.iter().map(|(_, f)| f[4]).collect();
+        for i in 0..ctx.len() {
+            assert!(ctx.cells(i).len() <= 4);
+            let dists: Vec<f32> = ctx.cells(i).iter().map(|(_, f)| f[4]).collect();
             for pair in dists.windows(2) {
                 assert!(pair[1] >= pair[0] - 1e-6, "cells not nearest-first");
             }
@@ -165,8 +219,8 @@ mod tests {
     fn features_bounded() {
         let (w, d, t) = setup();
         let ctx = extract(&w, &d, &t, &ContextCfg::default());
-        for step in &ctx.steps {
-            for (_, f) in &step.cells {
+        for i in 0..ctx.len() {
+            for (_, f) in ctx.cells(i) {
                 assert!(
                     f[0].abs() <= 1.01 && f[1].abs() <= 1.01,
                     "cell coords out of range"
@@ -175,8 +229,8 @@ mod tests {
                 assert!((-1.0..=1.0).contains(&f[3]), "direction out of range");
                 assert!((0.0..=1.01).contains(&f[4]), "distance out of range");
             }
-            assert_eq!(step.env.len(), ENV_ATTRS);
-            assert!(step.env.iter().all(|v| v.is_finite()));
+            assert_eq!(ctx.env(i).len(), ENV_ATTRS);
+            assert!(ctx.env(i).iter().all(|v| v.is_finite()));
         }
     }
 

@@ -73,7 +73,7 @@ pub struct Window {
 /// Windows shorter than `cfg.len` at the tail are dropped, matching the
 /// paper's `⌊T/L⌋` batches.
 pub fn windows(run: &Run, ctx: &RunContext, kpis: &[Kpi], cfg: &WindowCfg) -> Vec<Window> {
-    assert_eq!(run.samples.len(), ctx.steps.len(), "run/context misaligned");
+    assert_eq!(run.samples.len(), ctx.len(), "run/context misaligned");
     assert!(cfg.len > 0 && cfg.stride > 0, "degenerate window config");
     let n = run.samples.len();
     if n < cfg.len {
@@ -89,43 +89,6 @@ pub fn windows(run: &Run, ctx: &RunContext, kpis: &[Kpi], cfg: &WindowCfg) -> Ve
     let mut start = 0usize;
     while start + cfg.len <= n {
         let end = start + cfg.len;
-
-        // Union of visible cells over the window, ranked by how many steps
-        // they are present (most persistent first), capped.
-        let mut presence: BTreeMap<CellId, usize> = BTreeMap::new();
-        for step in &ctx.steps[start..end] {
-            for &(id, _) in &step.cells {
-                *presence.entry(id).or_insert(0) += 1;
-            }
-        }
-        let mut ranked: Vec<(CellId, usize)> = presence.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(cfg.max_cells);
-        let cell_ids: Vec<CellId> = ranked.into_iter().map(|(id, _)| id).collect();
-
-        // Per-cell per-step features; steps where a cell is out of range
-        // get a sentinel row (distance 1.0 = edge of range, rest zero).
-        let cells: Vec<Vec<[f32; CELL_FEATS]>> = cell_ids
-            .iter()
-            .map(|&id| {
-                ctx.steps[start..end]
-                    .iter()
-                    .map(|step| {
-                        step.cells
-                            .iter()
-                            .find(|&&(cid, _)| cid == id)
-                            .map(|&(_, f)| f)
-                            .unwrap_or([0.0, 0.0, 0.0, 0.0, 1.0])
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let env: Vec<Vec<f32>> = ctx.steps[start..end]
-            .iter()
-            .map(|s| s.env.clone())
-            .collect();
-
         let targets: Vec<Vec<f32>> = series.iter().map(|s| s[start..end].to_vec()).collect();
 
         let ar_seed: Vec<Vec<f32>> = series
@@ -144,17 +107,66 @@ pub fn windows(run: &Run, ctx: &RunContext, kpis: &[Kpi], cfg: &WindowCfg) -> Ve
             })
             .collect();
 
-        out.push(Window {
-            targets,
-            cells,
-            cell_ids,
-            env,
-            ar_seed,
-            start,
-        });
+        out.push(context_window(ctx, start, cfg, targets, ar_seed));
         start += cfg.stride;
     }
     out
+}
+
+/// The window over steps `start..start + cfg.len` of `ctx`, carrying the
+/// given KPI `targets` and `ar_seed`: the context half of every training
+/// and generation window.
+///
+/// The window's cell set is the union of visible cells over its steps,
+/// ranked by how many steps each is present (most persistent first, then
+/// by id) and capped at `cfg.max_cells`. Each cell gets one feature row
+/// per step; steps where it is out of range get a sentinel row (distance
+/// 1.0 = edge of range, rest zero).
+pub fn context_window(
+    ctx: &RunContext,
+    start: usize,
+    cfg: &WindowCfg,
+    targets: Vec<Vec<f32>>,
+    ar_seed: Vec<Vec<f32>>,
+) -> Window {
+    let steps = start..start + cfg.len;
+    let mut presence: BTreeMap<CellId, usize> = BTreeMap::new();
+    for i in steps.clone() {
+        for &(id, _) in ctx.cells(i) {
+            *presence.entry(id).or_insert(0) += 1;
+        }
+    }
+    let mut ranked: Vec<(CellId, usize)> = presence.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.truncate(cfg.max_cells);
+    let cell_ids: Vec<CellId> = ranked.into_iter().map(|(id, _)| id).collect();
+
+    let cells: Vec<Vec<[f32; CELL_FEATS]>> = cell_ids
+        .iter()
+        .map(|&id| {
+            steps
+                .clone()
+                .map(|i| {
+                    ctx.cells(i)
+                        .iter()
+                        .find(|&&(cid, _)| cid == id)
+                        .map(|&(_, f)| f)
+                        .unwrap_or([0.0, 0.0, 0.0, 0.0, 1.0])
+                })
+                .collect()
+        })
+        .collect();
+
+    let env: Vec<Vec<f32>> = steps.map(|i| ctx.env(i).to_vec()).collect();
+
+    Window {
+        targets,
+        cells,
+        cell_ids,
+        env,
+        ar_seed,
+        start,
+    }
 }
 
 #[cfg(test)]

@@ -274,7 +274,7 @@ impl Bundle {
     pub fn generate(&mut self, method: Method, ctx: &RunContext, seed: u64) -> Vec<Vec<f64>> {
         match method {
             Method::GenDt => generate_series(&mut self.gendt, ctx, &self.kpis, false, seed).series,
-            Method::Fdas => self.fdas.generate(ctx.steps.len(), seed),
+            Method::Fdas => self.fdas.generate(ctx.len(), seed),
             Method::Mlp => self.mlp.generate(ctx),
             Method::LstmGnn => self.lstm_gnn.generate(ctx, &self.kpis, seed).series,
             Method::OrigDg => self.dg_orig.generate(ctx, &self.kpis, seed),

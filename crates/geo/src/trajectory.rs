@@ -13,7 +13,7 @@ use gendt_rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Measurement scenario, matching the cases of paper Tables 1–2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Scenario {
     /// Pedestrian walk (Dataset A, ~1.4 m/s).
     Walk,

@@ -14,7 +14,8 @@
 //!   directory, hot-swappable via `/reload` without dropping in-flight
 //!   requests;
 //! * a [context cache](cache) so repeated trajectories skip
-//!   `gendt_data::extract`;
+//!   `gendt_data::extract`, and concurrent requests for one route share
+//!   a single extraction;
 //! * a [stream session table](session) behind `POST /v1/stream`:
 //!   sessions hold carried LSTM state server-side so chunked responses
 //!   stream windows as the scheduler produces them and continuations

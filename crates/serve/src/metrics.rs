@@ -155,13 +155,13 @@ impl ServeMetrics {
         counter(
             &mut out,
             "gendt_serve_context_cache_hits_total",
-            "Context cache hits.",
+            "Context cache hits, including requests handed another request's extraction of the same route.",
             cache_hits,
         );
         counter(
             &mut out,
             "gendt_serve_context_cache_misses_total",
-            "Context cache misses.",
+            "Context cache misses: one per extraction.",
             cache_misses,
         );
         counter(

@@ -384,7 +384,7 @@ mod tests {
     fn job(entry: &Arc<ModelEntry>, sample_seed: u64) -> GenJob {
         GenJob {
             entry: Arc::clone(entry),
-            ctx: Arc::new(RunContext { steps: Vec::new() }),
+            ctx: Arc::new(RunContext::default()),
             sample_seed,
             stream: None,
         }

@@ -782,11 +782,14 @@ fn handle_generate(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Reque
 }
 
 /// Validate a generate/stream-open spec and resolve it to the pinned
-/// model entry plus the extracted (possibly cached) trajectory context
-/// — the shared front half of `/v1/generate` and `/v1/stream` opens.
+/// model entry plus the route's shared (single-flight, cached)
+/// trajectory context — the front half of `/v1/generate` and
+/// `/v1/stream` opens. Waiting for another request's extraction of the
+/// same route ends at `deadline`.
 fn resolve_spec(
     state: &Arc<ServerState>,
     parsed: &GenerateRequest,
+    deadline: Option<Instant>,
 ) -> Result<(Arc<ModelEntry>, Arc<RunContext>), GendtError> {
     let scenario = parse_scenario(&parsed.scenario)
         .ok_or_else(|| GendtError::invalid(format!("unknown scenario {:?}", parsed.scenario)))?;
@@ -803,38 +806,24 @@ fn resolve_spec(
         .get(&parsed.model)
         .ok_or_else(|| GendtError::not_found(format!("unknown model {:?}", parsed.model)))?;
 
-    // Context: cached by trajectory spec + extraction cfg; extraction
-    // runs outside the cache lock.
     let ctx_cfg = ContextCfg {
         max_cells: entry.model.cfg().window.max_cells,
         ..ContextCfg::default()
     };
-    let key = ContextKey::new(
-        &parsed.scenario,
+    let traj_cfg = trajectory::TrajectoryCfg::new(
+        scenario,
         parsed.duration_s,
-        parsed.start_x,
-        parsed.start_y,
+        XY {
+            x: parsed.start_x,
+            y: parsed.start_y,
+        },
         parsed.traj_seed,
-        &ctx_cfg,
     );
-    let ctx = match state.cache.get(key) {
-        Some(c) => c,
-        None => {
-            let traj_cfg = trajectory::TrajectoryCfg::new(
-                scenario,
-                parsed.duration_s,
-                XY {
-                    x: parsed.start_x,
-                    y: parsed.start_y,
-                },
-                parsed.traj_seed,
-            );
-            let traj = trajectory::generate(&state.world, &traj_cfg);
-            let built = Arc::new(extract(&state.world, &state.deployment, &traj, &ctx_cfg));
-            state.cache.insert(key, built.clone());
-            built
-        }
-    };
+    let key = ContextKey::new(&traj_cfg, &ctx_cfg);
+    let ctx = state.cache.resolve(key, deadline, || {
+        let traj = trajectory::generate(&state.world, &traj_cfg);
+        extract(&state.world, &state.deployment, &traj, &ctx_cfg)
+    })?;
     Ok((entry, ctx))
 }
 
@@ -851,7 +840,7 @@ fn generate_response(
         .map_err(|e| GendtError::invalid(format!("bad request body: {e}")))?;
     rec.scenario = flightrec::scenario_code(&parsed.scenario);
     let deadline = request_deadline(state, req, started)?;
-    let (entry, ctx) = resolve_spec(state, &parsed)?;
+    let (entry, ctx) = resolve_spec(state, &parsed, deadline)?;
 
     let job = GenJob {
         entry: entry.clone(),
@@ -971,7 +960,7 @@ fn handle_stream(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request
                     return;
                 }
             };
-            let (entry, ctx) = match resolve_spec(state, &spec) {
+            let (entry, ctx) = match resolve_spec(state, &spec, deadline) {
                 Ok(r) => r,
                 Err(e) => {
                     fail(stream, state, &e);

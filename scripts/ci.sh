@@ -65,8 +65,9 @@ cargo run --release -p gendt-audit -- chaos
 # concatenation of a session's chunks across open + continuations is
 # bitwise-identical to the one-shot /v1/generate series, that a
 # mid-stream deadline yields a `deadline` trailer with a resumable
-# session, and that draining refuses continuations of shed sessions
-# with a typed 503.
+# session, that draining refuses continuations of shed sessions with a
+# typed 503, and that concurrent opens of one route share a single
+# context extraction (the worker's cache-miss counter rises by 1).
 cargo run --release -p gendt-audit -- stream-smoke
 
 # Serving layer (crates/serve): one end-to-end request against an

@@ -4,7 +4,7 @@
 //! panic or emit non-finite KPIs.
 
 use gendt::{generate_series, GenDt, GenDtCfg};
-use gendt_data::context::{RunContext, StepContext};
+use gendt_data::context::RunContext;
 use gendt_data::{dataset_a, extract, windows, BuildCfg, ContextCfg, Kpi};
 use gendt_geo::landuse::ENV_ATTRS;
 use gendt_geo::trajectory::{Scenario, TrackPoint, Trajectory};
@@ -75,13 +75,10 @@ fn out_of_coverage_trajectory_yields_floor_kpis_not_panics() {
 fn generation_with_empty_cell_context_stays_finite() {
     let (mut model, _, _) = tiny_trained();
     // Hand-built context with NO visible cells and zeroed environment.
-    let steps = (0..20)
-        .map(|_| StepContext {
-            cells: Vec::new(),
-            env: vec![0.0; ENV_ATTRS],
-        })
-        .collect();
-    let ctx = RunContext { steps };
+    let mut ctx = RunContext::default();
+    for _ in 0..20 {
+        ctx.push_step([], &[0.0; ENV_ATTRS]);
+    }
     let out = generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 7);
     assert_eq!(out.len(), 20);
     for ch in &out.series {
@@ -97,13 +94,10 @@ fn generation_with_extreme_env_attributes_stays_in_range() {
     let (mut model, _, _) = tiny_trained();
     // Saturated environment attributes (all land-use 1.0 is impossible but
     // adversarial; huge PoI counts log-compress upstream, feed raw here).
-    let steps = (0..20)
-        .map(|_| StepContext {
-            cells: vec![(0, [0.5, -0.5, 1.0, 0.9, 0.1])],
-            env: vec![5.0; ENV_ATTRS],
-        })
-        .collect();
-    let ctx = RunContext { steps };
+    let mut ctx = RunContext::default();
+    for _ in 0..20 {
+        ctx.push_step([(0, [0.5, -0.5, 1.0, 0.9, 0.1])], &[5.0; ENV_ATTRS]);
+    }
     let out = generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 7);
     let rsrp = out.channel(Kpi::Rsrp).unwrap();
     assert!(rsrp.iter().all(|&v| (-140.0..=-44.0).contains(&v)));
