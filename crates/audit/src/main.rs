@@ -315,8 +315,8 @@ fn run_plan_parity() -> bool {
         ok &= eq;
     };
 
-    // Train the same seed twice: GENDT_SANITIZE forces the interpreted
-    // tape, otherwise every new shape is recorded once and replayed.
+    // Train the same seed twice: GENDT_SANITIZE forces record mode on
+    // every step, otherwise every new shape is recorded once and replayed.
     // Several steps so later steps replay cached plans, including plans
     // whose arenas a teacher-forced/free-running key switch released.
     let train = |tape: bool| {

@@ -243,6 +243,8 @@ pub fn restore_train(ckpt: &TrainCheckpoint) -> Result<GenDt, CheckpointError> {
     let mut model = GenDt::new(ckpt.cfg.clone());
     restore(&mut model.generator.store, &ckpt.generator)?;
     restore(&mut model.discriminator.store, &ckpt.discriminator)?;
+    ckpt.opt_g.check_state(&model.generator.store)?;
+    ckpt.opt_d.check_state(&model.discriminator.store)?;
     model.opt_g = ckpt.opt_g.clone();
     model.opt_d = ckpt.opt_d.clone();
     model.rng = Rng::from_state(ckpt.rng_state);
@@ -561,6 +563,72 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&empty).ok();
+        Ok(())
+    }
+
+    /// An optimizer deserialized with the given moment lists, as a
+    /// checkpoint file on disk could carry them.
+    fn adam_with(m: &[Vec<f32>], v: &[Vec<f32>]) -> Result<Adam, CheckpointError> {
+        let m = serde_json::to_string(m).map_err(CheckpointError::Json)?;
+        let v = serde_json::to_string(v).map_err(CheckpointError::Json)?;
+        let json =
+            format!(r#"{{"lr":0.001,"beta1":0.9,"beta2":0.999,"eps":1e-8,"t":1,"m":{m},"v":{v}}}"#);
+        serde_json::from_str(&json).map_err(CheckpointError::Json)
+    }
+
+    #[test]
+    fn restore_train_rejects_mismatched_optimizer_state() -> Result<(), CheckpointError> {
+        let cfg = tiny_train_cfg(57);
+        let pool = tiny_pool(&cfg);
+        let dir = std::env::temp_dir().join("gendt-train-ckpt-adam-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut model = GenDt::new(cfg);
+        model.train_step(&pool);
+        save_train_checkpoint(&model, 1, &dir)?;
+        let mut ckpt = save_train(&model, 2);
+
+        let full: Vec<Vec<f32>> = model
+            .generator
+            .store
+            .iter()
+            .map(|p| vec![0.0; p.value.data.len()])
+            .collect();
+        ckpt.opt_g = adam_with(&full, &full)?;
+        restore_train(&ckpt)?;
+
+        let mut short = full.clone();
+        if let Some(last) = short.last_mut() {
+            last.pop();
+        }
+        let mut extra = full.clone();
+        extra.push(vec![0.0]);
+        let cases = [
+            ("a short moment", adam_with(&short, &short)?),
+            (
+                "v shorter than m",
+                adam_with(&full, &full[..full.len() - 1])?,
+            ),
+            ("more moments than parameters", adam_with(&extra, &extra)?),
+        ];
+        for (what, adam) in cases {
+            ckpt.opt_g = adam;
+            match restore_train(&ckpt) {
+                Err(CheckpointError::Format(msg)) => assert!(msg.contains("Adam"), "{what}: {msg}"),
+                Err(other) => panic!("{what}: wrong error {other:?}"),
+                Ok(_) => panic!("{what}: optimizer state accepted"),
+            }
+        }
+
+        // Written as the newest checkpoint, such a file is skipped on
+        // resume like a torn one.
+        let json = serde_json::to_string(&ckpt).map_err(CheckpointError::Json)?;
+        let body = format!("{TRAIN_MAGIC} {TRAIN_FORMAT_VERSION}\n{json}");
+        std::fs::write(dir.join("step_00000002.ckpt"), body).map_err(CheckpointError::Io)?;
+        std::fs::write(dir.join(LATEST_POINTER), "step_00000002.ckpt")
+            .map_err(CheckpointError::Io)?;
+        let (_model, step, _path) = resume_latest(&dir)?;
+        assert_eq!(step, 1, "should fall back to the step-1 checkpoint");
+        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 

@@ -582,7 +582,7 @@ mod tests {
             )
         });
         // Run twice: the first compiles the plans, the second replays
-        // them from the cache — both must match the interpreted output.
+        // them from the cache — both must match the recorded output.
         let (first, replay, b_first, b_replay) = crate::with_tape(false, || {
             (
                 generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, 9),

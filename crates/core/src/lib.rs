@@ -71,9 +71,9 @@ pub use generator::{ArMode, CarryState, ForwardOut, Generator};
 pub use trainer::{GenDt, StepTrace};
 pub use transfer::{pretrain, transfer_to_region, TransferCfg, TransferOutcome, TransferStep};
 
-/// Runs `f` with `GENDT_SANITIZE` set to `tape` (`true` forces the
-/// interpreted tape, the reference side of plan == tape; `false` runs
-/// the compiled plans). The switch is process-global, so callers hold
+/// Runs `f` with `GENDT_SANITIZE` set to `tape` (`true` records every
+/// step, the reference side of plan == record; `false` replays the
+/// compiled plans). The switch is process-global, so callers hold
 /// one lock for the whole run and never overlap.
 #[cfg(test)]
 pub(crate) fn with_tape<R>(tape: bool, f: impl FnOnce() -> R) -> R {

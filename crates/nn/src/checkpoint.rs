@@ -87,7 +87,8 @@ pub fn snapshot(store: &ParamStore) -> Checkpoint {
 /// Restore parameter values (by name) from a checkpoint into `store`.
 ///
 /// Every parameter registered in the store must be present in the
-/// checkpoint with a matching shape; extra checkpoint entries are ignored.
+/// checkpoint with a matching shape and exactly `rows * cols` stored
+/// values; extra checkpoint entries are ignored.
 pub fn restore(store: &mut ParamStore, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
     // Collect the ids first to avoid aliasing store borrows.
     let names: Vec<String> = store.iter().map(|p| p.name.clone()).collect();
@@ -104,6 +105,14 @@ pub fn restore(store: &mut ParamStore, ckpt: &Checkpoint) -> Result<(), Checkpoi
                 expected,
                 found: entry.shape(),
             });
+        }
+        if entry.data.len() != expected.0 * expected.1 {
+            return Err(CheckpointError::Format(format!(
+                "parameter {name:?} is {}x{} but stores {} values",
+                expected.0,
+                expected.1,
+                entry.data.len()
+            )));
         }
         *store.value_mut(id) = entry.clone();
     }
@@ -171,6 +180,20 @@ mod tests {
             restore(&mut store2, &ckpt),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_storage() -> Result<(), CheckpointError> {
+        let json = r#"{"version":1,"params":{"w":{"rows":2,"cols":2,"data":[1.0]}}}"#;
+        let ckpt: Checkpoint = serde_json::from_str(json)?;
+        let mut store = ParamStore::new();
+        store.add_zeros("w", 2, 2);
+        match restore(&mut store, &ckpt) {
+            Err(CheckpointError::Format(msg)) => assert!(msg.contains("\"w\""), "{msg}"),
+            other => panic!("short storage accepted: {other:?}"),
+        }
+        assert_eq!(store.value(crate::params::ParamId(0)).data.len(), 4);
+        Ok(())
     }
 
     #[test]

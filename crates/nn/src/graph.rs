@@ -1,16 +1,24 @@
 //! Reverse-mode automatic differentiation over [`Matrix`] values.
 //!
-//! A [`Graph`] is a single-use tape: every op records its inputs and cached
+//! A [`Graph`] is a single-use tape: every op records its inputs and its
 //! forward value; [`Graph::backward`] walks the tape in reverse and pushes
 //! gradients to inputs and, for parameter leaves, into the owning
 //! [`ParamStore`]. One training step = one graph.
+//!
+//! The graph computes no op itself: it is the front end of the plan
+//! executor in [`crate::plan`]. While recording, each constructor checks
+//! its operands, appends one unfused step with its own value buffer, and
+//! evaluates it with the same [`Plan::eval`] a replay calls; the backward
+//! pass is the plan's, with one gradient buffer per node. So each op has
+//! one forward and one backward implementation, and the finite-difference
+//! gradcheck tests the backward that replays run.
 //!
 //! The op set is deliberately small — exactly what the GenDT architecture
 //! (LSTM + FC + stochastic layers + Gaussian head + GAN losses) needs.
 
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
-use crate::plan::{Mode, Plan};
+use crate::plan::Plan;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -224,39 +232,21 @@ impl Op {
     }
 }
 
-struct Node {
-    op: Op,
-    value: Matrix,
-    grad: Option<Matrix>,
-    needs_grad: bool,
-    /// Whether [`Graph::value`] was called on this node — an *external*
-    /// read whose result escaped the tape. The plan compiler pins such
-    /// values in the arena (and refuses to fuse them away) so replay can
-    /// serve the same reads. `Cell` because `value` takes `&self`.
-    ext: std::cell::Cell<bool>,
-}
-
 /// A single-use reverse-mode autodiff tape.
 ///
 /// A graph runs in one of two modes (see [`crate::plan`]): **record**
-/// (the default — ops execute eagerly and append to the tape) or
-/// **replay** ([`Graph::replay`] — the same builder code re-executes a
-/// compiled [`Plan`] against its preallocated arena, with every
-/// constructor validating that it matches the recorded step). Builder
-/// code is mode-agnostic; only construction differs.
+/// (the default — each op appends one unfused step to the tape and runs
+/// it at once) or **replay** ([`Graph::replay`] — the same builder code
+/// re-executes a compiled [`Plan`] against its preallocated arena, with
+/// every constructor validating that it matches the recorded step).
+/// Builder code is mode-agnostic; only construction differs.
 pub struct Graph {
-    nodes: Vec<Node>,
-    /// One leaf node per parameter: repeated [`Graph::param`] calls for
-    /// the same id reuse the node (and its value clone) instead of
-    /// cloning the weight matrix once per use.
-    param_nodes: std::collections::HashMap<ParamId, NodeId>,
-    /// Op profiler: completion time of the previous `push`, so the gap
-    /// to the next push (the op's forward compute in the caller) can be
-    /// attributed to the op being recorded. Zero until the first traced
-    /// push; only read while `gendt_trace::trace_enabled()`.
-    prof_last_ns: u64,
-    /// Record (append to the tape) or replay (execute a compiled plan).
-    mode: Mode,
+    /// Record mode: the steps recorded so far, each with its own value
+    /// and gradient buffer. Replay mode: the compiled plan being replayed.
+    plan: Plan,
+    /// Replay mode: the number of steps replayed so far. `None` while
+    /// recording.
+    cursor: Option<usize>,
 }
 
 impl Default for Graph {
@@ -265,107 +255,12 @@ impl Default for Graph {
     }
 }
 
-/// Numerically-stable libm sigmoid, used by the softplus and BCE
-/// backward passes.
-pub(crate) fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-/// Gate activations of one LSTM row: sigmoid over the `i`/`f` and `o`
-/// blocks, tanh over the candidate block — shared by the tape's and the
-/// plan executor's cell forward/backward so all four agree bitwise. Each
-/// pass runs over a contiguous slice so the polynomial kernels vectorize.
-pub(crate) fn cell_act(gr: &[f32], act: &mut [f32], hidden: usize) {
-    use crate::kernels::{fast_sigmoid, fast_tanh};
-    for (a, &x) in act[..2 * hidden].iter_mut().zip(&gr[..2 * hidden]) {
-        *a = fast_sigmoid(x); // i, f
-    }
-    for (a, &x) in act[2 * hidden..3 * hidden]
-        .iter_mut()
-        .zip(&gr[2 * hidden..3 * hidden])
-    {
-        *a = fast_tanh(x); // candidate
-    }
-    for (a, &x) in act[3 * hidden..].iter_mut().zip(&gr[3 * hidden..]) {
-        *a = fast_sigmoid(x); // o
-    }
-}
-
-/// Forward pass of the fused LSTM cell.
-fn lstm_cell_forward(vg: &Matrix, vc: &Matrix, hidden: usize) -> Matrix {
-    let rows = vg.rows;
-    let mut v = Matrix::zeros(rows, 2 * hidden);
-    // Per-gate scratch, reused across rows.
-    let mut act = vec![0.0f32; 4 * hidden];
-    for r in 0..rows {
-        let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
-        let cp = &vc.data[r * hidden..(r + 1) * hidden];
-        cell_act(gr, &mut act, hidden);
-        let (i_v, rest) = act.split_at(hidden);
-        let (f_v, rest) = rest.split_at(hidden);
-        let (cand, o_v) = rest.split_at(hidden);
-        let (h_out, c_out) = v.data[r * 2 * hidden..(r + 1) * 2 * hidden].split_at_mut(hidden);
-        for k in 0..hidden {
-            c_out[k] = f_v[k] * cp[k] + i_v[k] * cand[k];
-        }
-        for k in 0..hidden {
-            h_out[k] = o_v[k] * crate::kernels::fast_tanh(c_out[k]);
-        }
-    }
-    v
-}
-
-/// Backward pass of the fused LSTM cell. Gate activations are recomputed
-/// from the saved pre-activations (bitwise the forward values, since the
-/// same kernel runs on the same inputs); returns `(d_gates, d_c_prev)`.
-fn lstm_cell_backward(grad: &Matrix, vg: &Matrix, vc: &Matrix, hidden: usize) -> (Matrix, Matrix) {
-    let rows = vg.rows;
-    let mut dg = Matrix::zeros(rows, 4 * hidden);
-    let mut dc = Matrix::zeros(rows, hidden);
-    let mut act = vec![0.0f32; 4 * hidden];
-    let mut dct = vec![0.0f32; 2 * hidden];
-    for r in 0..rows {
-        let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
-        let cp = &vc.data[r * hidden..(r + 1) * hidden];
-        let go = &grad.data[r * 2 * hidden..(r + 1) * 2 * hidden];
-        cell_act(gr, &mut act, hidden);
-        let (i_v, rest) = act.split_at(hidden);
-        let (f_v, rest) = rest.split_at(hidden);
-        let (cand, o_v) = rest.split_at(hidden);
-        let (gh, gc) = go.split_at(hidden);
-        let (ct, dc_total) = dct.split_at_mut(hidden);
-        for k in 0..hidden {
-            ct[k] = crate::kernels::fast_tanh(f_v[k] * cp[k] + i_v[k] * cand[k]);
-        }
-        for k in 0..hidden {
-            dc_total[k] = gc[k] + gh[k] * o_v[k] * (1.0 - ct[k] * ct[k]);
-        }
-        let dgr = &mut dg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
-        let dcr = &mut dc.data[r * hidden..(r + 1) * hidden];
-        for k in 0..hidden {
-            dgr[k] = dc_total[k] * cand[k] * i_v[k] * (1.0 - i_v[k]);
-            dgr[hidden + k] = dc_total[k] * cp[k] * f_v[k] * (1.0 - f_v[k]);
-            dgr[2 * hidden + k] = dc_total[k] * i_v[k] * (1.0 - cand[k] * cand[k]);
-            dgr[3 * hidden + k] = gh[k] * ct[k] * o_v[k] * (1.0 - o_v[k]);
-            dcr[k] = dc_total[k] * f_v[k];
-        }
-    }
-    (dg, dc)
-}
-
 impl Graph {
     /// Empty tape in record mode.
     pub fn new() -> Self {
         Graph {
-            nodes: Vec::with_capacity(256),
-            param_nodes: std::collections::HashMap::new(),
-            prof_last_ns: 0,
-            mode: Mode::Record,
+            plan: Plan::recording(),
+            cursor: None,
         }
     }
 
@@ -378,10 +273,8 @@ impl Graph {
         plan.reserve();
         plan.param_memo.clear();
         Graph {
-            nodes: Vec::new(),
-            param_nodes: std::collections::HashMap::new(),
-            prof_last_ns: 0,
-            mode: Mode::Replay { plan, cursor: 0 },
+            plan,
+            cursor: Some(0),
         }
     }
 
@@ -394,31 +287,21 @@ impl Graph {
     /// Panics in replay mode if the builder did not replay the full
     /// recorded op sequence — the plan key failed to determine the tape.
     pub fn into_plan(self, loss: Option<NodeId>) -> Plan {
-        match self.mode {
-            Mode::Record => crate::plan::compile(
-                self.nodes
-                    .into_iter()
-                    .map(|n| crate::plan::Recorded {
-                        op: n.op,
-                        rows: n.value.rows,
-                        cols: n.value.cols,
-                        needs_grad: n.needs_grad,
-                        ext: n.ext.get(),
-                    })
-                    .collect(),
-                loss.map(|l| l.0),
-            ),
-            Mode::Replay { plan, cursor } => {
-                assert_eq!(
-                    cursor,
-                    plan.len(),
-                    "plan replay ended early: {cursor} of {} recorded steps ran; \
-                     the plan cache key does not fully determine the op sequence",
-                    plan.len()
-                );
-                plan
-            }
-        }
+        let Graph { mut plan, cursor } = self;
+        let Some(cursor) = cursor else {
+            // Free the recording buffers before compile allocates the arena.
+            let steps = std::mem::take(&mut plan.steps);
+            drop(plan);
+            return crate::plan::compile(steps, loss.map(|l| l.0));
+        };
+        assert_eq!(
+            cursor,
+            plan.len(),
+            "plan replay ended early: {cursor} of {} recorded steps ran; \
+             the plan cache key does not fully determine the op sequence",
+            plan.len()
+        );
+        plan
     }
 
     /// Replay-mode guard shared by the op constructors: match the op
@@ -432,16 +315,13 @@ impl Graph {
         check: impl FnOnce(&mut Op) -> bool,
         extra: Option<&Matrix>,
     ) -> Option<NodeId> {
-        let Mode::Replay { plan, cursor } = &mut self.mode else {
-            return None;
-        };
-        let i = *cursor;
-        plan.expect_step(i, expect);
-        if !check(&mut plan.steps[i].op) {
-            plan.diverged(i, expect);
+        let i = self.cursor?;
+        self.plan.expect_step(i, expect);
+        if !check(&mut self.plan.steps[i].op) {
+            self.plan.diverged(i, expect);
         }
-        *cursor = i + 1;
-        plan.eval(i, extra);
+        self.cursor = Some(i + 1);
+        self.plan.eval(i, extra);
         Some(NodeId(i))
     }
 
@@ -449,157 +329,64 @@ impl Graph {
     /// an `Input` with the same gradient flag and shape; its arena slot
     /// receives the fresh value.
     fn r_input(&mut self, value: &Matrix, needs_grad: bool) -> Option<NodeId> {
-        let Mode::Replay { plan, cursor } = &mut self.mode else {
-            return None;
-        };
-        let i = *cursor;
-        plan.expect_step(i, "Input");
-        if !matches!(plan.steps[i].op, Op::Input) || plan.steps[i].needs_grad != needs_grad {
-            plan.diverged(i, "Input");
+        let i = self.cursor?;
+        self.plan.expect_step(i, "Input");
+        let st = &self.plan.steps[i];
+        if !matches!(st.op, Op::Input) || st.needs_grad != needs_grad {
+            self.plan.diverged(i, "Input");
         }
-        *cursor = i + 1;
-        plan.write_value(i, value);
+        self.cursor = Some(i + 1);
+        self.plan.write_value(i, value);
         Some(NodeId(i))
     }
 
-    /// Replay-mode guard for parameter leaves: synchronize the plan's
-    /// parameter slots against the store (version-gated, so unchanged
-    /// stores cost one integer compare), then either return the memoized
-    /// step for this id — mirroring record-mode memoization — or match
-    /// and advance past the recorded `Param` step.
-    fn r_param(&mut self, store: &ParamStore, id: ParamId) -> Option<NodeId> {
-        let Mode::Replay { plan, cursor } = &mut self.mode else {
-            return None;
-        };
-        plan.sync_params(store);
-        if let Some(&(_, step)) = plan.param_memo.iter().find(|&&(pid, _)| pid == id) {
-            return Some(NodeId(step as usize));
-        }
-        let i = *cursor;
-        plan.expect_step(i, "Param");
-        if !matches!(plan.steps[i].op, Op::Param(p) if p == id) {
-            plan.diverged(i, "Param");
-        }
-        *cursor = i + 1;
-        plan.param_memo.push((id, i as u32));
-        Some(NodeId(i))
+    /// Record mode: append `op` as an unfused step of the given shape and
+    /// evaluate it with the plan executor. `extra` is the per-step noise
+    /// draw of a `NoisyRenorm` (see [`Plan::eval`]).
+    fn push(&mut self, op: Op, shape: (usize, usize), extra: Option<&Matrix>) -> NodeId {
+        let needs_grad = op.inputs().iter().any(|&id| self.needs(id));
+        let i = self.plan.record(op, shape, needs_grad, None);
+        self.run(i, extra)
     }
 
-    fn push(&mut self, op: Op, value: Matrix, needs_grad: bool) -> NodeId {
+    /// Record mode: append a leaf step holding `value`. Its shape is
+    /// checked against its storage here, where it enters the tape; every
+    /// later value is bound to its step's shape by the executor.
+    fn push_leaf(&mut self, op: Op, value: Matrix, needs_grad: bool) -> NodeId {
+        assert_eq!(
+            value.data.len(),
+            value.rows * value.cols,
+            "{} matrix claims {}x{} but holds {} elements",
+            op.name(),
+            value.rows,
+            value.cols,
+            value.data.len()
+        );
+        let i = self.plan.record(op, value.shape(), needs_grad, Some(value));
+        self.run(i, None)
+    }
+
+    /// Evaluate recorded step `i` (a leaf already holds its value) under
+    /// the op profiler and the sanitizer.
+    fn run(&mut self, i: usize, extra: Option<&Matrix>) -> NodeId {
+        let t0 = gendt_trace::trace_enabled().then(gendt_trace::now_ns);
+        self.plan.eval(i, extra);
+        if let Some(t0) = t0 {
+            profile(&self.plan, i, gendt_trace::Phase::Forward, t0);
+        }
         if crate::sanitize::sanitize_enabled() {
-            self.sanitize_forward(&op, &value);
+            sanitize_forward(&self.plan, i);
         }
-        if gendt_trace::trace_enabled() {
-            self.profile_forward(&op, &value);
-        }
-        self.nodes.push(Node {
-            op,
-            value,
-            grad: None,
-            needs_grad,
-            ext: std::cell::Cell::new(false),
-        });
-        NodeId(self.nodes.len() - 1)
-    }
-
-    /// Op-profiler forward hook: the wall time since the previous push
-    /// completed is attributed to the op being recorded — every op's
-    /// forward value is computed by its `Graph` constructor immediately
-    /// before `push`, so the gap *is* that op's forward compute (plus
-    /// negligible recording overhead). The first push of a tape gets a
-    /// zero duration; it has no predecessor to measure from.
-    fn profile_forward(&mut self, op: &Op, value: &Matrix) {
-        let now = gendt_trace::now_ns();
-        let dur = if self.prof_last_ns == 0 {
-            0
-        } else {
-            now.saturating_sub(self.prof_last_ns)
-        };
-        let (flops, bytes) = self.op_cost(op, value);
-        gendt_trace::record_op(op.name(), gendt_trace::Phase::Forward, dur, flops, bytes);
-        self.prof_last_ns = gendt_trace::now_ns();
-    }
-
-    /// Order-of-magnitude FLOP and byte-traffic estimates for one op
-    /// execution, from the shapes on the tape. MatMul is exact
-    /// (`2·m·k·n`); elementwise and reduction ops count a few flops per
-    /// element; bytes assume every input and the output move once.
-    /// Backward visits reuse the same estimate — gradient kernels touch
-    /// the same operands at the same shapes.
-    fn op_cost(&self, op: &Op, out: &Matrix) -> (u64, u64) {
-        let el = |id: &NodeId| self.nodes[id.0].value.data.len() as u64;
-        let out_el = out.data.len() as u64;
-        let in_el: u64 = op.inputs().iter().map(el).sum();
-        let bytes = 4 * (in_el + out_el);
-        let flops = match op {
-            Op::Input | Op::Param(_) => 0,
-            Op::MatMul(a, b) => {
-                let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                2 * va.rows as u64 * va.cols as u64 * vb.cols as u64
-            }
-            // Transcendental activations: charge a handful of flops per
-            // element for the polynomial kernels.
-            Op::Sigmoid(_) | Op::Tanh(_) | Op::Exp(_) | Op::Softplus(_) => 8 * out_el,
-            // Fused cell: 4 gate activations plus the state arithmetic.
-            Op::LstmCell { gates, .. } => 12 * el(gates),
-            Op::NoisyRenorm { .. } => 6 * out_el,
-            Op::GaussianNll { mu, .. } => 8 * el(mu),
-            Op::MseLoss(a, _) | Op::BceWithLogits(a, _) => 4 * el(a),
-            _ => in_el.max(out_el),
-        };
-        (flops, bytes)
-    }
-
-    /// Sanitizer-mode forward check: every value recorded on the tape must
-    /// have consistent shape metadata and contain only finite numbers.
-    /// Panics with the offending op, its attributes, and the state of its
-    /// inputs, so a NaN is caught at the op that *created* it rather than
-    /// steps later in a loss or a checkpoint.
-    fn sanitize_forward(&self, op: &Op, value: &Matrix) {
-        if value.data.len() != value.rows * value.cols {
-            panic!(
-                "GENDT_SANITIZE: op {} (node {}) produced inconsistent shape metadata: \
-                 {}x{} but {} elements{}",
-                op.describe(),
-                self.nodes.len(),
-                value.rows,
-                value.cols,
-                value.data.len(),
-                self.sanitize_inputs(op)
-            );
-        }
-        if value.has_non_finite() {
-            panic!(
-                "GENDT_SANITIZE: op {} (node {}) produced a non-finite value (shape {}x{}){}",
-                op.describe(),
-                self.nodes.len(),
-                value.rows,
-                value.cols,
-                self.sanitize_inputs(op)
-            );
-        }
-    }
-
-    /// One line per input node: op, shape, and whether it already holds
-    /// non-finite values (i.e. whether the corruption is upstream).
-    fn sanitize_inputs(&self, op: &Op) -> String {
-        let mut s = String::new();
-        for id in op.inputs() {
-            let n = &self.nodes[id.0];
-            s.push_str(&format!(
-                "\n  input node {} = {} (shape {}x{}, non_finite={})",
-                id.0,
-                n.op.describe(),
-                n.value.rows,
-                n.value.cols,
-                n.value.has_non_finite()
-            ));
-        }
-        s
+        NodeId(i)
     }
 
     fn needs(&self, id: NodeId) -> bool {
-        self.nodes[id.0].needs_grad
+        self.plan.steps[id.0].needs_grad
+    }
+
+    fn shape(&self, id: NodeId) -> (usize, usize) {
+        let st = &self.plan.steps[id.0];
+        (st.rows as usize, st.cols as usize)
     }
 
     /// Forward value of a node.
@@ -611,28 +398,21 @@ impl Graph {
     /// every execution of the same plan key, which it is, being the same
     /// code).
     pub fn value(&self, id: NodeId) -> &Matrix {
-        if let Mode::Replay { plan, cursor } = &self.mode {
-            return plan.ext_value(id.0, *cursor);
+        if let Some(cursor) = self.cursor {
+            return self.plan.ext_value(id.0, cursor);
         }
-        let n = &self.nodes[id.0];
-        n.ext.set(true);
-        &n.value
+        self.plan.steps[id.0].ext.set(true);
+        self.plan.val_ref(id.0)
     }
 
     /// The recorded operation of a node (for tape auditing).
     pub fn op(&self, id: NodeId) -> &Op {
-        if let Mode::Replay { plan, .. } = &self.mode {
-            return &plan.steps[id.0].op;
-        }
-        &self.nodes[id.0].op
+        &self.plan.steps[id.0].op
     }
 
     /// Whether a node participates in gradient computation.
     pub fn node_needs_grad(&self, id: NodeId) -> bool {
-        if let Mode::Replay { plan, .. } = &self.mode {
-            return plan.steps[id.0].needs_grad;
-        }
-        self.nodes[id.0].needs_grad
+        self.needs(id)
     }
 
     /// All node ids on the tape, in recording order.
@@ -646,21 +426,19 @@ impl Graph {
     /// # Panics
     /// Panics in replay mode: plan execution keeps gradients in reused
     /// arena slots and does not retain them for inspection. Inspect
-    /// gradients on a record-mode graph (the interpreted reference).
+    /// gradients on a record-mode graph, which keeps one gradient buffer
+    /// per node.
     pub fn grad(&self, id: NodeId) -> Option<&Matrix> {
         assert!(
-            matches!(self.mode, Mode::Record),
+            self.cursor.is_none(),
             "node gradients are not inspectable in plan replay mode"
         );
-        self.nodes[id.0].grad.as_ref()
+        self.plan.grad(id.0)
     }
 
     /// Number of nodes recorded (or replayed) so far.
     pub fn len(&self) -> usize {
-        if let Mode::Replay { cursor, .. } = &self.mode {
-            return *cursor;
-        }
-        self.nodes.len()
+        self.cursor.unwrap_or(self.plan.len())
     }
 
     /// True if no nodes have been recorded.
@@ -673,7 +451,7 @@ impl Graph {
         if let Some(n) = self.r_input(&value, false) {
             return n;
         }
-        self.push(Op::Input, value, false)
+        self.push_leaf(Op::Input, value, false)
     }
 
     /// Insert a constant input from a reference, avoiding the caller-side
@@ -683,7 +461,7 @@ impl Graph {
         if let Some(n) = self.r_input(value, false) {
             return n;
         }
-        self.push(Op::Input, value.clone(), false)
+        self.push_leaf(Op::Input, value.clone(), false)
     }
 
     /// Insert a constant input that still receives a gradient (used by
@@ -692,22 +470,38 @@ impl Graph {
         if let Some(n) = self.r_input(&value, true) {
             return n;
         }
-        self.push(Op::Input, value, true)
+        self.push_leaf(Op::Input, value, true)
     }
 
     /// Leaf a parameter into the graph. The backward pass accumulates its
     /// gradient into the store passed to [`Graph::backward`] — so a graph
     /// must only contain trainable params from ONE store; params of other
     /// models must enter via [`Graph::param_frozen`].
+    ///
+    /// Repeated calls for the same id return the same node. In replay
+    /// mode the plan's parameter slots are first synchronized against the
+    /// store (version-gated, so unchanged stores cost one integer
+    /// compare).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        if let Some(n) = self.r_param(store, id) {
-            return n;
+        if self.cursor.is_some() {
+            self.plan.sync_params(store);
         }
-        if let Some(&n) = self.param_nodes.get(&id) {
-            return n;
+        let memo = &self.plan.param_memo;
+        if let Some(&(_, step)) = memo.iter().find(|&&(pid, _)| pid == id) {
+            return NodeId(step as usize);
         }
-        let n = self.push(Op::Param(id), store.value(id).clone(), true);
-        self.param_nodes.insert(id, n);
+        let n = match self.cursor {
+            Some(i) => {
+                self.plan.expect_step(i, "Param");
+                if !matches!(self.plan.steps[i].op, Op::Param(p) if p == id) {
+                    self.plan.diverged(i, "Param");
+                }
+                self.cursor = Some(i + 1);
+                NodeId(i)
+            }
+            None => self.push_leaf(Op::Param(id), store.value(id).clone(), true),
+        };
+        self.plan.param_memo.push((id, n.0 as u32));
         n
     }
 
@@ -719,7 +513,7 @@ impl Graph {
         if let Some(n) = self.r_input(store.value(id), false) {
             return n;
         }
-        self.push(Op::Input, store.value(id).clone(), false)
+        self.push_leaf(Op::Input, store.value(id).clone(), false)
     }
 
     /// Matrix product.
@@ -731,9 +525,9 @@ impl Graph {
         ) {
             return n;
         }
-        let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::MatMul(a, b), v, ng)
+        let ((m, k), (k2, n)) = (self.shape(a), self.shape(b));
+        assert_eq!(k, k2, "matmul shape mismatch: {m}x{k} * {k2}x{n}");
+        self.push(Op::MatMul(a, b), (m, n), None)
     }
 
     /// Elementwise sum.
@@ -745,10 +539,8 @@ impl Graph {
         ) {
             return n;
         }
-        let mut v = self.nodes[a.0].value.clone();
-        v.add_assign(&self.nodes[b.0].value);
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::Add(a, b), v, ng)
+        assert_eq!(self.shape(a), self.shape(b), "add shape mismatch");
+        self.push(Op::Add(a, b), self.shape(a), None)
     }
 
     /// Elementwise difference.
@@ -760,17 +552,8 @@ impl Graph {
         ) {
             return n;
         }
-        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(va.shape(), vb.shape(), "sub shape mismatch");
-        let data = va
-            .data
-            .iter()
-            .zip(vb.data.iter())
-            .map(|(&x, &y)| x - y)
-            .collect();
-        let v = Matrix::from_vec(va.rows, va.cols, data);
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::Sub(a, b), v, ng)
+        assert_eq!(self.shape(a), self.shape(b), "sub shape mismatch");
+        self.push(Op::Sub(a, b), self.shape(a), None)
     }
 
     /// Hadamard product.
@@ -782,17 +565,8 @@ impl Graph {
         ) {
             return n;
         }
-        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(va.shape(), vb.shape(), "mul shape mismatch");
-        let data = va
-            .data
-            .iter()
-            .zip(vb.data.iter())
-            .map(|(&x, &y)| x * y)
-            .collect();
-        let v = Matrix::from_vec(va.rows, va.cols, data);
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::Mul(a, b), v, ng)
+        assert_eq!(self.shape(a), self.shape(b), "mul shape mismatch");
+        self.push(Op::Mul(a, b), self.shape(a), None)
     }
 
     /// Bias add: `a + b` where `b` is a `1 x cols` row broadcast over rows.
@@ -804,17 +578,10 @@ impl Graph {
         ) {
             return n;
         }
-        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(vb.rows, 1, "add_row: rhs must be a row vector");
-        assert_eq!(va.cols, vb.cols, "add_row column mismatch");
-        let mut v = va.clone();
-        for r in 0..v.rows {
-            for c in 0..v.cols {
-                v.data[r * v.cols + c] += vb.data[c];
-            }
-        }
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::AddRow(a, b), v, ng)
+        let (sa, sb) = (self.shape(a), self.shape(b));
+        assert_eq!(sb.0, 1, "add_row: rhs must be a row vector");
+        assert_eq!(sa.1, sb.1, "add_row column mismatch");
+        self.push(Op::AddRow(a, b), sa, None)
     }
 
     /// Column broadcast multiply: `a * b` where `b` is `rows x 1`.
@@ -826,18 +593,10 @@ impl Graph {
         ) {
             return n;
         }
-        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(vb.cols, 1, "mul_col: rhs must be a column vector");
-        assert_eq!(va.rows, vb.rows, "mul_col row mismatch");
-        let mut v = va.clone();
-        for r in 0..v.rows {
-            let s = vb.data[r];
-            for c in 0..v.cols {
-                v.data[r * v.cols + c] *= s;
-            }
-        }
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::MulCol(a, b), v, ng)
+        let (sa, sb) = (self.shape(a), self.shape(b));
+        assert_eq!(sb.1, 1, "mul_col: rhs must be a column vector");
+        assert_eq!(sa.0, sb.0, "mul_col row mismatch");
+        self.push(Op::MulCol(a, b), sa, None)
     }
 
     /// Scalar multiply.
@@ -849,9 +608,7 @@ impl Graph {
         ) {
             return n;
         }
-        let v = self.nodes[a.0].value.map(|x| x * s);
-        let ng = self.needs(a);
-        self.push(Op::Scale(a, s), v, ng)
+        self.push(Op::Scale(a, s), self.shape(a), None)
     }
 
     /// Scalar add.
@@ -863,9 +620,7 @@ impl Graph {
         ) {
             return n;
         }
-        let v = self.nodes[a.0].value.map(|x| x + s);
-        let ng = self.needs(a);
-        self.push(Op::Offset(a, s), v, ng)
+        self.push(Op::Offset(a, s), self.shape(a), None)
     }
 
     /// Elementwise sigmoid (vectorizable polynomial kernel).
@@ -877,9 +632,7 @@ impl Graph {
         ) {
             return n;
         }
-        let v = self.nodes[a.0].value.map(crate::kernels::fast_sigmoid);
-        let ng = self.needs(a);
-        self.push(Op::Sigmoid(a), v, ng)
+        self.push(Op::Sigmoid(a), self.shape(a), None)
     }
 
     /// Elementwise tanh (vectorizable polynomial kernel).
@@ -887,9 +640,7 @@ impl Graph {
         if let Some(n) = self.r_step("Tanh", |op| matches!(op, Op::Tanh(x) if *x == a), None) {
             return n;
         }
-        let v = self.nodes[a.0].value.map(crate::kernels::fast_tanh);
-        let ng = self.needs(a);
-        self.push(Op::Tanh(a), v, ng)
+        self.push(Op::Tanh(a), self.shape(a), None)
     }
 
     /// Leaky ReLU.
@@ -901,11 +652,7 @@ impl Graph {
         ) {
             return n;
         }
-        let v = self.nodes[a.0]
-            .value
-            .map(|x| if x >= 0.0 { x } else { slope * x });
-        let ng = self.needs(a);
-        self.push(Op::LeakyRelu(a, slope), v, ng)
+        self.push(Op::LeakyRelu(a, slope), self.shape(a), None)
     }
 
     /// Elementwise exp (vectorizable polynomial kernel).
@@ -913,9 +660,7 @@ impl Graph {
         if let Some(n) = self.r_step("Exp", |op| matches!(op, Op::Exp(x) if *x == a), None) {
             return n;
         }
-        let v = self.nodes[a.0].value.map(crate::kernels::fast_exp);
-        let ng = self.needs(a);
-        self.push(Op::Exp(a), v, ng)
+        self.push(Op::Exp(a), self.shape(a), None)
     }
 
     /// Elementwise softplus, numerically stabilized.
@@ -927,17 +672,7 @@ impl Graph {
         ) {
             return n;
         }
-        let v = self.nodes[a.0].value.map(|x| {
-            if x > 20.0 {
-                x
-            } else if x < -20.0 {
-                x.exp()
-            } else {
-                (1.0 + x.exp()).ln()
-            }
-        });
-        let ng = self.needs(a);
-        self.push(Op::Softplus(a), v, ng)
+        self.push(Op::Softplus(a), self.shape(a), None)
     }
 
     /// Horizontal concatenation.
@@ -949,9 +684,9 @@ impl Graph {
         ) {
             return n;
         }
-        let v = self.nodes[a.0].value.concat_cols(&self.nodes[b.0].value);
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::ConcatCols(a, b), v, ng)
+        let (sa, sb) = (self.shape(a), self.shape(b));
+        assert_eq!(sa.0, sb.0, "concat_cols row mismatch");
+        self.push(Op::ConcatCols(a, b), (sa.0, sa.1 + sb.1), None)
     }
 
     /// Column slice `c0..c1`.
@@ -963,9 +698,9 @@ impl Graph {
         ) {
             return n;
         }
-        let v = self.nodes[a.0].value.slice_cols(c0, c1);
-        let ng = self.needs(a);
-        self.push(Op::SliceCols(a, c0, c1), v, ng)
+        let (rows, cols) = self.shape(a);
+        assert!(c0 <= c1 && c1 <= cols, "slice_cols out of range");
+        self.push(Op::SliceCols(a, c0, c1), (rows, c1 - c0), None)
     }
 
     /// Rows `r0..r1` of `a` as a new `(r1-r0) x cols` node.
@@ -980,16 +715,12 @@ impl Graph {
         ) {
             return n;
         }
-        let va = &self.nodes[a.0].value;
+        let (rows, cols) = self.shape(a);
         assert!(
-            r0 < r1 && r1 <= va.rows,
-            "slice_rows: bad range {r0}..{r1} of {}",
-            va.rows
+            r0 < r1 && r1 <= rows,
+            "slice_rows: bad range {r0}..{r1} of {rows}"
         );
-        let cols = va.cols;
-        let v = Matrix::from_vec(r1 - r0, cols, va.data[r0 * cols..r1 * cols].to_vec());
-        let ng = self.needs(a);
-        self.push(Op::SliceRows(a, r0, r1), v, ng)
+        self.push(Op::SliceRows(a, r0, r1), (r1 - r0, cols), None)
     }
 
     /// Row-wise sum, yielding a `rows x 1` column vector.
@@ -997,11 +728,7 @@ impl Graph {
         if let Some(n) = self.r_step("RowSum", |op| matches!(op, Op::RowSum(x) if *x == a), None) {
             return n;
         }
-        let va = &self.nodes[a.0].value;
-        let data = (0..va.rows).map(|r| va.row_slice(r).iter().sum()).collect();
-        let v = Matrix::from_vec(va.rows, 1, data);
-        let ng = self.needs(a);
-        self.push(Op::RowSum(a), v, ng)
+        self.push(Op::RowSum(a), (self.shape(a).0, 1), None)
     }
 
     /// Sum each consecutive group of `group` rows, reducing a
@@ -1023,27 +750,14 @@ impl Graph {
         ) {
             return n;
         }
-        let va = &self.nodes[a.0].value;
+        let (rows, cols) = self.shape(a);
         assert!(group > 0, "sum_row_groups: group must be positive");
         assert_eq!(
-            va.rows % group,
+            rows % group,
             0,
             "sum_row_groups: rows not divisible by group"
         );
-        let rows = va.rows / group;
-        let cols = va.cols;
-        let mut v = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            for j in 0..group {
-                let src = (r * group + j) * cols;
-                let dst = r * cols;
-                for c in 0..cols {
-                    v.data[dst + c] += va.data[src + c];
-                }
-            }
-        }
-        let ng = self.needs(a);
-        self.push(Op::SumRowGroups(a, group), v, ng)
+        self.push(Op::SumRowGroups(a, group), (rows / group, cols), None)
     }
 
     /// Fused LSTM cell update: consumes the pre-activation gate matrix
@@ -1069,29 +783,16 @@ impl Graph {
         ) {
             return n;
         }
-        let (vg, vc) = (&self.nodes[gates.0].value, &self.nodes[c_prev.0].value);
+        let (sg, sc) = (self.shape(gates), self.shape(c_prev));
         assert!(hidden > 0, "lstm_cell: hidden must be positive");
-        assert_eq!(
-            vg.cols,
-            4 * hidden,
-            "lstm_cell: gates must be rows x 4*hidden"
-        );
-        assert_eq!(
-            vc.shape(),
-            (vg.rows, hidden),
-            "lstm_cell: c_prev shape mismatch"
-        );
-        let v = lstm_cell_forward(vg, vc, hidden);
-        let ng = self.needs(gates) || self.needs(c_prev);
-        self.push(
-            Op::LstmCell {
-                gates,
-                c_prev,
-                hidden,
-            },
-            v,
-            ng,
-        )
+        assert_eq!(sg.1, 4 * hidden, "lstm_cell: gates must be rows x 4*hidden");
+        assert_eq!(sc, (sg.0, hidden), "lstm_cell: c_prev shape mismatch");
+        let op = Op::LstmCell {
+            gates,
+            c_prev,
+            hidden,
+        };
+        self.push(op, (sg.0, 2 * hidden), None)
     }
 
     /// Fused SRNN noisy renormalization (paper appendix A.2), one node in
@@ -1118,33 +819,15 @@ impl Graph {
         ) {
             return n;
         }
-        let vx = &self.nodes[x.0].value;
-        assert_eq!(u.shape(), vx.shape(), "noisy_renorm: noise shape mismatch");
-        let (rows, cols) = vx.shape();
-        let mut noise = Matrix::zeros(rows, cols);
-        let mut v = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let xr = &vx.data[r * cols..(r + 1) * cols];
-            let ur = &u.data[r * cols..(r + 1) * cols];
-            let nr = &mut noise.data[r * cols..(r + 1) * cols];
-            let out = &mut v.data[r * cols..(r + 1) * cols];
-            let mean = xr.iter().sum::<f32>() / cols.max(1) as f32;
-            for c in 0..cols {
-                nr[c] = ur[c] * mean;
-            }
-            // out first holds the perturbed row, then is scaled in place.
-            for c in 0..cols {
-                out[c] = xr[c] + nr[c] * a;
-            }
-            let sx: f32 = xr.iter().sum();
-            let sp: f32 = out.iter().sum();
-            let ratio = (sx + 1e-3) * (1.0 / (sp + 1e-3));
-            for o in out.iter_mut() {
-                *o *= ratio;
-            }
-        }
-        let ng = self.needs(x);
-        self.push(Op::NoisyRenorm { x, a, noise }, v, ng)
+        let (rows, cols) = self.shape(x);
+        assert_eq!(
+            u.shape(),
+            (rows, cols),
+            "noisy_renorm: noise shape mismatch"
+        );
+        // The noise buffer is filled from `u` when the step evaluates.
+        let noise = Matrix::zeros(rows, cols);
+        self.push(Op::NoisyRenorm { x, a, noise }, (rows, cols), Some(u))
     }
 
     /// `(a + b) + row_broadcast(bias)` as a single node — the LSTM gate
@@ -1161,25 +844,11 @@ impl Graph {
         ) {
             return n;
         }
-        let (va, vb, vbias) = (
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-            &self.nodes[bias.0].value,
-        );
-        assert_eq!(va.shape(), vb.shape(), "add_add_row shape mismatch");
-        assert_eq!(vbias.rows, 1, "add_add_row: bias must be a row vector");
-        assert_eq!(va.cols, vbias.cols, "add_add_row bias column mismatch");
-        let mut v = Matrix::zeros(va.rows, va.cols);
-        for r in 0..va.rows {
-            let ar = &va.data[r * va.cols..(r + 1) * va.cols];
-            let br = &vb.data[r * va.cols..(r + 1) * va.cols];
-            let out = &mut v.data[r * va.cols..(r + 1) * va.cols];
-            for c in 0..va.cols {
-                out[c] = (ar[c] + br[c]) + vbias.data[c];
-            }
-        }
-        let ng = self.needs(a) || self.needs(b) || self.needs(bias);
-        self.push(Op::AddAddRow(a, b, bias), v, ng)
+        let (sa, sbias) = (self.shape(a), self.shape(bias));
+        assert_eq!(sa, self.shape(b), "add_add_row shape mismatch");
+        assert_eq!(sbias.0, 1, "add_add_row: bias must be a row vector");
+        assert_eq!(sa.1, sbias.1, "add_add_row bias column mismatch");
+        self.push(Op::AddAddRow(a, b, bias), sa, None)
     }
 
     /// Masked group mean over packed rows: multiply each row of `x` by the
@@ -1222,43 +891,26 @@ impl Graph {
         ) {
             return n;
         }
-        let vx = &self.nodes[x.0].value;
+        let (rows, cols) = self.shape(x);
         assert!(group > 0, "masked_group_mean: group must be positive");
         assert_eq!(
-            vx.rows % group,
+            rows % group,
             0,
             "masked_group_mean: rows not divisible by group"
         );
-        let rows = vx.rows / group;
-        let cols = vx.cols;
-        assert_eq!(mask.shape(), (vx.rows, 1), "masked_group_mean: mask shape");
-        assert_eq!(scale.shape(), (rows, 1), "masked_group_mean: scale shape");
-        let mut v = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let out = &mut v.data[r * cols..(r + 1) * cols];
-            for j in 0..group {
-                let src = (r * group + j) * cols;
-                let m = mask.data[r * group + j];
-                for (o, x) in out.iter_mut().zip(&vx.data[src..src + cols]) {
-                    *o += x * m;
-                }
-            }
-            let s = scale.data[r];
-            for o in out.iter_mut() {
-                *o *= s;
-            }
-        }
-        let ng = self.needs(x);
-        self.push(
-            Op::MaskedGroupMean {
-                x,
-                mask: mask.clone(),
-                scale: scale.clone(),
-                group,
-            },
-            v,
-            ng,
-        )
+        assert_eq!(mask.shape(), (rows, 1), "masked_group_mean: mask shape");
+        assert_eq!(
+            scale.shape(),
+            (rows / group, 1),
+            "masked_group_mean: scale shape"
+        );
+        let op = Op::MaskedGroupMean {
+            x,
+            mask: mask.clone(),
+            scale: scale.clone(),
+            group,
+        };
+        self.push(op, (rows / group, cols), None)
     }
 
     /// Mean of all elements as a `1 x 1` scalar node.
@@ -1266,9 +918,7 @@ impl Graph {
         if let Some(n) = self.r_step("Mean", |op| matches!(op, Op::Mean(x) if *x == a), None) {
             return n;
         }
-        let v = Matrix::from_vec(1, 1, vec![self.nodes[a.0].value.mean()]);
-        let ng = self.needs(a);
-        self.push(Op::Mean(a), v, ng)
+        self.push(Op::Mean(a), (1, 1), None)
     }
 
     /// Mean-squared-error loss `mean((a - b)^2)`.
@@ -1280,18 +930,8 @@ impl Graph {
         ) {
             return n;
         }
-        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(va.shape(), vb.shape(), "mse_loss shape mismatch");
-        let n = va.data.len().max(1) as f32;
-        let s: f32 = va
-            .data
-            .iter()
-            .zip(vb.data.iter())
-            .map(|(&x, &y)| (x - y) * (x - y))
-            .sum();
-        let v = Matrix::from_vec(1, 1, vec![s / n]);
-        let ng = self.needs(a) || self.needs(b);
-        self.push(Op::MseLoss(a, b), v, ng)
+        assert_eq!(self.shape(a), self.shape(b), "mse_loss shape mismatch");
+        self.push(Op::MseLoss(a, b), (1, 1), None)
     }
 
     /// Binary cross-entropy with logits against constant targets in `[0,1]`.
@@ -1312,18 +952,8 @@ impl Graph {
         ) {
             return n;
         }
-        let vl = &self.nodes[logits.0].value;
-        assert_eq!(vl.shape(), targets.shape(), "bce shape mismatch");
-        let n = vl.data.len().max(1) as f32;
-        let s: f32 = vl
-            .data
-            .iter()
-            .zip(targets.data.iter())
-            .map(|(&x, &t)| x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln())
-            .sum();
-        let v = Matrix::from_vec(1, 1, vec![s / n]);
-        let ng = self.needs(logits);
-        self.push(Op::BceWithLogits(logits, targets), v, ng)
+        assert_eq!(self.shape(logits), targets.shape(), "bce shape mismatch");
+        self.push(Op::BceWithLogits(logits, targets), (1, 1), None)
     }
 
     /// Weighted sum of `1 x 1` scalar nodes (loss combination).
@@ -1335,16 +965,10 @@ impl Graph {
         ) {
             return n;
         }
-        let mut s = 0.0;
-        let mut ng = false;
-        for &(id, w) in &terms {
-            let v = &self.nodes[id.0].value;
-            assert_eq!(v.shape(), (1, 1), "weighted_sum expects scalar nodes");
-            s += w * v.data[0];
-            ng |= self.needs(id);
+        for &(id, _) in &terms {
+            assert_eq!(self.shape(id), (1, 1), "weighted_sum expects scalar nodes");
         }
-        let v = Matrix::from_vec(1, 1, vec![s]);
-        self.push(Op::WeightedSum(terms), v, ng)
+        self.push(Op::WeightedSum(terms), (1, 1), None)
     }
 
     /// Mean Gaussian negative log-likelihood of `target` under `N(mu, sigma)`.
@@ -1369,432 +993,138 @@ impl Graph {
         ) {
             return n;
         }
-        let (vm, vs) = (&self.nodes[mu.0].value, &self.nodes[sigma.0].value);
-        assert_eq!(vm.shape(), vs.shape(), "gaussian_nll mu/sigma mismatch");
-        assert_eq!(vm.shape(), target.shape(), "gaussian_nll target mismatch");
-        let n = vm.data.len().max(1) as f32;
-        let mut s = 0.0;
-        for i in 0..vm.data.len() {
-            let m = vm.data[i];
-            let sd = vs.data[i].max(1e-6);
-            let t = target.data[i];
-            s += sd.ln() + 0.5 * ((t - m) / sd).powi(2);
-        }
-        let v = Matrix::from_vec(1, 1, vec![s / n]);
-        let ng = self.needs(mu) || self.needs(sigma);
-        self.push(Op::GaussianNll { mu, sigma, target }, v, ng)
-    }
-
-    fn accum(&mut self, id: NodeId, g: Matrix) {
-        if !self.nodes[id.0].needs_grad {
-            return;
-        }
-        if crate::sanitize::sanitize_enabled() && g.has_non_finite() {
-            panic!(
-                "GENDT_SANITIZE: non-finite gradient flowing into node {} ({}, shape {}x{})",
-                id.0,
-                self.nodes[id.0].op.describe(),
-                self.nodes[id.0].value.rows,
-                self.nodes[id.0].value.cols
-            );
-        }
-        match &mut self.nodes[id.0].grad {
-            Some(existing) => existing.add_assign(&g),
-            slot @ None => *slot = Some(g),
-        }
+        let sm = self.shape(mu);
+        assert_eq!(sm, self.shape(sigma), "gaussian_nll mu/sigma mismatch");
+        assert_eq!(sm, target.shape(), "gaussian_nll target mismatch");
+        self.push(Op::GaussianNll { mu, sigma, target }, (1, 1), None)
     }
 
     /// Run the backward pass from a scalar `1 x 1` loss node, pushing
     /// parameter gradients into `store`.
     ///
+    /// Both modes run the plan executor's backward. A recorded graph
+    /// keeps every node's gradient in its own buffer, readable through
+    /// [`Graph::grad`] afterwards, and profiles and sanitizes each step.
+    ///
     /// # Panics
     /// Panics if `loss` is not `1 x 1`.
     pub fn backward(&mut self, loss: NodeId, store: &mut ParamStore) {
-        if let Mode::Replay { plan, cursor } = &mut self.mode {
+        if let Some(cursor) = self.cursor {
             assert!(
-                loss.0 < *cursor,
-                "plan replay: backward from node {} but only {} steps replayed",
-                loss.0,
-                cursor
+                loss.0 < cursor,
+                "plan replay: backward from node {} but only {cursor} steps replayed",
+                loss.0
             );
-            plan.backward(loss.0, store);
+            self.plan.backward(loss.0, store);
             return;
         }
-        assert_eq!(
-            self.nodes[loss.0].value.shape(),
-            (1, 1),
-            "backward needs a scalar loss"
+        assert_eq!(self.shape(loss), (1, 1), "backward needs a scalar loss");
+        self.plan.reserve_backward(loss.0);
+        let trace = gendt_trace::trace_enabled();
+        let sanitize = crate::sanitize::sanitize_enabled();
+        self.plan.backward_with(loss.0, store, |plan, i, store| {
+            if plan.grad(i).is_none() {
+                return;
+            }
+            let t0 = trace.then(gendt_trace::now_ns);
+            plan.backward_step(i, store);
+            if let Some(t0) = t0 {
+                profile(plan, i, gendt_trace::Phase::Backward, t0);
+            }
+            if sanitize {
+                sanitize_backward(plan, i);
+            }
+        });
+    }
+}
+
+/// Op profiler: attribute the wall time since `t0` to step `i`'s op.
+fn profile(plan: &Plan, i: usize, phase: gendt_trace::Phase, t0: u64) {
+    let dur = gendt_trace::now_ns().saturating_sub(t0);
+    let (flops, bytes) = op_cost(plan, i);
+    gendt_trace::record_op(plan.steps[i].op.name(), phase, dur, flops, bytes);
+}
+
+/// Order-of-magnitude FLOP and byte-traffic estimates for one execution
+/// of step `i`, from the shapes on the tape. MatMul is exact
+/// (`2·m·k·n`); elementwise and reduction ops count a few flops per
+/// element; bytes assume every input and the output move once. Backward
+/// visits reuse the same estimate — gradient kernels touch the same
+/// operands at the same shapes.
+fn op_cost(plan: &Plan, i: usize) -> (u64, u64) {
+    let el = |id: &NodeId| plan.steps[id.0].elems() as u64;
+    let op = &plan.steps[i].op;
+    let out_el = el(&NodeId(i));
+    let in_el: u64 = op.inputs().iter().map(el).sum();
+    let bytes = 4 * (in_el + out_el);
+    let flops = match op {
+        Op::Input | Op::Param(_) => 0,
+        Op::MatMul(a, b) => {
+            let (sa, sb) = (&plan.steps[a.0], &plan.steps[b.0]);
+            2 * sa.rows as u64 * sa.cols as u64 * sb.cols as u64
+        }
+        // Transcendental activations: charge a handful of flops per
+        // element for the polynomial kernels.
+        Op::Sigmoid(_) | Op::Tanh(_) | Op::Exp(_) | Op::Softplus(_) => 8 * out_el,
+        // Fused cell: 4 gate activations plus the state arithmetic.
+        Op::LstmCell { gates, .. } => 12 * el(gates),
+        Op::NoisyRenorm { .. } => 6 * out_el,
+        Op::GaussianNll { mu, .. } => 8 * el(mu),
+        Op::MseLoss(a, _) | Op::BceWithLogits(a, _) => 4 * el(a),
+        _ => in_el.max(out_el),
+    };
+    (flops, bytes)
+}
+
+/// Sanitizer-mode forward check: every value recorded on the tape must
+/// contain only finite numbers. Panics with the offending op, its
+/// attributes, and the state of its inputs, so a NaN is caught at the op
+/// that *created* it rather than steps later in a loss or a checkpoint.
+fn sanitize_forward(plan: &Plan, i: usize) {
+    let (op, value) = (&plan.steps[i].op, plan.val_ref(i));
+    if value.has_non_finite() {
+        panic!(
+            "GENDT_SANITIZE: op {} (node {i}) produced a non-finite value (shape {}x{}){}",
+            op.describe(),
+            value.rows,
+            value.cols,
+            sanitize_inputs(plan, op)
         );
-        self.nodes[loss.0].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
-        for i in (0..=loss.0).rev() {
-            if !self.nodes[i].needs_grad {
-                continue;
-            }
-            let Some(g) = self.nodes[i].grad.take() else {
-                continue;
-            };
-            // Re-insert so callers can inspect grads after backward.
-            self.nodes[i].grad = Some(g.clone());
-            let op = self.nodes[i].op.clone();
-            // Op profiler: time this op's gradient computation. Cost is
-            // estimated before the match because the op moves into it.
-            let prof = if gendt_trace::trace_enabled() {
-                let (flops, bytes) = self.op_cost(&op, &self.nodes[i].value);
-                Some((op.name(), flops, bytes, gendt_trace::now_ns()))
-            } else {
-                None
-            };
-            match op {
-                Op::Input => {}
-                Op::Param(pid) => store.accumulate_grad(pid, &g),
-                Op::MatMul(a, b) => {
-                    if self.needs(a) {
-                        let ga = g.matmul_nt(&self.nodes[b.0].value);
-                        self.accum(a, ga);
-                    }
-                    if self.needs(b) {
-                        let gb = self.nodes[a.0].value.matmul_tn(&g);
-                        self.accum(b, gb);
-                    }
-                }
-                Op::Add(a, b) => {
-                    self.accum(a, g.clone());
-                    self.accum(b, g);
-                }
-                Op::Sub(a, b) => {
-                    self.accum(a, g.clone());
-                    self.accum(b, g.map(|x| -x));
-                }
-                Op::Mul(a, b) => {
-                    if self.needs(a) {
-                        let vb = &self.nodes[b.0].value;
-                        let data = g
-                            .data
-                            .iter()
-                            .zip(vb.data.iter())
-                            .map(|(&x, &y)| x * y)
-                            .collect();
-                        self.accum(a, Matrix::from_vec(g.rows, g.cols, data));
-                    }
-                    if self.needs(b) {
-                        let va = &self.nodes[a.0].value;
-                        let data = g
-                            .data
-                            .iter()
-                            .zip(va.data.iter())
-                            .map(|(&x, &y)| x * y)
-                            .collect();
-                        self.accum(b, Matrix::from_vec(g.rows, g.cols, data));
-                    }
-                }
-                Op::AddRow(a, b) => {
-                    if self.needs(a) {
-                        self.accum(a, g.clone());
-                    }
-                    if self.needs(b) {
-                        let mut gb = Matrix::zeros(1, g.cols);
-                        for r in 0..g.rows {
-                            for c in 0..g.cols {
-                                gb.data[c] += g.data[r * g.cols + c];
-                            }
-                        }
-                        self.accum(b, gb);
-                    }
-                }
-                Op::MulCol(a, b) => {
-                    if self.needs(a) {
-                        let vb = &self.nodes[b.0].value;
-                        let mut ga = g.clone();
-                        for r in 0..ga.rows {
-                            let s = vb.data[r];
-                            for c in 0..ga.cols {
-                                ga.data[r * ga.cols + c] *= s;
-                            }
-                        }
-                        self.accum(a, ga);
-                    }
-                    if self.needs(b) {
-                        let va = &self.nodes[a.0].value;
-                        let mut gb = Matrix::zeros(g.rows, 1);
-                        for r in 0..g.rows {
-                            let mut acc = 0.0;
-                            for c in 0..g.cols {
-                                acc += g.data[r * g.cols + c] * va.data[r * va.cols + c];
-                            }
-                            gb.data[r] = acc;
-                        }
-                        self.accum(b, gb);
-                    }
-                }
-                Op::Scale(a, s) => self.accum(a, g.map(|x| x * s)),
-                Op::Offset(a, _) => self.accum(a, g),
-                Op::Sigmoid(a) => {
-                    let y = &self.nodes[i].value;
-                    let data = g
-                        .data
-                        .iter()
-                        .zip(y.data.iter())
-                        .map(|(&gi, &yi)| gi * yi * (1.0 - yi))
-                        .collect();
-                    self.accum(a, Matrix::from_vec(g.rows, g.cols, data));
-                }
-                Op::Tanh(a) => {
-                    let y = &self.nodes[i].value;
-                    let data = g
-                        .data
-                        .iter()
-                        .zip(y.data.iter())
-                        .map(|(&gi, &yi)| gi * (1.0 - yi * yi))
-                        .collect();
-                    self.accum(a, Matrix::from_vec(g.rows, g.cols, data));
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let x = &self.nodes[a.0].value;
-                    let data = g
-                        .data
-                        .iter()
-                        .zip(x.data.iter())
-                        .map(|(&gi, &xi)| if xi >= 0.0 { gi } else { gi * slope })
-                        .collect();
-                    self.accum(a, Matrix::from_vec(g.rows, g.cols, data));
-                }
-                Op::Exp(a) => {
-                    let y = &self.nodes[i].value;
-                    let data = g
-                        .data
-                        .iter()
-                        .zip(y.data.iter())
-                        .map(|(&gi, &yi)| gi * yi)
-                        .collect();
-                    self.accum(a, Matrix::from_vec(g.rows, g.cols, data));
-                }
-                Op::Softplus(a) => {
-                    let x = &self.nodes[a.0].value;
-                    let data = g
-                        .data
-                        .iter()
-                        .zip(x.data.iter())
-                        .map(|(&gi, &xi)| gi * stable_sigmoid(xi))
-                        .collect();
-                    self.accum(a, Matrix::from_vec(g.rows, g.cols, data));
-                }
-                Op::ConcatCols(a, b) => {
-                    let ca = self.nodes[a.0].value.cols;
-                    if self.needs(a) {
-                        self.accum(a, g.slice_cols(0, ca));
-                    }
-                    if self.needs(b) {
-                        self.accum(b, g.slice_cols(ca, g.cols));
-                    }
-                }
-                Op::SliceCols(a, c0, c1) => {
-                    let va_shape = self.nodes[a.0].value.shape();
-                    let mut ga = Matrix::zeros(va_shape.0, va_shape.1);
-                    for r in 0..g.rows {
-                        for (k, c) in (c0..c1).enumerate() {
-                            ga.data[r * va_shape.1 + c] = g.data[r * g.cols + k];
-                        }
-                    }
-                    self.accum(a, ga);
-                }
-                Op::SliceRows(a, r0, r1) => {
-                    let va_shape = self.nodes[a.0].value.shape();
-                    let mut ga = Matrix::zeros(va_shape.0, va_shape.1);
-                    let cols = va_shape.1;
-                    ga.data[r0 * cols..r1 * cols].copy_from_slice(&g.data);
-                    self.accum(a, ga);
-                }
-                Op::RowSum(a) => {
-                    let va_shape = self.nodes[a.0].value.shape();
-                    let mut ga = Matrix::zeros(va_shape.0, va_shape.1);
-                    for r in 0..va_shape.0 {
-                        let s = g.data[r];
-                        for c in 0..va_shape.1 {
-                            ga.data[r * va_shape.1 + c] = s;
-                        }
-                    }
-                    self.accum(a, ga);
-                }
-                Op::SumRowGroups(a, group) => {
-                    let (rows, cols) = self.nodes[a.0].value.shape();
-                    let mut ga = Matrix::zeros(rows, cols);
-                    for r in 0..g.rows {
-                        let src = &g.data[r * cols..(r + 1) * cols];
-                        for j in 0..group {
-                            ga.data[(r * group + j) * cols..(r * group + j + 1) * cols]
-                                .copy_from_slice(src);
-                        }
-                    }
-                    self.accum(a, ga);
-                }
-                Op::LstmCell {
-                    gates,
-                    c_prev,
-                    hidden,
-                } => {
-                    let (dg, dc) = lstm_cell_backward(
-                        &g,
-                        &self.nodes[gates.0].value,
-                        &self.nodes[c_prev.0].value,
-                        hidden,
-                    );
-                    if self.needs(gates) {
-                        self.accum(gates, dg);
-                    }
-                    if self.needs(c_prev) {
-                        self.accum(c_prev, dc);
-                    }
-                }
-                Op::NoisyRenorm { x, a, noise } => {
-                    let (rows, cols) = noise.shape();
-                    let mut dx = Matrix::zeros(rows, cols);
-                    {
-                        let vx = &self.nodes[x.0].value;
-                        for r in 0..rows {
-                            let xr = &vx.data[r * cols..(r + 1) * cols];
-                            let nr = &noise.data[r * cols..(r + 1) * cols];
-                            let gr = &g.data[r * cols..(r + 1) * cols];
-                            let dr = &mut dx.data[r * cols..(r + 1) * cols];
-                            // Recompute the perturbed row and both row sums
-                            // (bitwise the forward values — same code, same
-                            // inputs), then combine the mul_col and row_sum
-                            // paths of the unfused composition.
-                            for c in 0..cols {
-                                dr[c] = xr[c] + nr[c] * a;
-                            }
-                            let sx: f32 = xr.iter().sum();
-                            let sp: f32 = dr.iter().sum();
-                            let rden = 1.0 / (sp + 1e-3);
-                            let ratio = (sx + 1e-3) * rden;
-                            let dot: f32 = gr.iter().zip(dr.iter()).map(|(&gi, &pi)| gi * pi).sum();
-                            let ds = dot * rden;
-                            for c in 0..cols {
-                                dr[c] = gr[c] * ratio + ds;
-                            }
-                        }
-                    }
-                    self.accum(x, dx);
-                }
-                Op::AddAddRow(a, b, bias) => {
-                    if self.needs(a) {
-                        self.accum(a, g.clone());
-                    }
-                    if self.needs(b) {
-                        self.accum(b, g.clone());
-                    }
-                    if self.needs(bias) {
-                        let mut gb = Matrix::zeros(1, g.cols);
-                        for r in 0..g.rows {
-                            for c in 0..g.cols {
-                                gb.data[c] += g.data[r * g.cols + c];
-                            }
-                        }
-                        self.accum(bias, gb);
-                    }
-                }
-                Op::MaskedGroupMean {
-                    x,
-                    mask,
-                    scale,
-                    group,
-                } => {
-                    let (rows, cols) = self.nodes[x.0].value.shape();
-                    let mut dx = Matrix::zeros(rows, cols);
-                    for r in 0..g.rows {
-                        let gr = &g.data[r * cols..(r + 1) * cols];
-                        let s = scale.data[r];
-                        for j in 0..group {
-                            let row = r * group + j;
-                            let m = mask.data[row];
-                            let dr = &mut dx.data[row * cols..(row + 1) * cols];
-                            for c in 0..cols {
-                                dr[c] = (gr[c] * s) * m;
-                            }
-                        }
-                    }
-                    self.accum(x, dx);
-                }
-                Op::Mean(a) => {
-                    let va_shape = self.nodes[a.0].value.shape();
-                    let n = (va_shape.0 * va_shape.1).max(1) as f32;
-                    let ga = Matrix::full(va_shape.0, va_shape.1, g.data[0] / n);
-                    self.accum(a, ga);
-                }
-                Op::MseLoss(a, b) => {
-                    let (ga_mat, gb_mat) = {
-                        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                        let n = va.data.len().max(1) as f32;
-                        let s = 2.0 * g.data[0] / n;
-                        let diff: Vec<f32> = va
-                            .data
-                            .iter()
-                            .zip(vb.data.iter())
-                            .map(|(&x, &y)| s * (x - y))
-                            .collect();
-                        let ga = Matrix::from_vec(va.rows, va.cols, diff.clone());
-                        let gb =
-                            Matrix::from_vec(va.rows, va.cols, diff.iter().map(|&d| -d).collect());
-                        (ga, gb)
-                    };
-                    if self.needs(a) {
-                        self.accum(a, ga_mat);
-                    }
-                    if self.needs(b) {
-                        self.accum(b, gb_mat);
-                    }
-                }
-                Op::BceWithLogits(l, targets) => {
-                    let vl = &self.nodes[l.0].value;
-                    let n = vl.data.len().max(1) as f32;
-                    let s = g.data[0] / n;
-                    let data = vl
-                        .data
-                        .iter()
-                        .zip(targets.data.iter())
-                        .map(|(&x, &t)| s * (stable_sigmoid(x) - t))
-                        .collect();
-                    self.accum(l, Matrix::from_vec(vl.rows, vl.cols, data));
-                }
-                Op::WeightedSum(terms) => {
-                    for (id, w) in terms {
-                        self.accum(id, Matrix::from_vec(1, 1, vec![g.data[0] * w]));
-                    }
-                }
-                Op::GaussianNll { mu, sigma, target } => {
-                    let (gmu, gsigma) = {
-                        let (vm, vs) = (&self.nodes[mu.0].value, &self.nodes[sigma.0].value);
-                        let n = vm.data.len().max(1) as f32;
-                        let s = g.data[0] / n;
-                        let gmu_data: Vec<f32> = (0..vm.data.len())
-                            .map(|k| {
-                                let sd = vs.data[k].max(1e-6);
-                                s * (vm.data[k] - target.data[k]) / (sd * sd)
-                            })
-                            .collect();
-                        let gsigma_data: Vec<f32> = (0..vm.data.len())
-                            .map(|k| {
-                                let sd = vs.data[k].max(1e-6);
-                                let d = target.data[k] - vm.data[k];
-                                s * (1.0 / sd - d * d / (sd * sd * sd))
-                            })
-                            .collect();
-                        (
-                            Matrix::from_vec(vm.rows, vm.cols, gmu_data),
-                            Matrix::from_vec(vs.rows, vs.cols, gsigma_data),
-                        )
-                    };
-                    if self.needs(mu) {
-                        self.accum(mu, gmu);
-                    }
-                    if self.needs(sigma) {
-                        self.accum(sigma, gsigma);
-                    }
-                }
-            }
-            if let Some((name, flops, bytes, t0)) = prof {
-                let dur = gendt_trace::now_ns().saturating_sub(t0);
-                gendt_trace::record_op(name, gendt_trace::Phase::Backward, dur, flops, bytes);
-            }
+    }
+}
+
+/// One line per input node: op, shape, and whether it already holds
+/// non-finite values (i.e. whether the corruption is upstream).
+fn sanitize_inputs(plan: &Plan, op: &Op) -> String {
+    let mut s = String::new();
+    for id in op.inputs() {
+        let v = plan.val_ref(id.0);
+        s.push_str(&format!(
+            "\n  input node {} = {} (shape {}x{}, non_finite={})",
+            id.0,
+            plan.steps[id.0].op.describe(),
+            v.rows,
+            v.cols,
+            v.has_non_finite()
+        ));
+    }
+    s
+}
+
+/// Sanitizer-mode backward check, after step `i` pushed its gradient
+/// contributions: no input of `i` may now hold a non-finite gradient.
+fn sanitize_backward(plan: &Plan, i: usize) {
+    for id in plan.steps[i].op.inputs() {
+        if let Some(g) = plan.grad(id.0).filter(|g| g.has_non_finite()) {
+            panic!(
+                "GENDT_SANITIZE: non-finite gradient flowing into node {} ({}, shape {}x{}) \
+                 from node {i} ({})",
+                id.0,
+                plan.steps[id.0].op.describe(),
+                g.rows,
+                g.cols,
+                plan.steps[i].op.describe()
+            );
         }
     }
 }
@@ -2150,8 +1480,8 @@ mod tests {
         let sp = g2.row_sum(pert);
         let sx_off = g2.offset(sx, 1e-3);
         let sp_off = g2.offset(sp, 1e-3);
-        let recip_vals = g2.value(sp_off).map(|x| 1.0 / x);
-        let recip = g2.input(recip_vals);
+        let recip_vals = g2.value(sp_off).data.iter().map(|x| 1.0 / x).collect();
+        let recip = g2.input(Matrix::from_vec(rows, 1, recip_vals));
         let ratio = g2.mul(sx_off, recip);
         let unfused = g2.mul_col(pert, ratio);
         let loss2 = g2.mean(unfused);
@@ -2281,6 +1611,51 @@ mod tests {
         g.backward(loss, &mut store);
         // d mean / d b_c = rows / (rows*cols) = 3/6 = 0.5
         assert!(store.grad(b).data.iter().all(|&v| (v - 0.5).abs() < 1e-6));
+    }
+
+    #[test]
+    fn recorded_values_and_grads_stay_readable_after_backward() {
+        let mut rng = Rng::seed_from(71);
+        let mut store = ParamStore::new();
+        let w = store.add_xavier("w", 3, 4, &mut rng);
+        let b = store.add("b", Matrix::from_vec(1, 4, vec![0.1, -0.2, 0.3, 0.0]));
+        store.zero_grad();
+        let mut g = Graph::new();
+        let x = g.input(Matrix::from_vec(
+            2,
+            3,
+            (0..6).map(|i| 0.2 * i as f32 - 0.5).collect(),
+        ));
+        let (wn, bn) = (g.param(&store, w), g.param(&store, b));
+        let xw = g.matmul(x, wn);
+        let y = g.add_row(xw, bn);
+        let t = g.tanh(y);
+        // The weight enters a second time through its memoized leaf.
+        assert_eq!(g.param(&store, w), wn);
+        let s = g.sum_row_groups(wn, 3);
+        let z = g.add_row(t, s);
+        let loss = g.mean(z);
+        let before: Vec<Matrix> = g.node_ids().map(|n| g.value(n).clone()).collect();
+        g.backward(loss, &mut store);
+        for (n, v) in g.node_ids().zip(&before) {
+            assert_eq!(g.value(n), v, "value of node {} changed", n.index());
+        }
+        for (node, pid) in [(wn, w), (bn, b)] {
+            assert_eq!(g.grad(node), Some(store.grad(pid)), "param {pid:?}");
+        }
+        assert_eq!(g.grad(loss).map(|m| m.data.clone()), Some(vec![1.0]));
+        assert!(g.grad(x).is_none(), "a constant input takes no gradient");
+    }
+
+    #[test]
+    #[should_panic(expected = "Input matrix claims 2x2 but holds 1 elements")]
+    fn leaf_with_inconsistent_storage_is_rejected() {
+        let mut g = Graph::new();
+        g.input(Matrix {
+            rows: 2,
+            cols: 2,
+            data: vec![1.0],
+        });
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //!   `Matrix::matmul*` is the public surface).
 //! * [`checkpoint`] — JSON save/restore by parameter name.
 //! * [`sanitize`] — opt-in `GENDT_SANITIZE=1` mode: every forward value
-//!   and backward gradient is checked for NaN/Inf and shape corruption
-//!   at op granularity.
+//!   and backward gradient is checked for NaN/Inf at op granularity.
 //! * [`rng::Rng`] — a fixed-algorithm deterministic RNG.
 //!
 //! ## Example

@@ -253,42 +253,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise map to a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Horizontal concatenation `[self | rhs]`.
-    ///
-    /// # Panics
-    /// Panics if the row counts differ.
-    pub fn concat_cols(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "concat_cols row mismatch");
-        let cols = self.cols + rhs.cols;
-        let mut out = Matrix::zeros(self.rows, cols);
-        for r in 0..self.rows {
-            out.data[r * cols..r * cols + self.cols].copy_from_slice(self.row_slice(r));
-            out.data[r * cols + self.cols..(r + 1) * cols].copy_from_slice(rhs.row_slice(r));
-        }
-        out
-    }
-
-    /// Copy of columns `c0..c1`.
-    pub fn slice_cols(&self, c0: usize, c1: usize) -> Matrix {
-        assert!(c0 <= c1 && c1 <= self.cols, "slice_cols out of range");
-        let cols = c1 - c0;
-        let mut out = Matrix::zeros(self.rows, cols);
-        for r in 0..self.rows {
-            out.data[r * cols..(r + 1) * cols]
-                .copy_from_slice(&self.data[r * self.cols + c0..r * self.cols + c1]);
-        }
-        out
-    }
-
     /// Mean of all elements. Returns 0 for an empty matrix.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
@@ -339,15 +303,6 @@ mod tests {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(4, 3, (0..12).map(|v| v as f32).collect());
         assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
-    }
-
-    #[test]
-    fn concat_and_slice_roundtrip() {
-        let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let b = Matrix::from_vec(2, 1, vec![5., 6.]);
-        let c = a.concat_cols(&b);
-        assert_eq!(c.slice_cols(0, 2), a);
-        assert_eq!(c.slice_cols(2, 3), b);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! [`crate::graph::Graph::param`], and after the backward pass the gradients
 //! accumulated here are consumed by an optimizer step.
 
+use crate::checkpoint::CheckpointError;
 use crate::matrix::Matrix;
 use crate::rng::Rng;
 use serde::{Deserialize, Serialize};
@@ -198,6 +199,34 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
+    }
+
+    /// Check restored moments against the store they will update: `m`
+    /// and `v` list the same parameters, no more than `store` holds, and
+    /// each moment has its parameter's element count. [`Adam::step`]
+    /// zips every weight with its moments, so a short moment would
+    /// silently freeze the trailing weights.
+    pub fn check_state(&self, store: &ParamStore) -> Result<(), CheckpointError> {
+        if self.m.len() != self.v.len() || self.m.len() > store.params.len() {
+            return Err(CheckpointError::Format(format!(
+                "Adam state holds {} first and {} second moments for {} parameters",
+                self.m.len(),
+                self.v.len(),
+                store.params.len()
+            )));
+        }
+        for ((m, v), p) in self.m.iter().zip(&self.v).zip(&store.params) {
+            let n = p.value.data.len();
+            if m.len() != n || v.len() != n {
+                return Err(CheckpointError::Format(format!(
+                    "Adam moments of parameter {:?} hold {} and {} values, expected {n}",
+                    p.name,
+                    m.len(),
+                    v.len()
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Apply one update step using the gradients currently in `store`.

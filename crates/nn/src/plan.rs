@@ -1,13 +1,18 @@
-//! Ahead-of-time compiled execution plans with arena memory.
+//! Ahead-of-time compiled execution plans with arena memory — and the
+//! one executor every op runs on.
 //!
-//! The interpreted [`Graph`](crate::graph::Graph) re-records its tape and
-//! re-allocates every intermediate on every step, which is pure overhead
-//! for GenDT's train-once/generate-many workload: the op sequence is a
-//! pure function of the (model, batch-shape) pair. This module compiles
-//! one recorded tape into a [`Plan`] — a topo-ordered op list with
-//! resolved shapes for forward and backward — and re-executes it with
-//! **zero per-step heap allocation**:
+//! GenDT's train-once/generate-many workload builds the same op sequence
+//! over and over: it is a pure function of the (model, batch-shape) pair.
+//! This module compiles one recorded tape into a [`Plan`] — a
+//! topo-ordered op list with resolved shapes for forward and backward —
+//! and re-executes it with **zero per-step heap allocation**:
 //!
+//! * **One executor.** [`Plan::eval`] and [`Plan::backward_step`] hold the
+//!   only forward and backward arithmetic of every op. Recording runs on
+//!   them too: a record-mode [`Graph`] is a plan under construction whose
+//!   steps are all [`Kind::Plain`], with one value and one gradient buffer
+//!   per node ([`Plan::record`]); [`Graph::into_plan`] frees those buffers
+//!   and compiles the recorded steps.
 //! * **Liveness + arena.** A first-use/last-use interval pass assigns
 //!   every value and gradient to a slot in a reusable arena. Slots are
 //!   `Matrix` buffers allocated once at compile time and rebound
@@ -31,19 +36,21 @@
 //!
 //! # Determinism contract
 //!
-//! Plan execution is **bitwise identical** to the interpreted tape: every
-//! forward kernel and every backward contribution replicates the
-//! interpreted arithmetic exactly, including accumulation order and the
-//! `±0.0` behavior of sparse gradient scatters. Replaying a plan therefore
-//! changes wall-clock, never numbers; the interpreted tape records every
-//! new plan and remains the reference, and the parity gate in
-//! `scripts/ci.sh` enforces agreement.
+//! Replaying a plan is **bitwise identical** to recording it: the fused
+//! kinds replicate the unfused arithmetic exactly, including
+//! accumulation order and the `±0.0` behavior of sparse gradient
+//! scatters, and arena binding never changes a number. Replay therefore
+//! changes wall-clock, never numbers. What can still differ — fusion,
+//! arena binding, and replay of fresh inputs — is what the parity gate in
+//! `scripts/ci.sh` checks; the finite-difference gradcheck checks the one
+//! backward both modes run.
 
-use crate::graph::{cell_act, Graph, NodeId, Op};
+use crate::graph::{Graph, NodeId, Op};
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use gendt_sync::Mutex;
+use std::cell::Cell;
 use std::collections::BinaryHeap;
 
 /// Slot sentinel: this step has no value (or gradient) buffer.
@@ -78,8 +85,8 @@ pub(crate) enum Kind {
     /// An `LstmCell` whose `[h | c]` output is consumed exactly by its
     /// two covering `SliceCols`: forward writes `h` and `c` straight into
     /// the slices' slots (the concatenated value is never materialized),
-    /// backward assembles the split gradients with the interpreted
-    /// scatter's exact `±0.0` semantics.
+    /// backward assembles the split gradients with the exact `±0.0`
+    /// semantics of the two slices' scatter (see [`grad_pair`]).
     CellSplit {
         /// Step index of the `SliceCols(.., 0, hidden)` consumer.
         h_step: u32,
@@ -107,9 +114,15 @@ pub(crate) struct Step {
     pub(crate) needs_grad: bool,
     /// Whether the recording pass read this value externally
     /// (via [`crate::graph::Graph::value`]); such slots are pinned.
-    pub(crate) ext: bool,
+    pub(crate) ext: Cell<bool>,
     pub(crate) rows: u32,
     pub(crate) cols: u32,
+}
+
+impl Step {
+    pub(crate) fn elems(&self) -> usize {
+        self.rows as usize * self.cols as usize
+    }
 }
 
 /// One arena-slot binding interval, for introspection and the
@@ -131,26 +144,6 @@ pub struct LiveRange {
     pub elems: usize,
 }
 
-/// Whether a [`crate::graph::Graph`] is recording a fresh tape or
-/// replaying a compiled [`Plan`].
-// Boxing `Replay::plan` would cost a heap allocation on every replayed
-// step, defeating the executor's zero-allocation property; `Mode` lives
-// inside `Graph`, never in bulk collections, so the size skew is inert.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub(crate) enum Mode {
-    /// Normal operation: every builder call appends a tape node.
-    Record,
-    /// Replay: builder calls advance `cursor` through the plan's steps,
-    /// executing each compiled step in the arena instead of recording.
-    Replay {
-        /// The compiled plan being replayed.
-        plan: Plan,
-        /// Number of steps replayed so far.
-        cursor: usize,
-    },
-}
-
 /// A compiled execution plan: topo-ordered steps, the arena they execute
 /// in, and everything needed to replay forward/backward with zero heap
 /// allocation. Build one with [`crate::graph::Graph::into_plan`] and
@@ -163,9 +156,8 @@ pub struct Plan {
     slots: Vec<Matrix>,
     /// Per-slot element capacity (rebinding must stay within it).
     caps: Vec<usize>,
-    /// Whether each step's gradient currently holds a contribution
-    /// (replicates the interpreted tape's `Option<Matrix>` set/add
-    /// semantics without allocating).
+    /// Whether each step's gradient currently holds a contribution: the
+    /// first contribution sets the buffer, later ones add to it.
     grad_present: Vec<bool>,
     /// Shared scratch for GEMM packing, LSTM activations, and backward
     /// row reductions. Sized at compile time to the largest need.
@@ -182,8 +174,9 @@ pub struct Plan {
     loss: Option<usize>,
     /// All `Param` steps in recording order, for store synchronization.
     param_steps: Vec<(ParamId, u32)>,
-    /// Per-replay param memoization (mirrors the recording tape's
-    /// `param_nodes` map); cleared by [`crate::graph::Graph::replay`].
+    /// Param memoization: repeated [`crate::graph::Graph::param`] calls
+    /// for one id return one step, while recording and on every replay;
+    /// cleared by [`crate::graph::Graph::replay`].
     pub(crate) param_memo: Vec<(ParamId, u32)>,
     /// Store version the param slots were last synchronized against.
     param_version: u64,
@@ -241,7 +234,7 @@ impl Plan {
         &self.caps
     }
 
-    fn val_ref(&self, i: usize) -> &Matrix {
+    pub(crate) fn val_ref(&self, i: usize) -> &Matrix {
         &self.slots[self.steps[i].val_slot as usize]
     }
 
@@ -270,7 +263,7 @@ impl Plan {
         assert!(i < cursor, "plan replay: value read before step {i} ran");
         let st = &self.steps[i];
         assert!(
-            st.ext,
+            st.ext.get(),
             "plan replay: step {i} ({}) was not read externally during \
              recording; external reads must be identical for every \
              execution of the same plan key",
@@ -307,6 +300,90 @@ impl Plan {
             self.pack_bufs[k].resize(len, 0.0);
         }
         self.released = false;
+    }
+
+    // -----------------------------------------------------------------
+    // Recording
+    // -----------------------------------------------------------------
+
+    /// An empty plan to record into (see [`Plan::record`]).
+    pub(crate) fn recording() -> Plan {
+        Plan {
+            steps: Vec::new(),
+            slots: Vec::new(),
+            caps: Vec::new(),
+            grad_present: Vec::new(),
+            ws: Vec::new(),
+            ws_len: 0,
+            released: false,
+            loss: None,
+            param_steps: Vec::new(),
+            param_memo: Vec::new(),
+            param_version: u64::MAX,
+            pack_steps: Vec::new(),
+            pack_bufs: Vec::new(),
+            pack_of: Vec::new(),
+            ranges: Vec::new(),
+        }
+    }
+
+    /// Record mode: append `op` as an unfused [`Kind::Plain`] step with
+    /// its own value buffer (holding `value` for a leaf, otherwise
+    /// allocated empty at the step's size) and its own gradient buffer,
+    /// which stays unallocated until a gradient reaches it. Returns the
+    /// step index; the caller evaluates it with [`Plan::eval`].
+    pub(crate) fn record(
+        &mut self,
+        op: Op,
+        (rows, cols): (usize, usize),
+        needs_grad: bool,
+        value: Option<Matrix>,
+    ) -> usize {
+        let i = self.steps.len();
+        let val_slot = self.slots.len() as u32;
+        let value = value.unwrap_or_else(|| Matrix {
+            rows,
+            cols,
+            data: Vec::with_capacity(rows * cols),
+        });
+        self.slots.extend([value, Matrix::default()]);
+        self.caps.extend([rows * cols; 2]);
+        self.steps.push(Step {
+            op,
+            kind: Kind::Plain,
+            val_slot,
+            grad_slot: val_slot + 1,
+            needs_grad,
+            ext: Cell::new(false),
+            rows: rows as u32,
+            cols: cols as u32,
+        });
+        self.grad_present.push(false);
+        self.pack_of.push(NONE);
+        self.grow_ws(ws_need(&self.steps, i, false));
+        i
+    }
+
+    /// Record mode: size the workspace for the backward pass of steps
+    /// `0..=loss_idx` before [`Plan::backward_with`] runs it.
+    pub(crate) fn reserve_backward(&mut self, loss_idx: usize) {
+        for i in 0..=loss_idx {
+            self.grow_ws(ws_need(&self.steps, i, true));
+        }
+    }
+
+    fn grow_ws(&mut self, need: usize) {
+        if need > self.ws.len() {
+            self.ws.resize(need, 0.0);
+            self.ws_len = need;
+        }
+    }
+
+    /// Gradient of step `i` from the last backward pass, if one reached
+    /// it. Meaningful on a recorded plan, which keeps one gradient buffer
+    /// per step; an arena slot may since hold another binding.
+    pub(crate) fn grad(&self, i: usize) -> Option<&Matrix> {
+        self.grad_present[i].then(|| self.grad_ref(i))
     }
 
     // -----------------------------------------------------------------
@@ -369,10 +446,12 @@ impl Plan {
         self.param_version = store.version();
     }
 
-    /// Evaluate step `i` into the arena. `extra` carries the per-step
-    /// noise matrix for `NoisyRenorm` (the one recorded constant whose
-    /// refresh needs an input value); all other per-step constants are
-    /// refreshed in place by the replaying constructor before this call.
+    /// Evaluate step `i` into the arena — the one forward implementation
+    /// of every op, for recording and replay alike. `extra` carries the
+    /// per-step noise matrix for `NoisyRenorm` (the one recorded constant
+    /// whose refresh needs an input value); all other per-step constants
+    /// are refreshed in place by the replaying constructor before this
+    /// call.
     pub(crate) fn eval(&mut self, i: usize, extra: Option<&Matrix>) {
         match self.steps[i].kind {
             // Value produced (or never materialized) elsewhere.
@@ -542,24 +621,16 @@ impl Plan {
                 hidden,
             } => {
                 let hidden = *hidden;
-                let (vg, vc) = (self.val_ref(gates.index()), self.val_ref(c_prev.index()));
-                let act = &mut ws[..4 * hidden];
-                for r in 0..rows {
-                    let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
-                    let cp = &vc.data[r * hidden..(r + 1) * hidden];
-                    cell_act(gr, act, hidden);
-                    let (i_v, rest) = act.split_at(hidden);
-                    let (f_v, rest) = rest.split_at(hidden);
-                    let (cand, o_v) = rest.split_at(hidden);
-                    let (h_out, c_out) =
-                        out.data[r * 2 * hidden..(r + 1) * 2 * hidden].split_at_mut(hidden);
-                    for k in 0..hidden {
-                        c_out[k] = f_v[k] * cp[k] + i_v[k] * cand[k];
-                    }
-                    for k in 0..hidden {
-                        h_out[k] = o_v[k] * kernels::fast_tanh(c_out[k]);
-                    }
-                }
+                let rows_out = out
+                    .data
+                    .chunks_exact_mut(2 * hidden)
+                    .map(|row| row.split_at_mut(hidden));
+                cell_forward(
+                    self.val_ref(gates.index()),
+                    self.val_ref(c_prev.index()),
+                    &mut ws[..4 * hidden],
+                    rows_out,
+                );
             }
             Op::NoisyRenorm { .. } => unreachable!("handled above"),
             Op::AddAddRow(a, b, bias) => {
@@ -653,7 +724,7 @@ impl Plan {
 
     /// `NoisyRenorm` forward: refresh the recorded noise buffer from the
     /// step's fresh `u` draw and the input's current row means, then
-    /// renormalize — the exact interpreted constructor arithmetic.
+    /// renormalize.
     fn eval_noisy_renorm(&mut self, i: usize, u: &Matrix) {
         let (x, a) = match &self.steps[i].op {
             Op::NoisyRenorm { x, a, .. } => (x.index(), *a),
@@ -750,7 +821,7 @@ impl Plan {
 
     /// Split LSTM cell: write `h` rows into the h-slice's slot and `c`
     /// rows into the c-slice's slot; the `[h | c]` concatenation is never
-    /// materialized. The arithmetic is the interpreted cell forward.
+    /// materialized. The arithmetic is the plain cell forward.
     fn eval_cell_split(&mut self, i: usize, hs: usize, cs: usize) {
         let (gates, c_prev, hidden) = match &self.steps[i].op {
             Op::LstmCell {
@@ -763,27 +834,16 @@ impl Plan {
         let mut hout = self.take_val(hs);
         let mut cout = self.take_val(cs);
         let mut ws = std::mem::take(&mut self.ws);
-        let rows = hout.rows;
-        {
-            let (vg, vc) = (self.val_ref(gates), self.val_ref(c_prev));
-            let act = &mut ws[..4 * hidden];
-            for r in 0..rows {
-                let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
-                let cp = &vc.data[r * hidden..(r + 1) * hidden];
-                cell_act(gr, act, hidden);
-                let (i_v, rest) = act.split_at(hidden);
-                let (f_v, rest) = rest.split_at(hidden);
-                let (cand, o_v) = rest.split_at(hidden);
-                let c_out = &mut cout.data[r * hidden..(r + 1) * hidden];
-                for k in 0..hidden {
-                    c_out[k] = f_v[k] * cp[k] + i_v[k] * cand[k];
-                }
-                let h_out = &mut hout.data[r * hidden..(r + 1) * hidden];
-                for k in 0..hidden {
-                    h_out[k] = o_v[k] * kernels::fast_tanh(c_out[k]);
-                }
-            }
-        }
+        let rows_out = hout
+            .data
+            .chunks_exact_mut(hidden)
+            .zip(cout.data.chunks_exact_mut(hidden));
+        cell_forward(
+            self.val_ref(gates),
+            self.val_ref(c_prev),
+            &mut ws[..4 * hidden],
+            rows_out,
+        );
         self.ws = ws;
         self.put_val(hs, hout);
         self.put_val(cs, cout);
@@ -796,7 +856,9 @@ impl Plan {
     /// Take step `j`'s gradient buffer out of the arena, bound to the
     /// step's shape, reporting whether it already holds a contribution.
     /// When it does not, the caller must overwrite every element (or
-    /// zero-fill first): the bound buffer contains stale arena data.
+    /// zero-fill first): the bound buffer contains stale arena data. (A
+    /// recorded plan's gradient buffer is allocated here, on its first
+    /// binding.)
     fn take_grad(&mut self, j: usize) -> (Matrix, bool) {
         let st = &self.steps[j];
         let gs = st.grad_slot as usize;
@@ -820,8 +882,7 @@ impl Plan {
 
     /// Dense whole-gradient contribution: `dst op= f(g)` elementwise,
     /// where the contribution element is fully computed before the one
-    /// add (set mode writes the raw value) — the interpreted tape's
-    /// fresh-matrix-then-`add_assign` semantics exactly.
+    /// add (set mode writes the raw value).
     fn bwd_map(&mut self, src: usize, dst: usize, f: impl Fn(f32) -> f32) {
         if !self.needs(dst) {
             return;
@@ -864,8 +925,7 @@ impl Plan {
 
     /// Column-sum contribution (`AddRow`/`AddAddRow` bias backward): the
     /// column sums are accumulated in workspace starting from `0.0` in
-    /// row-ascending order — the interpreted zeros-matrix accumulation —
-    /// then applied to the destination in one pass.
+    /// row-ascending order, then applied to the destination in one pass.
     fn bwd_colsum(&mut self, src: usize, dst: usize) {
         if !self.needs(dst) {
             return;
@@ -921,8 +981,10 @@ impl Plan {
         }
     }
 
-    /// Plain `LstmCell` backward: the interpreted cell backward written
-    /// against arena buffers with set/add gradient semantics.
+    /// `LstmCell` backward, reading the step's own `[h | c]` gradient
+    /// ([`Kind::Plain`]) or its two slices' gradients (`split`, for
+    /// [`Kind::CellSplit`]). Gate activations are recomputed from the
+    /// saved pre-activations: bitwise the forward values.
     fn bwd_lstm(&mut self, i: usize, gsrc_h: usize, gsrc_c: usize, split: bool) {
         let (gates, c_prev, hidden) = match &self.steps[i].op {
             Op::LstmCell {
@@ -954,7 +1016,7 @@ impl Plan {
             let rows = vg.rows;
             // Gradient sources: the step's own [h|c] gradient, or — for
             // CellSplit — the two slice gradients with presence flags
-            // replicating the interpreted scatter assembly (`0.0 + g` /
+            // replicating the slices' scatter assembly (`0.0 + g` /
             // `g + 0.0` when both contributed, raw bits when only one).
             let (hp, cp) = if split {
                 (self.grad_present[gsrc_h], self.grad_present[gsrc_c])
@@ -1047,8 +1109,7 @@ impl Plan {
     }
 
     /// Run the backward pass over the compiled steps, accumulating
-    /// parameter gradients into `store` in the interpreted tape's exact
-    /// visitation and contribution order.
+    /// parameter gradients into `store`.
     pub(crate) fn backward(&mut self, loss_idx: usize, store: &mut ParamStore) {
         assert_eq!(
             self.loss,
@@ -1056,169 +1117,187 @@ impl Plan {
             "plan replay: backward from a different loss node than the plan \
              was compiled for"
         );
+        self.backward_with(loss_idx, store, Plan::backward_step);
+    }
+
+    /// Seed `d loss / d loss = 1`, then visit every gradient-carrying step
+    /// from `loss_idx` down to 0 with `step` — [`Plan::backward_step`]
+    /// itself on replay; the recording graph wraps it in its profiler and
+    /// sanitizer.
+    pub(crate) fn backward_with(
+        &mut self,
+        loss_idx: usize,
+        store: &mut ParamStore,
+        mut step: impl FnMut(&mut Plan, usize, &mut ParamStore),
+    ) {
         self.grad_present.fill(false);
-        // Seed d loss / d loss = 1.
         let (mut seed, _) = self.take_grad(loss_idx);
         seed.data[0] = 1.0;
         self.put_grad(loss_idx, seed);
         for i in (0..=loss_idx).rev() {
-            if !self.steps[i].needs_grad {
-                continue;
+            if self.steps[i].needs_grad {
+                step(self, i, store);
             }
-            match self.steps[i].kind {
-                Kind::CellSlice => continue,
-                Kind::GateMatmul { parent } => {
-                    if self.grad_present[parent as usize] {
-                        self.bwd_matmul(i, parent as usize);
-                    }
-                    continue;
+        }
+    }
+
+    /// Backward of step `i` — the one backward implementation of every
+    /// op: push its gradient contributions to its inputs (parameter
+    /// leaves accumulate into `store`), in a fixed order per op.
+    pub(crate) fn backward_step(&mut self, i: usize, store: &mut ParamStore) {
+        match self.steps[i].kind {
+            Kind::CellSlice => return,
+            Kind::GateMatmul { parent } => {
+                if self.grad_present[parent as usize] {
+                    self.bwd_matmul(i, parent as usize);
                 }
-                Kind::CellSplit { h_step, c_step } => {
-                    let (hs, cs) = (h_step as usize, c_step as usize);
-                    if self.grad_present[hs] || self.grad_present[cs] {
-                        self.bwd_lstm(i, hs, cs, true);
-                    }
-                    continue;
-                }
-                Kind::FusedGates { .. } => {
-                    if self.grad_present[i] {
-                        let bias = match &self.steps[i].op {
-                            Op::AddAddRow(_, _, bias) => bias.index(),
-                            _ => unreachable!(),
-                        };
-                        self.bwd_colsum(i, bias);
-                    }
-                    continue;
-                }
-                Kind::Plain => {}
+                return;
             }
-            if !self.grad_present[i] {
-                continue;
+            Kind::CellSplit { h_step, c_step } => {
+                let (hs, cs) = (h_step as usize, c_step as usize);
+                if self.grad_present[hs] || self.grad_present[cs] {
+                    self.bwd_lstm(i, hs, cs, true);
+                }
+                return;
             }
-            match &self.steps[i].op {
-                Op::Input => {}
-                Op::Param(pid) => {
-                    let pid = *pid;
-                    store.accumulate_grad(pid, self.grad_ref(i));
-                }
-                Op::MatMul(..) => self.bwd_matmul(i, i),
-                Op::Add(a, b) => {
-                    let (a, b) = (a.index(), b.index());
-                    self.bwd_map(i, a, |x| x);
-                    self.bwd_map(i, b, |x| x);
-                }
-                Op::Sub(a, b) => {
-                    let (a, b) = (a.index(), b.index());
-                    self.bwd_map(i, a, |x| x);
-                    self.bwd_map(i, b, |x| -x);
-                }
-                Op::Mul(a, b) => {
-                    let (a, b) = (a.index(), b.index());
-                    self.bwd_zip_val(i, a, b, |g, y| g * y);
-                    self.bwd_zip_val(i, b, a, |g, y| g * y);
-                }
-                Op::AddRow(a, b) => {
-                    let (a, b) = (a.index(), b.index());
-                    self.bwd_map(i, a, |x| x);
-                    self.bwd_colsum(i, b);
-                }
-                Op::MulCol(a, b) => {
-                    let (a, b) = (a.index(), b.index());
-                    self.bwd_mul_col(i, a, b);
-                }
-                Op::Scale(a, s) => {
-                    let (a, s) = (a.index(), *s);
-                    self.bwd_map(i, a, move |x| x * s);
-                }
-                Op::Offset(a, _) => {
-                    let a = a.index();
-                    self.bwd_map(i, a, |x| x);
-                }
-                Op::Sigmoid(a) => {
-                    let a = a.index();
-                    self.bwd_zip_val(i, a, i, |g, y| g * y * (1.0 - y));
-                }
-                Op::Tanh(a) => {
-                    let a = a.index();
-                    self.bwd_zip_val(i, a, i, |g, y| g * (1.0 - y * y));
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let (a, slope) = (a.index(), *slope);
-                    self.bwd_zip_val(i, a, a, move |g, x| if x >= 0.0 { g } else { g * slope });
-                }
-                Op::Exp(a) => {
-                    let a = a.index();
-                    self.bwd_zip_val(i, a, i, |g, y| g * y);
-                }
-                Op::Softplus(a) => {
-                    let a = a.index();
-                    self.bwd_zip_val(i, a, a, |g, x| g * crate::graph::stable_sigmoid(x));
-                }
-                Op::ConcatCols(a, b) => {
-                    let (a, b) = (a.index(), b.index());
-                    self.bwd_concat(i, a, b);
-                }
-                Op::SliceCols(a, c0, c1) => {
-                    let (a, c0, c1) = (a.index(), *c0, *c1);
-                    self.bwd_slice_cols(i, a, c0, c1);
-                }
-                Op::SliceRows(a, r0, r1) => {
-                    let (a, r0, r1) = (a.index(), *r0, *r1);
-                    self.bwd_slice_rows(i, a, r0, r1);
-                }
-                Op::RowSum(a) => {
-                    let a = a.index();
-                    self.bwd_row_sum(i, a);
-                }
-                Op::SumRowGroups(a, group) => {
-                    let (a, group) = (a.index(), *group);
-                    self.bwd_sum_row_groups(i, a, group);
-                }
-                Op::LstmCell { .. } => self.bwd_lstm(i, i, i, false),
-                Op::NoisyRenorm { x, .. } => {
-                    let x = x.index();
-                    self.bwd_noisy_renorm(i, x);
-                }
-                Op::AddAddRow(a, b, bias) => {
-                    let (a, b, bias) = (a.index(), b.index(), bias.index());
-                    self.bwd_map(i, a, |x| x);
-                    self.bwd_map(i, b, |x| x);
+            Kind::FusedGates { .. } => {
+                if self.grad_present[i] {
+                    let bias = match &self.steps[i].op {
+                        Op::AddAddRow(_, _, bias) => bias.index(),
+                        _ => unreachable!(),
+                    };
                     self.bwd_colsum(i, bias);
                 }
-                Op::MaskedGroupMean { x, group, .. } => {
-                    let (x, group) = (x.index(), *group);
-                    self.bwd_masked_group_mean(i, x, group);
-                }
-                Op::Mean(a) => {
-                    let a = a.index();
-                    let st = &self.steps[a];
-                    let n = (st.rows as usize * st.cols as usize).max(1) as f32;
-                    let v = self.grad_ref(i).data[0] / n;
-                    if self.needs(a) {
-                        let (mut m, present) = self.take_grad(a);
-                        if present {
-                            for d in m.data.iter_mut() {
-                                *d += v;
-                            }
-                        } else {
-                            m.data.fill(v);
+                return;
+            }
+            Kind::Plain => {}
+        }
+        if !self.grad_present[i] {
+            return;
+        }
+        match &self.steps[i].op {
+            Op::Input => {}
+            Op::Param(pid) => {
+                let pid = *pid;
+                store.accumulate_grad(pid, self.grad_ref(i));
+            }
+            Op::MatMul(..) => self.bwd_matmul(i, i),
+            Op::Add(a, b) => {
+                let (a, b) = (a.index(), b.index());
+                self.bwd_map(i, a, |x| x);
+                self.bwd_map(i, b, |x| x);
+            }
+            Op::Sub(a, b) => {
+                let (a, b) = (a.index(), b.index());
+                self.bwd_map(i, a, |x| x);
+                self.bwd_map(i, b, |x| -x);
+            }
+            Op::Mul(a, b) => {
+                let (a, b) = (a.index(), b.index());
+                self.bwd_zip_val(i, a, b, |g, y| g * y);
+                self.bwd_zip_val(i, b, a, |g, y| g * y);
+            }
+            Op::AddRow(a, b) => {
+                let (a, b) = (a.index(), b.index());
+                self.bwd_map(i, a, |x| x);
+                self.bwd_colsum(i, b);
+            }
+            Op::MulCol(a, b) => {
+                let (a, b) = (a.index(), b.index());
+                self.bwd_mul_col(i, a, b);
+            }
+            Op::Scale(a, s) => {
+                let (a, s) = (a.index(), *s);
+                self.bwd_map(i, a, move |x| x * s);
+            }
+            Op::Offset(a, _) => {
+                let a = a.index();
+                self.bwd_map(i, a, |x| x);
+            }
+            Op::Sigmoid(a) => {
+                let a = a.index();
+                self.bwd_zip_val(i, a, i, |g, y| g * y * (1.0 - y));
+            }
+            Op::Tanh(a) => {
+                let a = a.index();
+                self.bwd_zip_val(i, a, i, |g, y| g * (1.0 - y * y));
+            }
+            Op::LeakyRelu(a, slope) => {
+                let (a, slope) = (a.index(), *slope);
+                self.bwd_zip_val(i, a, a, move |g, x| if x >= 0.0 { g } else { g * slope });
+            }
+            Op::Exp(a) => {
+                let a = a.index();
+                self.bwd_zip_val(i, a, i, |g, y| g * y);
+            }
+            Op::Softplus(a) => {
+                let a = a.index();
+                self.bwd_zip_val(i, a, a, |g, x| g * stable_sigmoid(x));
+            }
+            Op::ConcatCols(a, b) => {
+                let (a, b) = (a.index(), b.index());
+                self.bwd_concat(i, a, b);
+            }
+            Op::SliceCols(a, c0, c1) => {
+                let (a, c0, c1) = (a.index(), *c0, *c1);
+                self.bwd_slice_cols(i, a, c0, c1);
+            }
+            Op::SliceRows(a, r0, r1) => {
+                let (a, r0, r1) = (a.index(), *r0, *r1);
+                self.bwd_slice_rows(i, a, r0, r1);
+            }
+            Op::RowSum(a) => {
+                let a = a.index();
+                self.bwd_row_sum(i, a);
+            }
+            Op::SumRowGroups(a, group) => {
+                let (a, group) = (a.index(), *group);
+                self.bwd_sum_row_groups(i, a, group);
+            }
+            Op::LstmCell { .. } => self.bwd_lstm(i, i, i, false),
+            Op::NoisyRenorm { x, .. } => {
+                let x = x.index();
+                self.bwd_noisy_renorm(i, x);
+            }
+            Op::AddAddRow(a, b, bias) => {
+                let (a, b, bias) = (a.index(), b.index(), bias.index());
+                self.bwd_map(i, a, |x| x);
+                self.bwd_map(i, b, |x| x);
+                self.bwd_colsum(i, bias);
+            }
+            Op::MaskedGroupMean { x, group, .. } => {
+                let (x, group) = (x.index(), *group);
+                self.bwd_masked_group_mean(i, x, group);
+            }
+            Op::Mean(a) => {
+                let a = a.index();
+                let st = &self.steps[a];
+                let n = (st.rows as usize * st.cols as usize).max(1) as f32;
+                let v = self.grad_ref(i).data[0] / n;
+                if self.needs(a) {
+                    let (mut m, present) = self.take_grad(a);
+                    if present {
+                        for d in m.data.iter_mut() {
+                            *d += v;
                         }
-                        self.put_grad(a, m);
+                    } else {
+                        m.data.fill(v);
                     }
+                    self.put_grad(a, m);
                 }
-                Op::MseLoss(a, b) => {
-                    let (a, b) = (a.index(), b.index());
-                    self.bwd_mse(i, a, b);
-                }
-                Op::BceWithLogits(l, _) => {
-                    let l = l.index();
-                    self.bwd_bce(i, l);
-                }
-                Op::WeightedSum(_) => self.bwd_weighted_sum(i),
-                Op::GaussianNll { mu, sigma, .. } => {
-                    let (mu, sigma) = (mu.index(), sigma.index());
-                    self.bwd_gaussian_nll(i, mu, sigma);
-                }
+            }
+            Op::MseLoss(a, b) => {
+                let (a, b) = (a.index(), b.index());
+                self.bwd_mse(i, a, b);
+            }
+            Op::BceWithLogits(l, _) => {
+                let l = l.index();
+                self.bwd_bce(i, l);
+            }
+            Op::WeightedSum(_) => self.bwd_weighted_sum(i),
+            Op::GaussianNll { mu, sigma, .. } => {
+                let (mu, sigma) = (mu.index(), sigma.index());
+                self.bwd_gaussian_nll(i, mu, sigma);
             }
         }
     }
@@ -1302,11 +1381,10 @@ impl Plan {
         }
     }
 
-    /// `SliceCols` backward. The interpreted tape scatters into a fresh
-    /// zeros matrix and then either moves it in (set) or adds the whole
-    /// matrix (add). In add mode the untouched elements therefore
-    /// receive `+= 0.0` — which is *not* a no-op for `-0.0` — so the
-    /// add-mode loop spells out all three column segments.
+    /// `SliceCols` backward: a full-width contribution that is `0.0`
+    /// outside columns `c0..c1`. In add mode the untouched elements
+    /// therefore receive `+= 0.0` — which is *not* a no-op for `-0.0` —
+    /// so the add-mode loop spells out all three column segments.
     fn bwd_slice_cols(&mut self, i: usize, a: usize, c0: usize, c1: usize) {
         if !self.needs(a) {
             return;
@@ -1556,11 +1634,11 @@ impl Plan {
             let s = self.grad_ref(i).data[0] / n;
             if present {
                 for ((d, &x), &t) in m.data.iter_mut().zip(&vl.data).zip(&targets.data) {
-                    *d += s * (crate::graph::stable_sigmoid(x) - t);
+                    *d += s * (stable_sigmoid(x) - t);
                 }
             } else {
                 for ((d, &x), &t) in m.data.iter_mut().zip(&vl.data).zip(&targets.data) {
-                    *d = s * (crate::graph::stable_sigmoid(x) - t);
+                    *d = s * (stable_sigmoid(x) - t);
                 }
             }
         }
@@ -1644,11 +1722,70 @@ impl Plan {
     // plan-lint: end step path
 }
 
+/// Numerically-stable libm sigmoid, used by the softplus and BCE
+/// backward passes.
+fn stable_sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// Gate activations of one LSTM row: sigmoid over the `i`/`f` and `o`
+/// blocks, tanh over the candidate block — shared by the cell forward
+/// and backward so the two agree bitwise. Each pass runs over a
+/// contiguous slice so the polynomial kernels vectorize.
+fn cell_act(gr: &[f32], act: &mut [f32], hidden: usize) {
+    for (a, &x) in act[..2 * hidden].iter_mut().zip(&gr[..2 * hidden]) {
+        *a = kernels::fast_sigmoid(x); // i, f
+    }
+    for (a, &x) in act[2 * hidden..3 * hidden]
+        .iter_mut()
+        .zip(&gr[2 * hidden..3 * hidden])
+    {
+        *a = kernels::fast_tanh(x); // candidate
+    }
+    for (a, &x) in act[3 * hidden..].iter_mut().zip(&gr[3 * hidden..]) {
+        *a = kernels::fast_sigmoid(x); // o
+    }
+}
+
+/// LSTM cell forward over the gate pre-activations `vg` and previous cell
+/// state `vc`, with `act` (`4 * hidden` long) as scratch. `rows_out`
+/// yields each row's `h` and `c` destinations: the two halves of one
+/// `[h | c]` row for [`Kind::Plain`], rows of the two slice slots for
+/// [`Kind::CellSplit`].
+fn cell_forward<'a>(
+    vg: &Matrix,
+    vc: &Matrix,
+    act: &mut [f32],
+    rows_out: impl Iterator<Item = (&'a mut [f32], &'a mut [f32])>,
+) {
+    let hidden = act.len() / 4;
+    for (r, (h_out, c_out)) in rows_out.enumerate() {
+        let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
+        let cp = &vc.data[r * hidden..(r + 1) * hidden];
+        cell_act(gr, act, hidden);
+        let (i_v, rest) = act.split_at(hidden);
+        let (f_v, rest) = rest.split_at(hidden);
+        let (cand, o_v) = rest.split_at(hidden);
+        for k in 0..hidden {
+            c_out[k] = f_v[k] * cp[k] + i_v[k] * cand[k];
+        }
+        for k in 0..hidden {
+            h_out[k] = o_v[k] * kernels::fast_tanh(c_out[k]);
+        }
+    }
+}
+
 /// Effective `(gh, gc)` pair for the LSTM cell backward at element `k`.
 ///
-/// For a [`Kind::CellSplit`] cell the interpreted tape would have
-/// assembled the `[h | c]` gradient by scattering the c-slice's gradient
-/// first (set) and then adding the h-slice's (add). Replicated exactly:
+/// For a [`Kind::CellSplit`] cell the two unfused `SliceCols` backwards
+/// would have assembled the `[h | c]` gradient by scattering the
+/// c-slice's gradient first (set) and then adding the h-slice's (add).
+/// Replicated exactly:
 /// when both slices contributed, `gh = 0.0 + gh_raw` and
 /// `gc = gc_raw + 0.0` (the adds matter for `-0.0`); a lone contribution
 /// keeps its raw bits and the other side is exactly `0.0`.
@@ -1681,16 +1818,6 @@ impl UnzipOrDefault for Option<(Matrix, bool)> {
 // Compilation: consumers, fusion, liveness, arena assignment
 // ---------------------------------------------------------------------
 
-/// Recorded-node view the compiler consumes (built by
-/// [`crate::graph::Graph::into_plan`] from the private tape nodes).
-pub(crate) struct Recorded {
-    pub(crate) op: Op,
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    pub(crate) needs_grad: bool,
-    pub(crate) ext: bool,
-}
-
 struct Binding {
     step: usize,
     is_grad: bool,
@@ -1699,8 +1826,9 @@ struct Binding {
     elems: usize,
 }
 
-/// Compile a recorded tape into a [`Plan`].
-pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
+/// Compile recorded steps into a [`Plan`]: decide each step's [`Kind`],
+/// then assign its value and gradient buffers to arena slots.
+pub(crate) fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Plan {
     let n = nodes.len();
     let bwd = loss.is_some();
     let li = loss.unwrap_or(0);
@@ -1725,8 +1853,8 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
                 && matches!(nodes[b].op, Op::MatMul(..))
                 && consumers[a].len() == 1
                 && consumers[b].len() == 1
-                && !nodes[a].ext
-                && !nodes[b].ext
+                && !nodes[a].ext.get()
+                && !nodes[b].ext.get()
                 && kind[a] == Kind::Plain
                 && kind[b] == Kind::Plain
             {
@@ -1741,7 +1869,7 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
     }
     for i in 0..n {
         if let Op::LstmCell { hidden, .. } = nodes[i].op {
-            if nodes[i].ext || consumers[i].len() != 2 {
+            if nodes[i].ext.get() || consumers[i].len() != 2 {
                 continue;
             }
             let mut h_step = None;
@@ -1850,7 +1978,7 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
         // reads can happen any time during replay, and param slots must
         // survive across replays so the version-gated sync can skip
         // re-copying.
-        if node.ext || matches!(node.op, Op::Param(_)) {
+        if node.ext.get() || matches!(node.op, Op::Param(_)) {
             val_end[i] = PINNED;
         }
         // Param values are written by `sync_params` at replay *start*
@@ -1901,7 +2029,7 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
     // (best-fit by capacity, release strictly before reuse).
     let mut bindings: Vec<Binding> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
-        let elems = node.rows * node.cols;
+        let elems = node.elems();
         if !matches!(kind[i], Kind::GateMatmul { .. }) {
             bindings.push(Binding {
                 step: i,
@@ -2017,23 +2145,10 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
 
     // Workspace sizing: the largest GEMM pack, LSTM activation scratch,
     // or backward row reduction any step needs.
-    let mut ws_len = 0usize;
-    for (i, node) in nodes.iter().enumerate() {
-        match &node.op {
-            Op::MatMul(a, b) => {
-                let ar = nodes[a.index()].rows;
-                let ac = nodes[a.index()].cols;
-                ws_len = ws_len.max(kernels::nn_ws_len(ac));
-                if bwd && i <= li && node.needs_grad && nodes[b.index()].needs_grad {
-                    ws_len = ws_len.max(kernels::tn_ws_len(ac, ar));
-                }
-            }
-            Op::LstmCell { hidden, .. } => ws_len = ws_len.max(6 * hidden),
-            Op::NoisyRenorm { .. } => ws_len = ws_len.max(node.cols),
-            Op::AddRow(..) | Op::AddAddRow(..) => ws_len = ws_len.max(node.cols),
-            _ => {}
-        }
-    }
+    let ws_len = (0..n)
+        .map(|i| ws_need(&nodes, i, bwd && i <= li))
+        .max()
+        .unwrap_or(0);
 
     let mut param_steps: Vec<(ParamId, u32)> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
@@ -2054,10 +2169,8 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
             if matches!(nodes[bi].op, Op::Param(_)) && pack_of[bi] == NONE {
                 pack_of[bi] = pack_steps.len() as u32;
                 pack_steps.push(bi as u32);
-                pack_bufs.push(vec![
-                    0.0;
-                    kernels::packed_b_len(nodes[bi].rows, nodes[bi].cols)
-                ]);
+                let (rows, cols) = (nodes[bi].rows as usize, nodes[bi].cols as usize);
+                pack_bufs.push(vec![0.0; kernels::packed_b_len(rows, cols)]);
             }
         }
     }
@@ -2071,38 +2184,46 @@ pub(crate) fn compile(nodes: Vec<Recorded>, loss: Option<usize>) -> Plan {
         })
         .collect();
 
-    let steps: Vec<Step> = nodes
-        .into_iter()
-        .enumerate()
-        .map(|(i, node)| Step {
-            op: node.op,
-            kind: kind[i],
-            val_slot: val_slots[i],
-            grad_slot: grad_slots[i],
-            needs_grad: node.needs_grad,
-            ext: node.ext,
-            rows: node.rows as u32,
-            cols: node.cols as u32,
-        })
-        .collect();
+    for (i, st) in nodes.iter_mut().enumerate() {
+        st.kind = kind[i];
+        st.val_slot = val_slots[i];
+        st.grad_slot = grad_slots[i];
+    }
 
     let memo_cap = param_steps.len();
     Plan {
-        grad_present: vec![false; steps.len()],
-        steps,
+        grad_present: vec![false; n],
+        steps: nodes,
         slots,
         caps,
         ws: vec![0.0; ws_len],
         ws_len,
-        released: false,
         loss,
         param_steps,
         param_memo: Vec::with_capacity(memo_cap),
-        param_version: u64::MAX,
         pack_steps,
         pack_bufs,
         pack_of,
         ranges,
+        ..Plan::recording()
+    }
+}
+
+/// Workspace elements step `i` needs: its GEMM column pack (and, when
+/// `bwd` and both operands take gradients, the `Aᵀ·B` backward's pack
+/// and transpose), its LSTM activation scratch, or its row reduction.
+fn ws_need(steps: &[Step], i: usize, bwd: bool) -> usize {
+    let st = &steps[i];
+    match &st.op {
+        Op::MatMul(a, b) => {
+            let sa = &steps[a.index()];
+            let (ar, ac) = (sa.rows as usize, sa.cols as usize);
+            let tn = bwd && st.needs_grad && steps[b.index()].needs_grad;
+            kernels::nn_ws_len(ac).max(if tn { kernels::tn_ws_len(ac, ar) } else { 0 })
+        }
+        Op::LstmCell { hidden, .. } => 6 * hidden,
+        Op::NoisyRenorm { .. } | Op::AddRow(..) | Op::AddAddRow(..) => st.cols as usize,
+        _ => 0,
     }
 }
 
@@ -2159,19 +2280,19 @@ impl PlanCache {
     }
 
     /// Execute the graph keyed by `key` once: replay its cached plan on
-    /// a hit; on a miss, record a tape and cache its compiled plan.
+    /// a hit; on a miss, record the graph and cache its compiled plan.
     /// `build` runs the model code on the graph and returns its result
     /// plus the loss node it ran backward from (`None` for forward-only
     /// graphs).
     ///
-    /// `GENDT_SANITIZE` forces an uncached tape: its per-op checks
-    /// inspect recorded values, which a replay never produces.
+    /// `GENDT_SANITIZE` forces record mode, uncached: its per-op checks
+    /// run only while recording.
     pub fn run<R>(&self, key: PlanKey, build: impl FnOnce(&mut Graph) -> (R, Option<NodeId>)) -> R {
-        let tape_only = crate::sanitize::sanitize_enabled();
-        let plan = if tape_only { None } else { self.take(&key) };
+        let record_only = crate::sanitize::sanitize_enabled();
+        let plan = if record_only { None } else { self.take(&key) };
         let mut g = plan.map_or_else(Graph::new, Graph::replay);
         let (out, loss) = build(&mut g);
-        if !tape_only {
+        if !record_only {
             self.put(key, g.into_plan(loss));
         }
         out
@@ -2311,8 +2432,8 @@ mod tests {
         g.weighted_sum(vec![(mn, 0.5), (mse, 1.0), (bce, 0.3), (gnll, 0.2)])
     }
 
-    /// Interpreted reference: loss value, probe value, parameter grads.
-    fn run_interpreted(
+    /// Recorded reference: loss value, probe value, parameter grads.
+    fn run_recorded(
         store_seed: u64,
         d: &Data,
         pre_steps: u32,
@@ -2337,7 +2458,7 @@ mod tests {
     #[test]
     fn plan_matches_interpreted_bitwise_all_ops() {
         let d = mk_data(11);
-        let (lv_ref, grads_ref, g_ref, loss_ref) = run_interpreted(7, &d, 0);
+        let (lv_ref, grads_ref, g_ref, loss_ref) = run_recorded(7, &d, 0);
         let plan = g_ref.into_plan(Some(loss_ref));
 
         let (mut store, ids) = mk_store(7);
@@ -2355,7 +2476,7 @@ mod tests {
     fn plan_replays_repeatedly_across_optimizer_steps() {
         let d = mk_data(23);
         // Compile once from step 0, then replay through three SGD steps,
-        // checking each against a freshly interpreted run of the same step.
+        // checking each against a freshly recorded run of the same step.
         let (mut store, ids) = mk_store(9);
         let mut g0 = Graph::new();
         let loss0 = build_all_ops(&mut g0, &store, &ids, &d);
@@ -2364,7 +2485,7 @@ mod tests {
 
         let mut sgd = Sgd::new(0.05);
         for step in 0..3u32 {
-            let (lv_ref, grads_ref, _, _) = run_interpreted(9, &d, step);
+            let (lv_ref, grads_ref, _, _) = run_recorded(9, &d, step);
             store.zero_grad();
             let mut g = Graph::replay(plan);
             let loss = build_all_ops(&mut g, &store, &ids, &d);
@@ -2382,11 +2503,11 @@ mod tests {
     fn plan_tracks_fresh_inputs_and_constants() {
         // Same plan, different input/noise/target data each replay.
         let d0 = mk_data(31);
-        let (_, _, g_ref, loss_ref) = run_interpreted(13, &d0, 0);
+        let (_, _, g_ref, loss_ref) = run_recorded(13, &d0, 0);
         let mut plan = g_ref.into_plan(Some(loss_ref));
         for seed in [32u64, 33, 34] {
             let d = mk_data(seed);
-            let (lv_ref, grads_ref, _, _) = run_interpreted(13, &d, 0);
+            let (lv_ref, grads_ref, _, _) = run_recorded(13, &d, 0);
             let (mut store, ids) = mk_store(13);
             store.zero_grad();
             let mut g = Graph::replay(plan);
@@ -2430,7 +2551,7 @@ mod tests {
     #[test]
     fn fusion_kinds_are_applied() {
         let d = mk_data(41);
-        let (_, _, g_ref, loss_ref) = run_interpreted(19, &d, 0);
+        let (_, _, g_ref, loss_ref) = run_recorded(19, &d, 0);
         let plan = g_ref.into_plan(Some(loss_ref));
         let kinds: Vec<&Kind> = plan.steps.iter().map(|s| &s.kind).collect();
         assert!(
@@ -2479,7 +2600,7 @@ mod tests {
     #[test]
     fn arena_bindings_never_alias() {
         let d = mk_data(53);
-        let (_, _, g_ref, loss_ref) = run_interpreted(29, &d, 0);
+        let (_, _, g_ref, loss_ref) = run_recorded(29, &d, 0);
         let plan = g_ref.into_plan(Some(loss_ref));
         assert!(plan.arena_slots() > 0);
         assert!(
@@ -2503,7 +2624,7 @@ mod tests {
     #[test]
     fn plan_cache_takes_and_puts() {
         let d = mk_data(61);
-        let (_, _, g_ref, loss_ref) = run_interpreted(31, &d, 0);
+        let (_, _, g_ref, loss_ref) = run_recorded(31, &d, 0);
         let plan = g_ref.into_plan(Some(loss_ref));
         let cache = PlanCache::new();
         let key = PlanKey::new("test", [4, 6, 2, 0, 0, 0]);

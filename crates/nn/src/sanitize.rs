@@ -2,15 +2,20 @@
 //!
 //! When enabled — via `GENDT_SANITIZE=1` in the environment or
 //! [`set_sanitize`] in-process — every value recorded on a
-//! [`crate::graph::Graph`] tape and every gradient produced by the
-//! backward pass is checked for NaN/Inf and inconsistent shape metadata
-//! at op granularity. A violation panics with the offending op, its
-//! attributes, and the state of its inputs, so corruption is caught
-//! where it is *born* (e.g. a Gaussian head blowing up) instead of
-//! surfacing steps later as a silently wrong fidelity table. While it is
-//! on, [`crate::plan::PlanCache::run`] records the tape for every step
-//! instead of replaying compiled plans, since the checks inspect
-//! recorded values.
+//! [`crate::graph::Graph`] tape and every gradient its backward pass
+//! pushes into a node is checked for NaN/Inf at op granularity (shapes
+//! need no sanitizer: the executor binds every value to its step's
+//! shape, and leaves are checked where they enter the tape). A
+//! violation panics with the offending op, its attributes, and the
+//! state of its inputs, so corruption is caught where it is *born*
+//! (e.g. a Gaussian head blowing up) instead of surfacing steps later as
+//! a silently wrong fidelity table.
+//!
+//! The checks wrap the plan executor only while recording — each
+//! recorded op runs unfused, with its own value and gradient buffer, so
+//! every value and gradient is still there to inspect — and never a
+//! replay. So while the mode is on, [`crate::plan::PlanCache::run`]
+//! records every step instead of replaying compiled plans.
 //!
 //! The checks cost one linear scan per recorded node and per gradient,
 //! so the mode is off by default; `scripts/ci.sh` runs one sanitized

@@ -102,8 +102,8 @@ mod tests {
     }
 
     /// The scheduler's compute step must produce the same bits whether
-    /// the model runs the interpreted tape (forced by `GENDT_SANITIZE`)
-    /// or compiled plans; each `ModelEntry` owns its plan cache, so a
+    /// the model records every step (forced by `GENDT_SANITIZE`) or
+    /// replays compiled plans; each `ModelEntry` owns its plan cache, so a
     /// `/reload` (fresh entries) invalidates plans by construction.
     #[test]
     fn plan_mode_batches_match_interpreted() {

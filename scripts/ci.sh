@@ -39,11 +39,23 @@ cargo run --release -p gendt-audit -- smoke
 cargo run --release -p gendt-audit -- trace-smoke
 
 # Plan parity gate: compiled plans (how train and generate run) must be
-# bitwise-identical to the interpreted tape, forced by GENDT_SANITIZE,
-# for training (weights + loss trace) and for single, batched and
-# chunked generation, including cached replays and a replay after a
-# cache miss released the plan arenas.
+# bitwise-identical to record mode (every op unfused, one buffer per
+# node), forced by GENDT_SANITIZE, for training (weights + loss trace)
+# and for single, batched and chunked generation, including cached
+# replays and a replay after a cache miss released the plan arenas. It
+# checks what can differ between the two: fusion, arena binding, and
+# replay of fresh inputs.
 cargo run --release -p gendt-audit -- plan-parity
+
+# Golden gate for the paper tables: the quick evaluation (seed 42) must
+# reproduce the bytes recorded in results/quick.sha256. A change that
+# moves any number fails here; such a change regenerates the manifest
+#   ./target/release/gendt-eval --exp all --quick --out target/ci/quick
+#   find target/ci/quick -type f | LC_ALL=C sort | xargs sha256sum > results/quick.sha256
+# and says so.
+rm -rf target/ci/quick
+cargo run --release -p gendt-eval -- --exp all --quick --out target/ci/quick > /dev/null
+sha256sum --quiet -c results/quick.sha256
 
 # Concurrency gate: the interleave model checker explores >10k thread
 # schedules of the real scheduler/registry/cache state machines through
@@ -71,12 +83,14 @@ cargo run --release -p gendt-audit -- chaos
 cargo run --release -p gendt-audit -- stream-smoke
 
 # Serving layer (crates/serve): one end-to-end request against an
-# in-process server, then a CI-sized load run refreshing BENCH_serve.json,
-# then a CI-sized open-loop stream-session run refreshing its `stream`
-# section (the committed artifact is regenerated at full scale).
+# in-process server, then a CI-sized load run and a CI-sized open-loop
+# stream-session run. Both write a scratch artifact under target/ci: the
+# committed BENCH_serve.json holds full-scale numbers and is regenerated
+# only at full scale.
 cargo run --release -p gendt-serve --bin gendt-loadgen -- --smoke
-cargo run --release -p gendt-serve --bin gendt-loadgen -- --quick --out BENCH_serve.json
-cargo run --release -p gendt-serve --bin gendt-loadgen -- --stream --quick --out BENCH_serve.json
+mkdir -p target/ci
+cargo run --release -p gendt-serve --bin gendt-loadgen -- --quick --out target/ci/BENCH_serve.json
+cargo run --release -p gendt-serve --bin gendt-loadgen -- --stream --quick --out target/ci/BENCH_serve.json
 
 # Fleet gate (crates/fleet): router + 2 real worker processes. Asserts
 # bitwise parity with single-node serving across all five scenarios,
