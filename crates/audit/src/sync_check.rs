@@ -9,7 +9,8 @@
 //!    are exercised under thousands of explored thread interleavings,
 //!    asserting the invariants the serving path depends on: every
 //!    accepted job is answered exactly once, a batch never mixes model
-//!    versions across a `/reload`, Condvar waits survive spurious
+//!    versions across a `/reload`, jobs queued behind a running batch
+//!    form the next batch, the idle Condvar wait survives spurious
 //!    wakeups, shutdown drains without stranding a reply channel, the
 //!    LRU cache stays linearizable, and `/metrics` rendering races
 //!    cleanly with writers. The forward pass is stubbed behind the
@@ -41,7 +42,7 @@ use gendt_serve::registry::{ModelEntry, ModelMap, Registry};
 use gendt_serve::scheduler::{BatchRunner, SchedCfg, Scheduler, SubmitError};
 use gendt_serve::session::{Checkout, SessionTable};
 use gendt_sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use gendt_sync::{thread, Condvar, Mutex};
+use gendt_sync::{mpsc, thread, Condvar, Mutex};
 use interleave::{Config, FailureKind, Report};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -76,7 +77,7 @@ fn empty_ctx() -> Arc<RunContext> {
 struct StubRunner;
 
 impl BatchRunner for StubRunner {
-    fn run(&self, jobs: &[GenJob]) -> Vec<BatchOut> {
+    fn run(&self, jobs: Vec<GenJob>) -> Vec<BatchOut> {
         assert!(
             jobs.iter().all(|j| Arc::ptr_eq(&j.entry, &jobs[0].entry)),
             "mixed-version batch: jobs from different model instances coalesced"
@@ -127,10 +128,9 @@ fn report_line(name: &str, r: &Report) -> bool {
 // Invariant zoo: real production types, green on correct code
 // ---------------------------------------------------------------------
 
-fn sched_cfg(max_batch: usize, max_wait_ms: u64, queue_cap: usize) -> SchedCfg {
+fn sched_cfg(max_batch: usize, queue_cap: usize) -> SchedCfg {
     SchedCfg {
         max_batch,
-        max_wait_ms,
         queue_cap,
     }
 }
@@ -142,7 +142,7 @@ fn model_sched_exactly_once(entry: &Arc<ModelEntry>, ctx: &Arc<RunContext>) -> R
     interleave::explore(&cfg, move || {
         let metrics = Arc::new(ServeMetrics::new(4));
         let sched = Arc::new(Scheduler::with_runner(
-            sched_cfg(2, 0, 8),
+            sched_cfg(2, 8),
             metrics.clone(),
             Box::new(StubRunner),
         ));
@@ -198,7 +198,7 @@ fn model_sched_mixed_version(
     interleave::explore(&cfg, move || {
         let metrics = Arc::new(ServeMetrics::new(4));
         let sched = Arc::new(Scheduler::with_runner(
-            sched_cfg(4, 1, 8),
+            sched_cfg(4, 8),
             metrics,
             Box::new(StubRunner), // asserts Arc::ptr_eq homogeneity
         ));
@@ -235,9 +235,9 @@ fn model_sched_mixed_version(
     })
 }
 
-/// The worker's Condvar waits (idle block and batch-fill timeout) must
-/// tolerate spurious wakeups: extra injected wakeups change timing,
-/// never outcomes.
+/// The worker's one Condvar wait, the untimed idle block on an empty
+/// queue, must tolerate spurious wakeups: extra injected wakeups change
+/// timing, never outcomes.
 fn model_sched_spurious(entry: &Arc<ModelEntry>, ctx: &Arc<RunContext>) -> Report {
     let mut cfg = Config::random(1_500, 0x5eed_0003);
     cfg.spurious = 4;
@@ -245,7 +245,7 @@ fn model_sched_spurious(entry: &Arc<ModelEntry>, ctx: &Arc<RunContext>) -> Repor
     interleave::explore(&cfg, move || {
         let metrics = Arc::new(ServeMetrics::new(4));
         let sched = Arc::new(Scheduler::with_runner(
-            sched_cfg(2, 5, 8),
+            sched_cfg(2, 8),
             metrics,
             Box::new(StubRunner),
         ));
@@ -275,6 +275,96 @@ fn model_sched_spurious(entry: &Arc<ModelEntry>, ctx: &Arc<RunContext>) -> Repor
     })
 }
 
+/// Stub runner that holds its first batch: from inside batch 1 it
+/// signals `started`, then blocks until `release`. It records each
+/// batch's sample seeds in run order and answers like [`StubRunner`].
+struct GatedStub {
+    started: Mutex<Option<mpsc::Sender<()>>>,
+    release: Mutex<Option<mpsc::Receiver<()>>>,
+    batches: Arc<Mutex<Vec<Vec<u64>>>>,
+}
+
+impl BatchRunner for GatedStub {
+    fn run(&self, jobs: Vec<GenJob>) -> Vec<BatchOut> {
+        self.batches
+            .lock()
+            .push(jobs.iter().map(|j| j.sample_seed).collect());
+        let started = self.started.lock().take();
+        if let Some(started) = started {
+            let _ = started.send(());
+            let release = self.release.lock().take();
+            if let Some(release) = release {
+                let _ = release.recv();
+            }
+        }
+        StubRunner.run(jobs)
+    }
+}
+
+/// Work conservation: a job submitted to an idle worker starts its
+/// batch with no other submit, and the two jobs submitted while that
+/// batch runs are taken together as the next batch, under every
+/// explored schedule. Every job is answered exactly once (a second
+/// `recv` finds its reply channel closed), and the stub asserts that
+/// every batch is homogeneous.
+fn model_sched_coalesce(entry: &Arc<ModelEntry>, ctx: &Arc<RunContext>) -> Report {
+    let cfg = Config::random(1_500, 0x5eed_0009);
+    let (entry, ctx) = (entry.clone(), ctx.clone());
+    interleave::explore(&cfg, move || {
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let metrics = Arc::new(ServeMetrics::new(4));
+        let sched = Arc::new(Scheduler::with_runner(
+            sched_cfg(4, 8),
+            metrics,
+            Box::new(GatedStub {
+                started: Mutex::new(Some(started_tx)),
+                release: Mutex::new(Some(release_rx)),
+                batches: batches.clone(),
+            }),
+        ));
+        let worker = {
+            let s = sched.clone();
+            thread::spawn(move || s.run_worker())
+        };
+        let submit = |sample_seed| {
+            let job = GenJob {
+                entry: entry.clone(),
+                ctx: ctx.clone(),
+                sample_seed,
+                stream: None,
+            };
+            sched.submit(job, None).expect("queue has room")
+        };
+        let mut rxs = vec![submit(0)];
+        started_rx
+            .recv()
+            .expect("a lone job on an idle worker must start its batch");
+        rxs.push(submit(1));
+        rxs.push(submit(2));
+        release_tx.send(()).expect("batch 1 waits for its release");
+        for (seed, rx) in rxs.iter().enumerate() {
+            let out = rx
+                .recv()
+                .expect("accepted job must be answered")
+                .expect("stub batch cannot fail");
+            assert_eq!(
+                out.series.series[0][0], seed as f64,
+                "answer routed to wrong submitter"
+            );
+            assert!(rx.recv().is_err(), "job answered twice");
+        }
+        sched.stop();
+        worker.join().expect("worker must exit cleanly");
+        assert_eq!(
+            *batches.lock(),
+            vec![vec![0], vec![1, 2]],
+            "jobs queued behind a running batch must run as one batch"
+        );
+    })
+}
+
 /// Shutdown racing live submitters: every submit either fails fast
 /// (`ShuttingDown` / `QueueFull`) or its reply channel resolves — no
 /// accepted job is ever stranded by a worker that already exited. This
@@ -286,7 +376,7 @@ fn model_drain_flush(entry: &Arc<ModelEntry>, ctx: &Arc<RunContext>) -> Report {
     interleave::explore(&cfg, move || {
         let metrics = Arc::new(ServeMetrics::new(4));
         let sched = Arc::new(Scheduler::with_runner(
-            sched_cfg(2, 0, 8),
+            sched_cfg(2, 8),
             metrics,
             Box::new(StubRunner),
         ));
@@ -600,7 +690,7 @@ fn model_sched_dfs(entry: &Arc<ModelEntry>, ctx: &Arc<RunContext>) -> Report {
     interleave::explore(&cfg, move || {
         let metrics = Arc::new(ServeMetrics::new(4));
         let sched = Arc::new(Scheduler::with_runner(
-            sched_cfg(2, 0, 4),
+            sched_cfg(2, 4),
             metrics,
             Box::new(StubRunner),
         ));
@@ -1007,13 +1097,14 @@ pub fn run() -> bool {
     let mut ok = true;
     let mut zoo_schedules = 0u64;
     let mut zoo_steps = 0u64;
-    let models: [(&str, Report); 11] = [
+    let models: [(&str, Report); 12] = [
         ("sched_exactly_once", model_sched_exactly_once(&v1, &ctx)),
         (
             "sched_mixed_version",
             model_sched_mixed_version(&v1, &v2, &ctx),
         ),
         ("sched_spurious_condvar", model_sched_spurious(&v1, &ctx)),
+        ("sched_coalesce", model_sched_coalesce(&v1, &ctx)),
         ("drain_flush", model_drain_flush(&v1, &ctx)),
         ("registry_swap", model_registry_swap(&v1, &v2)),
         ("cache_linearizes", model_cache_linearizes()),

@@ -42,8 +42,6 @@ pub struct WorkerSpec {
     pub world_seed: u64,
     /// Most requests coalesced into one forward pass.
     pub max_batch: usize,
-    /// How long a batch waits to fill, milliseconds.
-    pub max_wait_ms: u64,
     /// Scheduler queue capacity.
     pub queue_cap: usize,
     /// Context cache capacity (entries).
@@ -64,7 +62,6 @@ impl WorkerSpec {
             models_dir: models_dir.to_string(),
             world_seed: 1,
             max_batch: 8,
-            max_wait_ms: 4,
             queue_cap: 256,
             cache_cap: 128,
             threads: 1,
@@ -78,7 +75,6 @@ impl WorkerSpec {
         cfg.addr = "127.0.0.1:0".to_string();
         cfg.world_seed = self.world_seed;
         cfg.sched.max_batch = self.max_batch;
-        cfg.sched.max_wait_ms = self.max_wait_ms;
         cfg.sched.queue_cap = self.queue_cap;
         cfg.cache_cap = self.cache_cap;
         cfg.workers = self.threads;

@@ -280,14 +280,16 @@ fn dead_session_owner_yields_migration_notice_naming_survivor() {
 #[test]
 fn deadline_expired_in_routing_is_504() {
     let fleet = TestFleet::start(1);
-    // Deadline-Ms: 1 will be expired by the time routing runs.
-    std::thread::sleep(std::time::Duration::from_millis(5));
+    // Deadline-Ms: 1 on an hour-long route: the context extraction of
+    // its 3,600 points alone outlasts the deadline, so no hop can serve
+    // it in time.
+    let hour_walk = body("walk", 1).replace("\"duration_s\":20.0", "\"duration_s\":3600.0");
     let resp = http_request_full(
         &fleet.addr(),
         "POST",
         "/v1/generate",
         &[("Deadline-Ms", "1")],
-        Some(&body("walk", 1)),
+        Some(&hour_walk),
     )
     .expect("answered");
     // Either the router noticed (504) or the worker shed it (503) —

@@ -52,31 +52,32 @@ pub struct BatchOut {
 
 /// Run one coalesced batch against a single model. Jobs must all carry
 /// the same `entry` the caller grouped by; results align with `jobs`.
-pub fn run_batch(entry: &ModelEntry, jobs: &[GenJob]) -> Vec<BatchOut> {
+/// Streaming jobs hand their cursor over rather than copying it.
+pub fn run_batch(entry: &ModelEntry, mut jobs: Vec<GenJob>) -> Vec<BatchOut> {
     let cfg = entry.model.cfg();
+    let streamed: Vec<bool> = jobs.iter().map(|j| j.stream.is_some()).collect();
     let mut items: Vec<GenChunkItem> = jobs
-        .iter()
-        .map(|j| match &j.stream {
-            Some(part) => GenChunkItem {
+        .iter_mut()
+        .map(|j| {
+            let (cursor, max_windows) = match j.stream.take() {
+                Some(part) => (part.cursor, part.max_windows),
+                None => (GenCursor::fresh(cfg, j.sample_seed), usize::MAX),
+            };
+            GenChunkItem {
                 ctx: &j.ctx,
-                cursor: part.cursor.clone(),
-                max_windows: part.max_windows,
-            },
-            None => GenChunkItem {
-                ctx: &j.ctx,
-                cursor: GenCursor::fresh(cfg, j.sample_seed),
-                max_windows: usize::MAX,
-            },
+                cursor,
+                max_windows,
+            }
         })
         .collect();
     let series = generate_series_chunk(&entry.model, &entry.kpis, &mut items);
     series
         .into_iter()
         .zip(items)
-        .zip(jobs)
-        .map(|((series, item), job)| BatchOut {
+        .zip(streamed)
+        .map(|((series, item), streamed)| BatchOut {
             series,
-            cursor: job.stream.as_ref().map(|_| item.cursor),
+            cursor: streamed.then_some(item.cursor),
         })
         .collect()
 }
@@ -128,10 +129,10 @@ mod tests {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         gendt_nn::set_sanitize(true);
-        let base = run_batch(&tape, &jobs);
+        let base = run_batch(&tape, jobs.clone());
         gendt_nn::set_sanitize(false);
-        let first = run_batch(&plan, &jobs);
-        let replay = run_batch(&plan, &jobs);
+        let first = run_batch(&plan, jobs.clone());
+        let replay = run_batch(&plan, jobs.clone());
         for k in 0..jobs.len() {
             assert_eq!(base[k].series.series, first[k].series.series);
             assert_eq!(base[k].series.series, replay[k].series.series);
@@ -152,7 +153,7 @@ mod tests {
         let ctx = demo_ctx();
         let one_shot = run_batch(
             &entry,
-            &[GenJob {
+            vec![GenJob {
                 entry: Arc::new(ModelEntry {
                     name: "demo".to_string(),
                     version: 0,
@@ -172,7 +173,7 @@ mod tests {
         loop {
             let out = run_batch(
                 &entry,
-                &[
+                vec![
                     GenJob {
                         entry: Arc::new(ModelEntry {
                             name: "demo".to_string(),

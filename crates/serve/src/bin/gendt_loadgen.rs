@@ -153,7 +153,6 @@ fn inprocess_server() -> Result<ServerHandle, GendtError> {
     let cfg = ServerCfg {
         sched: SchedCfg {
             max_batch: 8,
-            max_wait_ms: 4,
             queue_cap: 256,
         },
         ..ServerCfg::new(dir)

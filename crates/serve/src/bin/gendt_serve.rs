@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! gendt-serve --models DIR [--addr HOST:PORT] [--world-seed N]
-//!             [--max-batch N] [--max-wait-ms N] [--queue-cap N]
-//!             [--cache-cap N] [--workers N] [--deadline-ms N]
+//!             [--max-batch N] [--queue-cap N] [--cache-cap N]
+//!             [--workers N] [--deadline-ms N]
 //! gendt-serve demo-model PATH [--seed N]
 //! ```
 //!
@@ -21,8 +21,7 @@ use std::process::ExitCode;
 
 fn usage() -> String {
     "usage: gendt-serve --models DIR [--addr HOST:PORT] [--world-seed N] \
-     [--max-batch N] [--max-wait-ms N] [--queue-cap N] [--cache-cap N] [--workers N] \
-     [--deadline-ms N]\n\
+     [--max-batch N] [--queue-cap N] [--cache-cap N] [--workers N] [--deadline-ms N]\n\
      \x20      gendt-serve demo-model PATH [--seed N]"
         .to_string()
 }
@@ -76,7 +75,6 @@ fn run() -> Result<(), GendtError> {
             }
             "--world-seed" => builder = builder.world_seed(parse_num(&mut it, "--world-seed")?),
             "--max-batch" => builder = builder.max_batch(parse_num(&mut it, "--max-batch")?),
-            "--max-wait-ms" => builder = builder.max_wait_ms(parse_num(&mut it, "--max-wait-ms")?),
             "--queue-cap" => builder = builder.queue_cap(parse_num(&mut it, "--queue-cap")?),
             "--cache-cap" => builder = builder.cache_cap(parse_num(&mut it, "--cache-cap")?),
             "--workers" => builder = builder.workers(parse_num(&mut it, "--workers")?),

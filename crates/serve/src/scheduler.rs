@@ -1,9 +1,13 @@
-//! Micro-batching scheduler.
+//! Work-conserving micro-batching scheduler.
 //!
-//! `/generate` handlers submit jobs into a bounded queue; a worker
-//! thread pops the oldest job and coalesces every queued job for the
-//! *same model instance* into one batched forward pass, waiting up to
-//! `max_wait_ms` for the batch to fill. Batching keys on the
+//! `/generate` and `/v1/stream` handlers submit jobs into a bounded
+//! queue. A free worker pops the oldest job, takes every job already
+//! queued for the *same model instance* (up to `max_batch`, in queue
+//! order), and runs them at once as one batched forward pass. It never
+//! waits for a batch to fill: jobs that arrive while a batch runs queue
+//! up and join the next batch, so batches grow with load while an idle
+//! worker answers a lone job straight away. Jobs for other model
+//! instances keep their place in the queue. Batching keys on the
 //! `Arc<ModelEntry>` identity rather than the model name, so jobs
 //! resolved before and after a `/reload` never share a batch — each
 //! request is served bitwise-exactly by the model version it resolved.
@@ -17,9 +21,10 @@
 //!
 //! All synchronization goes through the `gendt_sync` facade so the
 //! queue/condvar state machine is explorable by `gendt-audit
-//! sync-check` (DESIGN.md §12). The forward pass itself is behind the
-//! [`BatchRunner`] seam: production runs [`run_batch`], harnesses swap
-//! in a stub so schedule exploration spends its budget on the
+//! sync-check` (DESIGN.md §12). The only wait is a worker's untimed
+//! `Condvar::wait` on an empty queue. The forward pass itself is behind
+//! the [`BatchRunner`] seam: production runs [`run_batch`], harnesses
+//! swap in a stub so schedule exploration spends its budget on the
 //! interleavings, not on inference.
 
 use crate::batch::{run_batch, BatchOut, GenJob};
@@ -38,8 +43,6 @@ use std::time::Duration;
 pub struct SchedCfg {
     /// Most requests coalesced into one forward pass.
     pub max_batch: usize,
-    /// How long the worker waits for a batch to fill, milliseconds.
-    pub max_wait_ms: u64,
     /// Bounded queue capacity; submits beyond it are rejected.
     pub queue_cap: usize,
 }
@@ -48,7 +51,6 @@ impl Default for SchedCfg {
     fn default() -> Self {
         SchedCfg {
             max_batch: 8,
-            max_wait_ms: 5,
             queue_cap: 64,
         }
     }
@@ -87,7 +89,7 @@ pub type JobResult = Result<JobDone, GendtError>;
 pub trait BatchRunner: Send + Sync {
     /// Run `jobs` (all pinned to the same model entry) and return one
     /// result per job, aligned with `jobs`.
-    fn run(&self, jobs: &[GenJob]) -> Vec<BatchOut>;
+    fn run(&self, jobs: Vec<GenJob>) -> Vec<BatchOut>;
 }
 
 /// Saturating microseconds for the compact flight-recorder fields.
@@ -98,8 +100,9 @@ fn clamp_us(d: Duration) -> u32 {
 struct ProdRunner;
 
 impl BatchRunner for ProdRunner {
-    fn run(&self, jobs: &[GenJob]) -> Vec<BatchOut> {
-        run_batch(&jobs[0].entry, jobs)
+    fn run(&self, jobs: Vec<GenJob>) -> Vec<BatchOut> {
+        let entry = Arc::clone(&jobs[0].entry);
+        run_batch(&entry, jobs)
     }
 }
 
@@ -191,15 +194,15 @@ impl Scheduler {
     /// Worker loop: pop, coalesce, execute, reply. Runs until
     /// [`Scheduler::stop`] and an empty queue.
     pub fn run_worker(&self) {
-        loop {
-            let batch = match self.next_batch() {
-                Some(b) => b,
-                None => return,
-            };
+        while let Some(batch) = self.next_batch() {
             // Expired deadlines are answered without burning a forward
-            // pass — the client already gave up or is about to.
+            // pass — the client already gave up or is about to. The
+            // live jobs move into the runner; their reply senders and
+            // enqueue times stay here for the replies.
             let now = Instant::now();
-            let mut live = Vec::with_capacity(batch.len());
+            let mut jobs = Vec::with_capacity(batch.len());
+            let mut replies = Vec::with_capacity(batch.len());
+            let mut trace = 0;
             for pending in batch {
                 match pending.deadline {
                     Some(d) if now >= d => {
@@ -212,10 +215,16 @@ impl Scheduler {
                             "deadline expired before the batch ran",
                         )));
                     }
-                    _ => live.push(pending),
+                    _ => {
+                        if jobs.is_empty() {
+                            trace = pending.trace;
+                        }
+                        jobs.push(pending.job);
+                        replies.push((pending.reply, pending.enqueued));
+                    }
                 }
             }
-            if live.is_empty() {
+            if jobs.is_empty() {
                 continue;
             }
 
@@ -223,16 +232,13 @@ impl Scheduler {
             // here to exercise client retries and drain behavior.
             gendt_faults::sleep_if_slow("serve.batch");
             if let Err(e) = gendt_faults::fail_io("serve.batch") {
-                for pending in live {
-                    let _ = pending
-                        .reply
-                        .send(Err(GendtError::unavailable(format!("batch aborted: {e}"))));
+                for (reply, _) in replies {
+                    let _ = reply.send(Err(GendtError::unavailable(format!("batch aborted: {e}"))));
                 }
                 continue;
             }
 
-            let n = live.len();
-            let jobs: Vec<&GenJob> = live.iter().map(|p| &p.job).collect();
+            let n = jobs.len();
             let batch_started = Instant::now();
             // A panic inside generation (e.g. a sanitizer trip) must not
             // kill the worker: convert it into per-request errors.
@@ -240,21 +246,19 @@ impl Scheduler {
                 // The whole coalesced pass runs under the head job's
                 // trace context, so its spans land on that request's
                 // cross-process timeline.
-                let _trace = gendt_trace::trace_scope(live[0].trace);
+                let _trace = gendt_trace::trace_scope(trace);
                 gendt_trace::span!("serve_batch", "batch" => n);
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let owned: Vec<GenJob> = jobs.iter().map(|&j| j.clone()).collect();
-                    self.runner.run(&owned)
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                    self.runner.run(jobs)
                 }))
             };
             let batch_us = clamp_us(batch_started.elapsed());
             self.metrics.observe_batch(n);
             match result {
                 Ok(outs) => {
-                    for (pending, out) in live.into_iter().zip(outs) {
-                        let queue_us =
-                            clamp_us(batch_started.saturating_duration_since(pending.enqueued));
-                        let _ = pending.reply.send(Ok(JobDone {
+                    for ((reply, enqueued), out) in replies.into_iter().zip(outs) {
+                        let queue_us = clamp_us(batch_started.saturating_duration_since(enqueued));
+                        let _ = reply.send(Ok(JobDone {
                             series: out.series,
                             cursor: out.cursor,
                             queue_us,
@@ -263,8 +267,8 @@ impl Scheduler {
                     }
                 }
                 Err(_) => {
-                    for pending in live {
-                        let _ = pending.reply.send(Err(GendtError::internal(
+                    for (reply, _) in replies {
+                        let _ = reply.send(Err(GendtError::internal(
                             "generation failed (internal panic)",
                         )));
                     }
@@ -273,42 +277,24 @@ impl Scheduler {
         }
     }
 
-    /// Block until at least one job is queued (or shutdown), then
-    /// collect up to `max_batch` jobs for the head job's model, waiting
-    /// up to `max_wait_ms` for stragglers.
+    /// Block until at least one job is queued (or shutdown), then take
+    /// the head job and every job queued behind it for the same model
+    /// instance, up to `max_batch`. Other models' jobs stay queued in
+    /// order. Never waits for more jobs to arrive.
     fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut q = self.queue.lock();
         loop {
             if let Some(head) = q.pop_front() {
-                // Covers coalescing + the fill wait, not the idle block
-                // above — the assembly timeline, not queue idleness.
+                // Covers coalescing, not the idle block below — the
+                // assembly timeline, not queue idleness.
                 let _assembling = gendt_trace::span("serve_batch_assemble");
                 let mut batch = vec![head];
-                let deadline = Instant::now() + Duration::from_millis(self.cfg.max_wait_ms);
-                loop {
-                    // Collect queued jobs for the same model instance.
-                    let mut rest = VecDeque::with_capacity(q.len());
-                    while let Some(p) = q.pop_front() {
-                        if batch.len() < self.cfg.max_batch
-                            && Arc::ptr_eq(&p.job.entry, &batch[0].job.entry)
-                        {
-                            batch.push(p);
-                        } else {
-                            rest.push_back(p);
-                        }
-                    }
-                    *q = rest;
-                    let now = Instant::now();
-                    if batch.len() >= self.cfg.max_batch || now >= deadline {
-                        break;
-                    }
-                    let (guard, _timeout) = self
-                        .cv
-                        .wait_timeout(q, deadline.saturating_duration_since(now));
-                    q = guard;
-                    // sync: Acquire pairs with stop()'s Release store.
-                    if self.shutdown.load(Ordering::Acquire) {
-                        break;
+                let mut i = 0;
+                while batch.len() < self.cfg.max_batch && i < q.len() {
+                    if Arc::ptr_eq(&q[i].job.entry, &batch[0].job.entry) {
+                        batch.extend(q.remove(i));
+                    } else {
+                        i += 1;
                     }
                 }
                 // sync: gauge only — published under the queue lock.
@@ -317,6 +303,7 @@ impl Scheduler {
                     .store(q.len() as u64, Ordering::Relaxed);
                 return Some(batch);
             }
+            // sync: Acquire pairs with stop()'s Release store.
             if self.shutdown.load(Ordering::Acquire) {
                 return None;
             }
@@ -347,21 +334,27 @@ mod tests {
     use gendt_sync::testing::inject_spurious_wakeups;
     use gendt_sync::thread;
 
+    /// Upper bound on any single wait in these tests: a failure bound,
+    /// never a synchronization.
+    const PATIENCE: Duration = Duration::from_secs(30);
+
+    fn marker(seed: u64) -> BatchOut {
+        BatchOut {
+            series: GeneratedSeries {
+                kpis: Vec::new(),
+                series: vec![vec![seed as f64]],
+            },
+            cursor: None,
+        }
+    }
+
     /// Answers each job with a marker series carrying its sample seed,
     /// so tests can verify reply routing without running inference.
     struct MarkerRunner;
 
     impl BatchRunner for MarkerRunner {
-        fn run(&self, jobs: &[GenJob]) -> Vec<BatchOut> {
-            jobs.iter()
-                .map(|j| BatchOut {
-                    series: GeneratedSeries {
-                        kpis: Vec::new(),
-                        series: vec![vec![j.sample_seed as f64]],
-                    },
-                    cursor: None,
-                })
-                .collect()
+        fn run(&self, jobs: Vec<GenJob>) -> Vec<BatchOut> {
+            jobs.iter().map(|j| marker(j.sample_seed)).collect()
         }
     }
 
@@ -400,66 +393,195 @@ mod tests {
         (s, metrics)
     }
 
-    /// Both Condvar sites — the idle block in `next_batch` and the
-    /// batch-fill `wait_timeout` — must treat a spurious wakeup as a
-    /// non-event: recheck state, re-arm with the remaining time, and
-    /// keep serving. One test (not two) because the injected budget is
-    /// process-wide and the harness runs tests concurrently.
+    fn spawn_worker(s: &Arc<Scheduler>) -> thread::JoinHandle<()> {
+        let s = Arc::clone(s);
+        thread::spawn(move || s.run_worker())
+    }
+
+    /// Block on a job's reply and check it carries the job's own marker.
+    fn expect_marker(rx: &mpsc::Receiver<JobResult>, seed: u64) {
+        let out = rx
+            .recv_timeout(PATIENCE)
+            .expect("job was never answered")
+            .expect("marker batch cannot fail");
+        assert_eq!(out.series.series, vec![vec![seed as f64]]);
+    }
+
+    /// The idle block in `next_batch`, the scheduler's only Condvar
+    /// wait, must treat a spurious wakeup as a non-event: recheck the
+    /// queue and the shutdown flag, park again, and keep serving.
     #[test]
     fn condvar_waits_absorb_spurious_wakeups() {
-        // Idle wait: the worker burns the whole budget parked on an
-        // empty queue, then must still answer real work and shut down.
+        // The worker burns the whole budget parked on an empty queue,
+        // then must still answer real work and shut down.
         let (s, _) = sched(SchedCfg {
             max_batch: 1,
-            max_wait_ms: 1,
             queue_cap: 8,
         });
         let entry = test_entry();
         inject_spurious_wakeups(3);
-        let worker = {
-            let s = Arc::clone(&s);
-            thread::spawn(move || s.run_worker())
-        };
+        let worker = spawn_worker(&s);
         for seed in [7u64, 8] {
             let rx = s.submit(job(&entry, seed), None).expect("queue open");
-            let out = rx
-                .recv()
-                .expect("worker exited instead of absorbing a spurious wakeup")
-                .expect("marker batch cannot fail");
-            assert_eq!(out.series.series, vec![vec![seed as f64]]);
+            expect_marker(&rx, seed);
         }
         s.stop();
         worker.join().expect("worker panicked");
+        inject_spurious_wakeups(0);
+    }
 
-        // Fill wait: spurious early returns from `wait_timeout` must not
-        // be mistaken for the fill deadline — a straggler submitted
-        // mid-window still joins the head job's batch.
-        let (s, metrics) = sched(SchedCfg {
-            max_batch: 4,
-            max_wait_ms: 200,
-            queue_cap: 8,
-        });
-        inject_spurious_wakeups(3);
-        let worker = {
-            let s = Arc::clone(&s);
-            thread::spawn(move || s.run_worker())
-        };
-        let rx_a = s.submit(job(&entry, 1), None).expect("queue open");
-        std::thread::sleep(Duration::from_millis(20));
-        let rx_b = s.submit(job(&entry, 2), None).expect("queue open");
-        let a = rx_a.recv().expect("reply dropped").expect("marker batch");
-        let b = rx_b.recv().expect("reply dropped").expect("marker batch");
-        assert_eq!(a.series.series, vec![vec![1.0]]);
-        assert_eq!(b.series.series, vec![vec![2.0]]);
-        assert_eq!(
-            metrics.batches.load(Ordering::SeqCst),
-            1,
-            "straggler must coalesce into the head batch, not run alone"
+    /// Holds the first batch until the test releases it, so the test
+    /// can queue jobs behind a running batch. Records every batch's
+    /// sample seeds in run order and answers with marker series.
+    struct GatedRunner {
+        started: Mutex<Option<mpsc::Sender<()>>>,
+        release: Mutex<Option<mpsc::Receiver<()>>>,
+        batches: Arc<Mutex<Vec<Vec<u64>>>>,
+    }
+
+    impl BatchRunner for GatedRunner {
+        fn run(&self, jobs: Vec<GenJob>) -> Vec<BatchOut> {
+            assert!(
+                jobs.iter().all(|j| Arc::ptr_eq(&j.entry, &jobs[0].entry)),
+                "a batch mixed model entries"
+            );
+            self.batches
+                .lock()
+                .push(jobs.iter().map(|j| j.sample_seed).collect());
+            let started = self.started.lock().take();
+            if let Some(started) = started {
+                let _ = started.send(());
+                let release = self.release.lock().take();
+                if let Some(release) = release {
+                    let _ = release.recv();
+                }
+            }
+            jobs.iter().map(|j| marker(j.sample_seed)).collect()
+        }
+    }
+
+    /// A scheduler whose worker is running a held first batch: job
+    /// `seed 0` for `entry`, submitted alone to an idle worker.
+    struct Held {
+        sched: Arc<Scheduler>,
+        worker: thread::JoinHandle<()>,
+        first: mpsc::Receiver<JobResult>,
+        release: mpsc::Sender<()>,
+        batches: Arc<Mutex<Vec<Vec<u64>>>>,
+    }
+
+    impl Held {
+        fn start(entry: &Arc<ModelEntry>, max_batch: usize) -> Held {
+            let (started_tx, started_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel();
+            let batches = Arc::new(Mutex::new(Vec::new()));
+            let sched = Arc::new(Scheduler::with_runner(
+                SchedCfg {
+                    max_batch,
+                    queue_cap: 64,
+                },
+                Arc::new(ServeMetrics::new(max_batch)),
+                Box::new(GatedRunner {
+                    started: Mutex::new(Some(started_tx)),
+                    release: Mutex::new(Some(release_rx)),
+                    batches: Arc::clone(&batches),
+                }),
+            ));
+            let worker = spawn_worker(&sched);
+            let first = sched.submit(job(entry, 0), None).expect("queue open");
+            started_rx
+                .recv_timeout(PATIENCE)
+                .expect("a lone job on an idle worker must start its batch");
+            Held {
+                sched,
+                worker,
+                first,
+                release: release_tx,
+                batches,
+            }
+        }
+
+        /// Release the first batch, check every reply, stop the worker
+        /// and return the batches it ran.
+        fn finish(self, queued: &[(u64, mpsc::Receiver<JobResult>)]) -> Vec<Vec<u64>> {
+            self.release.send(()).expect("the first batch waits");
+            expect_marker(&self.first, 0);
+            for (seed, rx) in queued {
+                expect_marker(rx, *seed);
+            }
+            self.sched.stop();
+            self.worker.join().expect("worker panicked");
+            let batches = self.batches.lock().clone();
+            batches
+        }
+    }
+
+    fn submit_all(
+        s: &Scheduler,
+        jobs: impl IntoIterator<Item = (Arc<ModelEntry>, u64)>,
+    ) -> Vec<(u64, mpsc::Receiver<JobResult>)> {
+        jobs.into_iter()
+            .map(|(entry, seed)| {
+                let rx = s.submit(job(&entry, seed), None).expect("queue open");
+                (seed, rx)
+            })
+            .collect()
+    }
+
+    /// Jobs queued behind a running batch run together as the next
+    /// batch: one batch when they fit in `max_batch`, otherwise
+    /// ⌈k / max_batch⌉ full-first batches in queue order.
+    #[test]
+    fn jobs_queued_behind_a_running_batch_coalesce() {
+        let entry = test_entry();
+        for (max_batch, k) in [(4usize, 2u64), (4, 4), (4, 9), (3, 6)] {
+            let held = Held::start(&entry, max_batch);
+            let queued = submit_all(&held.sched, (1..=k).map(|s| (Arc::clone(&entry), s)));
+            let seeds: Vec<u64> = (1..=k).collect();
+            let mut want = vec![vec![0]];
+            want.extend(seeds.chunks(max_batch).map(<[u64]>::to_vec));
+            assert_eq!(
+                held.finish(&queued),
+                want,
+                "max_batch {max_batch}, {k} jobs queued behind a running batch"
+            );
+        }
+    }
+
+    /// A job for another model entry, queued among them, keeps its
+    /// place: the head's model takes its jobs from behind it, and the
+    /// other job then runs in its own batch before later jobs.
+    #[test]
+    fn a_job_for_another_model_keeps_its_place() {
+        let (a, b) = (test_entry(), test_entry());
+        let held = Held::start(&a, 2);
+        let queued = submit_all(
+            &held.sched,
+            [
+                (Arc::clone(&a), 1),
+                (Arc::clone(&b), 2),
+                (Arc::clone(&a), 3),
+                (Arc::clone(&a), 4),
+            ],
         );
-        assert_eq!(metrics.batched_requests.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            held.finish(&queued),
+            vec![vec![0], vec![1, 3], vec![2], vec![4]]
+        );
+    }
+
+    /// A lone job on an idle worker is answered without any other
+    /// submit ever happening: no batch waits for company.
+    #[test]
+    fn a_lone_job_runs_without_waiting_for_company() {
+        let (s, metrics) = sched(SchedCfg::default());
+        let worker = spawn_worker(&s);
+        let rx = s.submit(job(&test_entry(), 5), None).expect("queue open");
+        expect_marker(&rx, 5);
+        assert_eq!(metrics.batches.load(Ordering::SeqCst), 1);
+        assert_eq!(metrics.batched_requests.load(Ordering::SeqCst), 1);
         s.stop();
         worker.join().expect("worker panicked");
-        inject_spurious_wakeups(0);
     }
 
     /// Echoes the trace context the batch executes under, proving the
@@ -467,17 +589,9 @@ mod tests {
     struct TraceRunner;
 
     impl BatchRunner for TraceRunner {
-        fn run(&self, jobs: &[GenJob]) -> Vec<BatchOut> {
-            let t = gendt_trace::current_trace() as f64;
-            jobs.iter()
-                .map(|_| BatchOut {
-                    series: GeneratedSeries {
-                        kpis: Vec::new(),
-                        series: vec![vec![t]],
-                    },
-                    cursor: None,
-                })
-                .collect()
+        fn run(&self, jobs: Vec<GenJob>) -> Vec<BatchOut> {
+            let t = gendt_trace::current_trace();
+            jobs.iter().map(|_| marker(t)).collect()
         }
     }
 
@@ -485,11 +599,7 @@ mod tests {
     fn batch_runs_under_the_submitters_trace_context() {
         let metrics = Arc::new(ServeMetrics::new(8));
         let s = Arc::new(Scheduler::with_runner(
-            SchedCfg {
-                max_batch: 8,
-                max_wait_ms: 1,
-                queue_cap: 8,
-            },
+            SchedCfg::default(),
             metrics,
             Box::new(TraceRunner),
         ));
@@ -498,12 +608,8 @@ mod tests {
             let _scope = gendt_trace::trace_scope(77);
             s.submit(job(&entry, 1), None).expect("queue open")
         };
-        let worker = {
-            let s = Arc::clone(&s);
-            thread::spawn(move || s.run_worker())
-        };
-        let done = rx.recv().expect("reply dropped").expect("runner runs");
-        assert_eq!(done.series.series, vec![vec![77.0]]);
+        let worker = spawn_worker(&s);
+        expect_marker(&rx, 77);
         s.stop();
         worker.join().expect("worker panicked");
     }
@@ -513,11 +619,7 @@ mod tests {
     /// its batchmates still run.
     #[test]
     fn expired_deadline_is_answered_not_executed() {
-        let (s, metrics) = sched(SchedCfg {
-            max_batch: 8,
-            max_wait_ms: 1,
-            queue_cap: 8,
-        });
+        let (s, metrics) = sched(SchedCfg::default());
         let entry = test_entry();
         // Enqueue both before the worker exists so they pop as one
         // batch deterministically; the second's deadline is already in
@@ -526,15 +628,8 @@ mod tests {
         let rx_dead = s
             .submit(job(&entry, 6), Some(Instant::now()))
             .expect("queue open");
-        let worker = {
-            let s = Arc::clone(&s);
-            thread::spawn(move || s.run_worker())
-        };
-        let live = rx_live
-            .recv()
-            .expect("reply dropped")
-            .expect("live job runs");
-        assert_eq!(live.series.series, vec![vec![5.0]]);
+        let worker = spawn_worker(&s);
+        expect_marker(&rx_live, 5);
         let dead = rx_dead
             .recv()
             .expect("expired job must still be answered")

@@ -187,12 +187,6 @@ impl ServerCfgBuilder {
         self
     }
 
-    /// How long the worker waits for a batch to fill, milliseconds.
-    pub fn max_wait_ms(mut self, ms: u64) -> Self {
-        self.cfg.sched.max_wait_ms = ms;
-        self
-    }
-
     /// Bounded scheduler queue capacity.
     pub fn queue_cap(mut self, n: usize) -> Self {
         self.cfg.sched.queue_cap = n;

@@ -212,11 +212,14 @@ impl<T> SessionTable<T> {
     /// Busy slots are shielded. Returns the expired ids.
     pub fn sweep(&self) -> Vec<String> {
         let mut inner = self.inner.lock();
+        // One clock read per sweep, not one per session.
+        let now = Instant::now();
         let dead: Vec<String> = inner
             .map
             .iter()
             .filter(|(_, slot)| {
-                matches!(slot.state, SlotState::Idle(_)) && slot.last_used.elapsed() >= self.ttl
+                matches!(slot.state, SlotState::Idle(_))
+                    && now.saturating_duration_since(slot.last_used) >= self.ttl
             })
             .map(|(k, _)| k.clone())
             .collect();

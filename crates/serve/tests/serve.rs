@@ -1,150 +1,13 @@
 //! End-to-end tests of the serving path: a real server on port 0, real
 //! TCP clients, and bitwise comparison against direct `generate_series`.
 
-use gendt::checkpoint::load_model_from_file;
-use gendt::generate_series;
-use gendt_data::context::{extract, ContextCfg, RunContext};
-use gendt_data::kpi_types::Kpi;
-use gendt_geo::{trajectory, World, WorldCfg, XY};
-use gendt_radio::Deployment;
-use gendt_serve::api::{GenerateRequest, GenerateResponse};
+mod common;
+
+use common::{demo_ckpt_bytes, direct_series, fresh_model_dir, request_json, WORLD_SEED};
+use gendt_serve::api::GenerateResponse;
 use gendt_serve::http::http_request;
 use gendt_serve::scheduler::SchedCfg;
 use gendt_serve::{serve, ServerCfg};
-use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
-
-/// Demo checkpoints are expensive to train in debug builds; train each
-/// seed once per test binary and copy the bytes into per-test dirs.
-fn demo_ckpt_bytes(seed: u64) -> &'static [u8] {
-    static V1: OnceLock<Vec<u8>> = OnceLock::new();
-    static V2: OnceLock<Vec<u8>> = OnceLock::new();
-    let slot = match seed {
-        1 => &V1,
-        2 => &V2,
-        _ => panic!("only seeds 1 and 2 are pre-trained"),
-    };
-    slot.get_or_init(|| {
-        let path = std::env::temp_dir().join(format!("gendt-serve-test-demo-{seed}.json"));
-        gendt_serve::demo::write_demo_model(&path, seed).expect("train demo model");
-        std::fs::read(&path).expect("read demo checkpoint")
-    })
-}
-
-fn fresh_model_dir(test: &str, seed: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gendt-serve-test-{test}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create model dir");
-    std::fs::write(dir.join("demo.json"), demo_ckpt_bytes(seed)).expect("write checkpoint");
-    dir
-}
-
-const WORLD_SEED: u64 = 1;
-
-fn request_json(traj_seed: u64, sample_seed: u64, duration_s: f64) -> String {
-    serde_json::to_string(&GenerateRequest {
-        model: "demo".to_string(),
-        scenario: "walk".to_string(),
-        duration_s,
-        start_x: 0.0,
-        start_y: 0.0,
-        traj_seed,
-        sample_seed,
-    })
-    .expect("encode request")
-}
-
-/// What the server should produce, computed directly against the same
-/// checkpoint, world, and seeds.
-fn direct_series(ckpt: &Path, traj_seed: u64, sample_seed: u64, duration_s: f64) -> Vec<Vec<f64>> {
-    let mut model = load_model_from_file(ckpt).expect("load checkpoint");
-    let world = World::generate(WorldCfg::city(WORLD_SEED));
-    let deployment = Deployment::from_world(&world);
-    let cfg = trajectory::TrajectoryCfg::new(
-        trajectory::Scenario::Walk,
-        duration_s,
-        XY { x: 0.0, y: 0.0 },
-        traj_seed,
-    );
-    let traj = trajectory::generate(&world, &cfg);
-    let ctx: RunContext = extract(
-        &world,
-        &deployment,
-        &traj,
-        &ContextCfg {
-            max_cells: model.cfg().window.max_cells,
-            ..ContextCfg::default()
-        },
-    );
-    generate_series(&mut model, &ctx, &Kpi::DATASET_A, false, sample_seed).series
-}
-
-#[test]
-fn concurrent_batched_responses_are_bitwise_equal_to_direct() {
-    let dir = fresh_model_dir("bitwise", 1);
-    let ckpt = dir.join("demo.json");
-    let handle = serve(ServerCfg {
-        sched: SchedCfg {
-            max_batch: 6,
-            max_wait_ms: 300,
-            queue_cap: 64,
-        },
-        world_seed: WORLD_SEED,
-        ..ServerCfg::new(dir)
-    })
-    .expect("start server");
-    let addr = handle.addr.to_string();
-
-    // Six concurrent requests: distinct sample seeds, two distinct
-    // trajectories (so the coalesced batch is heterogeneous).
-    let specs: Vec<(u64, u64)> = (0..6u64).map(|i| (i % 2, 100 + i)).collect();
-    let responses: Vec<GenerateResponse> = std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|&(traj_seed, sample_seed)| {
-                let addr = addr.clone();
-                scope.spawn(move || {
-                    let body = request_json(traj_seed, sample_seed, 40.0);
-                    let (status, resp) = http_request(&addr, "POST", "/generate", Some(&body))
-                        .expect("request failed");
-                    assert_eq!(status, 200, "unexpected status: {resp}");
-                    serde_json::from_str::<GenerateResponse>(&resp).expect("decode response")
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect()
-    });
-
-    // Batching must actually have happened: fewer forward passes than
-    // requests (the 300ms window is generous next to connect latency).
-    let (status, metrics) = http_request(&addr, "GET", "/metrics", None).expect("metrics");
-    assert_eq!(status, 200);
-    let batches: f64 = metrics
-        .lines()
-        .find(|l| l.starts_with("gendt_serve_batches_total "))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .expect("batches counter");
-    assert!(batches < 6.0, "no coalescing happened ({batches} batches)");
-
-    handle.shutdown();
-
-    for (&(traj_seed, sample_seed), resp) in specs.iter().zip(responses.iter()) {
-        let want = direct_series(&ckpt, traj_seed, sample_seed, 40.0);
-        assert!(
-            !want.is_empty() && !want[0].is_empty(),
-            "empty direct series"
-        );
-        assert_eq!(
-            resp.series.series, want,
-            "batched response diverges from direct generate_series \
-             (traj_seed {traj_seed}, sample_seed {sample_seed})"
-        );
-    }
-}
 
 #[test]
 fn debug_trace_endpoint_reports_serve_spans() {
@@ -188,7 +51,6 @@ fn full_queue_sheds_load_with_429() {
     let handle = serve(ServerCfg {
         sched: SchedCfg {
             max_batch: 1,
-            max_wait_ms: 0,
             queue_cap: 1,
         },
         world_seed: WORLD_SEED,

@@ -154,16 +154,25 @@ fn v1_errors_are_typed_envelopes_and_legacy_errors_stay_flat() {
 fn expired_deadline_times_out_with_retryable_envelope() {
     let (handle, addr) = start_server("v1-deadline");
 
-    // 1 ms deadline: with GenDT generation taking tens of milliseconds
-    // the job is still queued (or the batch not yet run) when it
-    // expires, so the scheduler answers Timeout → 504.
-    let body = request_json("demo", 5);
+    // 1 ms deadline on an hour-long route: extracting its 3,600 points
+    // outlasts the deadline, so the job has expired when the scheduler
+    // pops it, and the scheduler answers Timeout → 504.
+    let hour_walk = serde_json::to_string(&GenerateRequest {
+        model: "demo".to_string(),
+        scenario: "walk".to_string(),
+        duration_s: 3600.0,
+        start_x: 0.0,
+        start_y: 0.0,
+        traj_seed: 3,
+        sample_seed: 5,
+    })
+    .expect("encode request");
     let resp = http_request_full(
         &addr,
         "POST",
         "/v1/generate",
         &[("Deadline-Ms", "1")],
-        Some(&body),
+        Some(&hour_walk),
     )
     .expect("deadline request");
     assert_eq!(resp.status, 504, "expected timeout, got: {}", resp.body);
@@ -172,6 +181,7 @@ fn expired_deadline_times_out_with_retryable_envelope() {
     assert!(env.retryable, "timeouts are retryable");
 
     // A malformed deadline header is an invalid_request, not a 500.
+    let body = request_json("demo", 5);
     let resp = http_request_full(
         &addr,
         "POST",
