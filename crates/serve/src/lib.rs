@@ -6,10 +6,11 @@
 //! container is offline): a threaded HTTP/1.1 server over
 //! `std::net::TcpListener` with
 //!
-//! * a [micro-batching scheduler](scheduler) that coalesces concurrent
-//!   `/generate` requests for the same model into one batched forward
-//!   pass over `gendt::generate_series_batch`, with a bounded queue that
-//!   sheds load (HTTP 429) instead of collapsing;
+//! * a work-conserving [micro-batching scheduler](scheduler): a free
+//!   worker runs every request already queued for the same model as one
+//!   batched forward pass over `gendt::generate_series_chunk`, never
+//!   waiting for a batch to fill, with a bounded queue that sheds load
+//!   (HTTP 429) instead of collapsing;
 //! * a [checkpoint registry](registry) loading named models from a
 //!   directory, hot-swappable via `/reload` without dropping in-flight
 //!   requests;
