@@ -20,6 +20,11 @@
 //!    `gendt_serve_context_cache_misses_total` by exactly 1 (the opens
 //!    share one single-flight extraction), and every session's chunks
 //!    still equal the one-shot series.
+//! 5. **Long route in one response** — a 4 h walk opened with one
+//!    window per chunk and no window budget streams its whole series in
+//!    one response, over 1 MiB; the workspace client reads all of it,
+//!    the trailer reads `complete`, and the chunks equal the one-shot
+//!    series.
 //!
 //! Every window of every checked series is compared exactly; a single
 //! flipped bit anywhere fails the gate.
@@ -38,7 +43,7 @@ const SEED: u64 = 11;
 
 /// Run the gate; prints its findings and returns overall success.
 pub fn run() -> bool {
-    println!("== stream-smoke: /v1/stream parity, deadline, drain, shared context ==");
+    println!("== stream-smoke: /v1/stream parity, deadline, drain, shared context, long route ==");
     let ok = match smoke() {
         Ok(()) => true,
         Err(e) => {
@@ -375,11 +380,46 @@ fn shared_context_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     Ok(())
 }
 
+/// The longest route a request may ask for, one window per chunk and
+/// no budget: a single response carries every window, and the client
+/// must read it whole.
+fn long_route_pass(dir: &std::path::Path) -> Result<(), GendtError> {
+    let (handle, addr) = start_server(dir)?;
+    let resp = http(
+        &addr,
+        "/v1/stream",
+        &[],
+        Some(&open_body(LONG_ROUTE_S, 1, 0)),
+    )?;
+    let (chunks, trailer) = parse_stream(&resp)?;
+    if trailer.reason != stream_reason::COMPLETE || !trailer.done {
+        return Err(fail(format!(
+            "long route ended {:?} (done {})",
+            trailer.reason, trailer.done
+        )));
+    }
+    let mut cat: Vec<Vec<f64>> = Vec::new();
+    concat_into(&mut cat, &chunks);
+    if cat != one_shot(&addr, LONG_ROUTE_S)? {
+        return Err(fail(
+            "long route: the one-response stream diverged from one-shot",
+        ));
+    }
+    println!(
+        "  long route: {} chunks in one {}-byte response, complete, bitwise-equal to one-shot",
+        chunks.len(),
+        resp.body.len()
+    );
+    handle.shutdown();
+    Ok(())
+}
+
 fn smoke() -> Result<(), GendtError> {
     let dir = model_dir()?;
     parity_pass(&dir)?;
     deadline_pass(&dir)?;
     drain_pass(&dir)?;
     shared_context_pass(&dir)?;
+    long_route_pass(&dir)?;
     Ok(())
 }

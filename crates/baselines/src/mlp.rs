@@ -35,7 +35,7 @@ pub fn step_features(ctx: &RunContext, i: usize) -> Vec<f32> {
     f.extend_from_slice(ctx.env(i));
     for k in 0..K_CELLS {
         match cells.get(k) {
-            Some((_, feats)) => f.extend_from_slice(feats),
+            Some((_, feats)) => f.extend_from_slice(&feats),
             None => f.extend_from_slice(&[0.0, 0.0, 0.0, 0.0, 1.0]),
         }
     }

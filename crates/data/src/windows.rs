@@ -132,7 +132,7 @@ pub fn context_window(
     let steps = start..start + cfg.len;
     let mut presence: BTreeMap<CellId, usize> = BTreeMap::new();
     for i in steps.clone() {
-        for &(id, _) in ctx.cells(i) {
+        for (id, _) in ctx.cells(i).iter() {
             *presence.entry(id).or_insert(0) += 1;
         }
     }
@@ -149,8 +149,8 @@ pub fn context_window(
                 .map(|i| {
                     ctx.cells(i)
                         .iter()
-                        .find(|&&(cid, _)| cid == id)
-                        .map(|&(_, f)| f)
+                        .find(|&(cid, _)| cid == id)
+                        .map(|(_, f)| f)
                         .unwrap_or([0.0, 0.0, 0.0, 0.0, 1.0])
                 })
                 .collect()

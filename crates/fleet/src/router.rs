@@ -387,7 +387,7 @@ pub fn dispatch_generate(
     for attempt in 0..MAX_ATTEMPTS {
         // Deadline minus elapsed routing time; expired means a 504
         // without burning a worker slot.
-        let budget = match remaining_budget(deadline_ms, started, forward_timeout) {
+        let budget = match remaining_budget(deadline_ms, started.elapsed(), forward_timeout) {
             Ok(b) => b,
             Err(e) => {
                 // sync: monotonic counter for /metrics only.
@@ -501,30 +501,33 @@ struct Budget {
     timeout: Duration,
 }
 
+/// The client's `deadline_ms` less the `elapsed` routing time, exactly.
+/// The worker is told the whole milliseconds left, rounded down, so no
+/// hop grows a deadline; under 1 ms left is expired (a timeout error,
+/// which the caller answers with a 504).
 fn remaining_budget(
     deadline_ms: Option<u64>,
-    started: Instant,
+    elapsed: Duration,
     forward_timeout: Duration,
 ) -> Result<Budget, GendtError> {
-    match deadline_ms {
-        None => Ok(Budget {
+    let Some(total) = deadline_ms else {
+        return Ok(Budget {
             propagate_ms: None,
             timeout: forward_timeout,
-        }),
-        Some(total) => {
-            let elapsed_ms = (started.elapsed().as_secs_f64() * 1000.0) as u64;
-            if elapsed_ms >= total {
-                return Err(GendtError::timeout(format!(
-                    "deadline of {total} ms expired during routing"
-                )));
-            }
-            let remaining = total - elapsed_ms;
-            Ok(Budget {
-                propagate_ms: Some(remaining),
-                timeout: forward_timeout.min(Duration::from_millis(remaining)),
-            })
-        }
+        });
+    };
+    let left = Duration::from_millis(total).saturating_sub(elapsed);
+    // At most `total`, so it fits.
+    let ms = left.as_millis() as u64;
+    if ms == 0 {
+        return Err(GendtError::timeout(format!(
+            "deadline of {total} ms expired during routing"
+        )));
     }
+    Ok(Budget {
+        propagate_ms: Some(ms),
+        timeout: forward_timeout.min(left),
+    })
 }
 
 /// Router-level fleet status (`GET /v1/fleet`).
@@ -664,7 +667,7 @@ fn handle_conn(state: &Arc<RouterState>, mut stream: TcpStream) {
         // Streams only exist on the v1 surface (the worker agrees); the
         // legacy path falls through to the 404 below.
         ("POST", "/stream") if req.path.starts_with("/v1") => {
-            handle_stream(state, &mut stream, &req);
+            handle_stream(state, &mut stream, &req, started);
         }
         ("GET", "/models") => {
             let body = serde_json::to_string(&ModelsResponse {
@@ -795,7 +798,12 @@ fn handle_conn(state: &Arc<RouterState>, mut stream: TcpStream) {
 /// worker and answers a typed retryable 503 naming the ring's new owner
 /// (`Gendt-Session-Owner`) for the client to re-open against —
 /// placement migrates, state cannot.
-fn handle_stream(state: &Arc<RouterState>, stream: &mut TcpStream, req: &Request) {
+fn handle_stream(
+    state: &Arc<RouterState>,
+    stream: &mut TcpStream,
+    req: &Request,
+    started: Instant,
+) {
     if state.is_draining() {
         write_routed(
             stream,
@@ -840,7 +848,35 @@ fn handle_stream(state: &Arc<RouterState>, stream: &mut TcpStream, req: &Request
         );
         return;
     };
-    match tunnel_stream(stream, &addr, req, &body, &sid, state.forward_timeout) {
+    // The same deduction as a routed generate. Only the propagated value
+    // is taken from it: the relay's socket timeouts stay the forward
+    // timeout, since the worker ends an expired stream itself with a
+    // `deadline` trailer.
+    let budget = match parse_deadline(req.header("deadline-ms")).and_then(|deadline_ms| {
+        remaining_budget(deadline_ms, started.elapsed(), state.forward_timeout)
+    }) {
+        Ok(b) => b,
+        Err(e) => {
+            if e.kind() == ErrorKind::Timeout {
+                // sync: monotonic counter for /metrics only.
+                state
+                    .metrics
+                    .deadline_expired
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            write_routed(stream, &Routed::error(&e));
+            return;
+        }
+    };
+    match tunnel_stream(
+        stream,
+        &addr,
+        req,
+        &body,
+        &sid,
+        budget.propagate_ms,
+        state.forward_timeout,
+    ) {
         Ok(()) => {
             // sync: monotonic counter for /metrics only.
             state.metrics.stream_tunnels.fetch_add(1, Ordering::Relaxed);
@@ -878,12 +914,16 @@ fn mint_session_id(state: &Arc<RouterState>) -> String {
 /// notice; once bytes have flowed the stream is the worker's to finish
 /// and a mid-stream failure truncates it (the client sees a chunked
 /// body with no terminating chunk and no trailer line).
+///
+/// `deadline_ms` is sent as the worker's `Deadline-Ms`: the client's
+/// deadline less the routing time ([`remaining_budget`]).
 fn tunnel_stream(
     client: &mut TcpStream,
     addr: &str,
     req: &Request,
     body: &str,
     sid: &str,
+    deadline_ms: Option<u64>,
     timeout: Duration,
 ) -> Result<(), GendtError> {
     let sock: SocketAddr = addr
@@ -901,10 +941,11 @@ fn tunnel_stream(
         req.path,
         body.len(),
     );
-    for name in ["Deadline-Ms", traceid::TRACE_HEADER] {
-        if let Some(v) = req.header(name) {
-            head.push_str(&format!("{name}: {v}\r\n"));
-        }
+    if let Some(ms) = deadline_ms {
+        head.push_str(&format!("Deadline-Ms: {ms}\r\n"));
+    }
+    if let Some(v) = req.header(traceid::TRACE_HEADER) {
+        head.push_str(&format!("{}: {v}\r\n", traceid::TRACE_HEADER));
     }
     head.push_str("\r\n");
     worker
@@ -1204,6 +1245,62 @@ mod tests {
         assert_eq!(r.status, 504);
         assert!(r.body.contains("timeout"), "{}", r.body);
         assert_eq!(metrics.forwarded.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn budget_deducts_the_exact_elapsed_time() {
+        let timeout = Duration::from_secs(30);
+        // 600 µs of a 1 ms deadline leave 400 µs: expired, not a fresh 1 ms.
+        let err = remaining_budget(Some(1), Duration::from_micros(600), timeout)
+            .err()
+            .expect("under 1 ms left is expired");
+        assert_eq!(err.kind(), ErrorKind::Timeout);
+        // 600 µs of 2 ms leave 1.4 ms: the worker is told 1.
+        let b =
+            remaining_budget(Some(2), Duration::from_micros(600), timeout).expect("1.4 ms left");
+        assert_eq!(b.propagate_ms, Some(1));
+        assert_eq!(b.timeout, Duration::from_micros(1_400));
+        // No client deadline: nothing propagated, the forward timeout.
+        let b = remaining_budget(None, Duration::from_secs(5), timeout).expect("no deadline");
+        assert_eq!((b.propagate_ms, b.timeout), (None, timeout));
+    }
+
+    #[test]
+    fn stream_tunnel_forwards_the_deducted_deadline() {
+        // A stub worker that records the request head it receives.
+        let worker = TcpListener::bind("127.0.0.1:0").expect("bind stub worker");
+        let worker_addr = worker.local_addr().expect("stub addr").to_string();
+        let seen = thread::spawn(move || {
+            let (mut sock, _) = worker.accept().expect("accept tunnel");
+            let req = read_request(&mut sock).expect("tunneled request");
+            let _ = sock.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
+            req
+        });
+        let front = TcpListener::bind("127.0.0.1:0").expect("bind front");
+        let _client = TcpStream::connect(front.local_addr().expect("front addr")).expect("connect");
+        let (mut relay, _) = front.accept().expect("accept client");
+        let body = "{\"session\":\"s1\"}";
+        let req = Request {
+            method: "POST".to_string(),
+            path: "/v1/stream".to_string(),
+            headers: vec![("Deadline-Ms".to_string(), "2".to_string())],
+            body: body.as_bytes().to_vec(),
+        };
+        let budget = remaining_budget(Some(2), Duration::from_micros(600), Duration::from_secs(5))
+            .expect("1.4 ms left");
+        tunnel_stream(
+            &mut relay,
+            &worker_addr,
+            &req,
+            body,
+            "s1",
+            budget.propagate_ms,
+            Duration::from_secs(5),
+        )
+        .expect("tunnel relays the stub's answer");
+        let got = seen.join().expect("stub worker");
+        assert_eq!(got.header("deadline-ms"), Some("1"));
+        assert_eq!(got.header(SESSION_HEADER), Some("s1"));
     }
 
     #[test]

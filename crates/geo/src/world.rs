@@ -9,7 +9,7 @@
 //! is exercised exactly as it would be with the real sources.
 
 use crate::coords::{LatLon, Projection, XY};
-use crate::landuse::{LandUse, PoiKind};
+use crate::landuse::{LandUse, PoiKind, ENV_ATTRS};
 use gendt_rng::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -401,7 +401,15 @@ impl World {
     /// Environment-context vector at a point: 12 land-use area fractions
     /// followed by 14 PoI counts, all within `radius_m` (paper uses 500 m).
     pub fn env_context(&self, p: XY, radius_m: f64) -> Vec<f64> {
-        let mut out = vec![0.0; LandUse::COUNT + PoiKind::COUNT];
+        let mut out = [0.0; ENV_ATTRS];
+        self.env_context_into(p, radius_m, &mut out);
+        out.to_vec()
+    }
+
+    /// [`World::env_context`] written into `out`, which is overwritten:
+    /// the form for callers that query many points.
+    pub fn env_context_into(&self, p: XY, radius_m: f64, out: &mut [f64; ENV_ATTRS]) {
+        out.fill(0.0);
         // Land-use fractions: sample raster cells whose centers fall in
         // the disc.
         let r_cells = (radius_m / self.cfg.grid_m).ceil() as isize + 1;
@@ -467,7 +475,6 @@ impl World {
                 }
             }
         }
-        out
     }
 
     /// Number of planned sites within `radius_m` of a point.

@@ -144,6 +144,17 @@ impl Deployment {
 
     /// The first `k` ids of [`Deployment::cells_within`]`(p, radius_m)`,
     /// bit for bit: nearest first, ties in row-major bucket-scan order.
+    /// This is [`Deployment::nearest_within_into`] without the distances.
+    pub fn nearest_within(&self, p: XY, radius_m: f64, k: usize) -> Vec<CellId> {
+        let mut found = Vec::new();
+        self.nearest_within_into(p, radius_m, k, &mut found);
+        found.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// [`Deployment::nearest_within`] into `out`, each id paired with its
+    /// cell's distance from `p` (`cell(id).pos.dist(&p)`, bit for bit).
+    /// `out` is cleared first; a caller that keeps it across queries
+    /// allocates nothing once it has grown.
     ///
     /// Candidates come from the 1-km buckets within
     /// `ceil(radius_m / 1 km) + 1` of `p`'s bucket, visited in square rings
@@ -153,19 +164,25 @@ impl Deployment {
     /// not yet visited lies at least that far away. Outside the world
     /// extent that bound does not hold — cells beyond the extent sit
     /// clamped in the edge buckets — so there every ring is scanned.
-    pub fn nearest_within(&self, p: XY, radius_m: f64, k: usize) -> Vec<CellId> {
+    pub fn nearest_within_into(
+        &self,
+        p: XY,
+        radius_m: f64,
+        k: usize,
+        out: &mut Vec<(f64, CellId)>,
+    ) {
+        out.clear();
         if k == 0 {
-            return Vec::new();
+            return;
         }
         let br = (radius_m / self.bucket_m).ceil() as isize + 1;
         let bx = ((p.x + self.extent_m) / self.bucket_m) as isize;
         let by = ((p.y + self.extent_m) / self.bucket_m) as isize;
         let inside = p.x.abs() <= self.extent_m && p.y.abs() <= self.extent_m;
         let edge = |g: isize| -self.extent_m + g as f64 * self.bucket_m;
-        // (distance, rank in the row-major scan).
-        type Candidate = (f64, usize);
-        let key = |a: &Candidate, b: &Candidate| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-        let mut found: Vec<Candidate> = Vec::new();
+        // Candidates are (distance, rank in the row-major scan) until the
+        // final sort, which ranks them; then each rank becomes its id.
+        let key = |a: &(f64, CellId), b: &(f64, CellId)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
         // The radius, then the k-th candidate's distance once k are found:
         // a cell farther away cannot make the cut.
         let mut bound = radius_m;
@@ -174,15 +191,15 @@ impl Deployment {
                 for rank in self.bucket_start[b]..self.bucket_start[b + 1] {
                     let d = self.cells[self.bucket_cells[rank] as usize].pos.dist(&p);
                     if d <= bound {
-                        found.push((d, rank));
+                        out.push((d, rank as CellId));
                     }
                 }
             });
-            if found.len() >= k {
+            if out.len() >= k {
                 // Keep the k best; a dropped candidate stays behind them.
-                found.select_nth_unstable_by(k - 1, key);
-                found.truncate(k);
-                bound = found[k - 1].0;
+                out.select_nth_unstable_by(k - 1, key);
+                out.truncate(k);
+                bound = out[k - 1].0;
             }
             if inside {
                 let clear = (p.x - edge(bx - t))
@@ -195,11 +212,10 @@ impl Deployment {
                 }
             }
         }
-        found.sort_unstable_by(key);
-        found
-            .into_iter()
-            .map(|(_, rank)| self.bucket_cells[rank])
-            .collect()
+        out.sort_unstable_by(key);
+        for c in out.iter_mut() {
+            c.1 = self.bucket_cells[c.1 as usize];
+        }
     }
 
     /// Call `f` with the index of every in-grid bucket at Chebyshev

@@ -222,6 +222,10 @@ pub fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
 /// Tolerates a truncated tail (a stream cut mid-chunk yields the bytes
 /// that made it), which is exactly what a deadline-expired stream
 /// leaves on the wire.
+///
+/// No size cap applies: the payload is never longer than `raw`, which
+/// the caller has already read in full. A `/v1/stream` response for a
+/// long route is legitimately larger than the request-body cap.
 pub fn decode_chunked(raw: &[u8]) -> Result<Vec<u8>, HttpError> {
     let mut out = Vec::with_capacity(raw.len());
     let mut pos = 0usize;
@@ -240,11 +244,6 @@ pub fn decode_chunked(raw: &[u8]) -> Result<Vec<u8>, HttpError> {
         pos += size + 2; // payload + trailing CRLF
         if pos > raw.len() {
             break; // truncated payload
-        }
-        if out.len() > MAX_BODY {
-            return Err(HttpError::TooLarge(format!(
-                "chunked body exceeds {MAX_BODY} bytes"
-            )));
         }
     }
     Ok(out)
@@ -397,6 +396,21 @@ mod tests {
 
         // Garbage size line is an error, not silent truncation.
         assert!(decode_chunked(b"zz\r\nhello\r\n").is_err());
+    }
+
+    #[test]
+    fn chunked_body_larger_than_the_request_cap_decodes() {
+        // A long route's stream: 2 MiB in 32 KiB chunks, twice MAX_BODY.
+        let payload: Vec<u8> = (0..2 * 1024 * 1024).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::new();
+        for chunk in payload.chunks(32 * 1024) {
+            wire.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+            wire.extend_from_slice(chunk);
+            wire.extend_from_slice(b"\r\n");
+        }
+        wire.extend_from_slice(b"0\r\n\r\n");
+        assert!(payload.len() > MAX_BODY);
+        assert_eq!(decode_chunked(&wire).expect("2 MiB chunked body"), payload);
     }
 
     #[test]

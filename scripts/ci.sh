@@ -78,8 +78,11 @@ cargo run --release -p gendt-audit -- chaos
 # bitwise-identical to the one-shot /v1/generate series, that a
 # mid-stream deadline yields a `deadline` trailer with a resumable
 # session, that draining refuses continuations of shed sessions with a
-# typed 503, and that concurrent opens of one route share a single
-# context extraction (the worker's cache-miss counter rises by 1).
+# typed 503, that concurrent opens of one route share a single
+# context extraction (the worker's cache-miss counter rises by 1), and
+# that a 4 h walk streamed one window per chunk with no window budget
+# arrives whole in one response of over 1 MiB, read by the workspace client,
+# with a `complete` trailer and chunks bitwise-equal to one-shot.
 cargo run --release -p gendt-audit -- stream-smoke
 
 # Serving layer (crates/serve): one end-to-end request against an
