@@ -17,13 +17,19 @@
 //! A served context stays resident while its route's sessions live, so
 //! [`RunContext`] stores each distinct cell's four position-independent
 //! attributes once per route and, per step, only what varies.
+//!
+//! A served route's whole context is extracted before its first window
+//! exists, so [`extract`] splits a long route into contiguous parts, one
+//! per thread of the workspace's thread budget, and merges them in route
+//! order into exactly the bytes one pass writes.
 
 use gendt_geo::coords::XY;
-use gendt_geo::landuse::ENV_ATTRS;
-use gendt_geo::trajectory::Trajectory;
-use gendt_geo::world::World;
+use gendt_geo::landuse::{LandUse, ENV_ATTRS};
+use gendt_geo::trajectory::{TrackPoint, Trajectory};
+use gendt_geo::world::{EnvCounts, World};
 use gendt_radio::cells::{CellId, Deployment};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Number of features per cell (`N_c` in the paper).
 pub const CELL_FEATS: usize = 5;
@@ -247,27 +253,67 @@ pub fn cell_features(
 /// Normalize an environment vector: land-use fractions pass through, PoI
 /// counts are log-compressed (`ln(1 + n) / 4`).
 pub fn normalize_env(raw: &[f64]) -> Vec<f32> {
-    normalized_env(raw).collect()
+    raw.iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            if i < LandUse::COUNT {
+                v as f32
+            } else {
+                ((1.0 + v).ln() / 4.0) as f32
+            }
+        })
+        .collect()
 }
 
-/// [`normalize_env`] value by value, for writing straight into a context.
-fn normalized_env(raw: &[f64]) -> impl Iterator<Item = f32> + '_ {
-    raw.iter().enumerate().map(|(i, &v)| {
-        if i < gendt_geo::landuse::LandUse::COUNT {
-            v as f32
-        } else {
-            ((1.0 + v).ln() / 4.0) as f32
-        }
-    })
+/// PoI counts below this normalize by table lookup; larger ones, which a
+/// 500 m disc does not reach in the generated worlds, by the expression.
+const POI_TABLE_LEN: usize = 256;
+
+/// The log-compressed PoI count `ln(1 + n) / 4` of [`normalize_env`], for
+/// an integer count.
+fn poi_feature(n: u32) -> f32 {
+    ((1.0 + f64::from(n)).ln() / 4.0) as f32
 }
+
+/// [`poi_feature`] for every count below [`POI_TABLE_LEN`], built once.
+fn poi_table() -> &'static [f32; POI_TABLE_LEN] {
+    static TABLE: OnceLock<[f32; POI_TABLE_LEN]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|n| poi_feature(n as u32)))
+}
+
+/// `normalize_env` of `counts.to_vector()`, bit for bit, written into
+/// `out`, with each PoI count's logarithm taken from `table`.
+fn write_env(counts: &EnvCounts, table: &[f32; POI_TABLE_LEN], out: &mut [f32]) {
+    let raw = counts.to_vector();
+    let (land_use, poi) = out.split_at_mut(LandUse::COUNT);
+    for (o, &v) in land_use.iter_mut().zip(&raw) {
+        *o = v as f32;
+    }
+    for (o, &n) in poi.iter_mut().zip(&counts.poi) {
+        *o = poi_lookup(table, n);
+    }
+}
+
+/// [`poi_feature`] from `table` when `n` is in it.
+fn poi_lookup(table: &[f32; POI_TABLE_LEN], n: u32) -> f32 {
+    table
+        .get(n as usize)
+        .copied()
+        .unwrap_or_else(|| poi_feature(n))
+}
+
+/// Route points per part below which a route is not split further: a
+/// part costs a thread and a merge.
+const MIN_PART_POINTS: usize = 1024;
 
 /// Extract the full context series for a trajectory.
 ///
-/// The per-point queries write into buffers reused across the route, so
-/// extraction allocates only the context's four vectors and one slot per
-/// deployment cell. A cell's static features are computed once, when
-/// the route first sees it, and its distance feature comes from the
-/// distance the nearest-cells query already measured.
+/// A long route is cut into contiguous parts, one per thread of the
+/// workspace's thread budget (`rayon::current_num_threads`, which
+/// `GENDT_THREADS` sets) but none shorter than [`MIN_PART_POINTS`], and
+/// each part is extracted in a scoped thread, the first on the calling
+/// one. The parts merge in route order, so the context is the one a
+/// single pass writes, byte for byte, whatever the thread count.
 pub fn extract(
     world: &World,
     deployment: &Deployment,
@@ -275,34 +321,160 @@ pub fn extract(
     cfg: &ContextCfg,
 ) -> RunContext {
     let n = traj.points.len();
-    let mut ctx = RunContext {
-        statics: Vec::new(),
-        cells: Vec::new(),
-        cell_ends: Vec::with_capacity(n),
-        env: Vec::with_capacity(n * ENV_ATTRS),
-    };
-    // Row in `ctx.statics` of each deployment cell the route has seen.
-    let mut rows: Vec<Option<u32>> = vec![None; deployment.len()];
-    let mut visible = Vec::new();
-    let mut raw = [0.0; ENV_ATTRS];
-    for pt in &traj.points {
-        deployment.nearest_within_into(pt.pos, cfg.d_s, cfg.max_cells, &mut visible);
-        for &(dist_m, id) in &visible {
-            let row = *rows[id as usize].get_or_insert_with(|| {
-                ctx.statics.push((id, static_features(cfg, deployment, id)));
-                index(ctx.statics.len() - 1)
-            });
-            ctx.cells.push((row, distance_feature(cfg, dist_m)));
-        }
-        ctx.cell_ends.push(index(ctx.cells.len()));
-        world.env_context_into(pt.pos, cfg.env_radius_m, &mut raw);
-        ctx.env.extend(normalized_env(&raw));
+    let parts = (n / MIN_PART_POINTS).clamp(1, rayon::current_num_threads().max(1));
+    extract_in_parts(world, deployment, &traj.points, cfg, n.div_ceil(parts))
+}
+
+/// [`extract`] with parts of `part_len` points (the last one shorter).
+///
+/// Each part interns its cells' static rows in a table of its own, in
+/// first-seen order, and writes its environment rows in place into the
+/// context's one vector. The parts run in contiguous groups, one group
+/// per thread of the budget (one part each in [`extract`]), the first
+/// group on the calling thread. The first part's table is the context's
+/// own; each later part's rows then map through the route's dense slot
+/// map (a row per deployment cell, once seen) onto the context's table,
+/// new cells appended in that part's first-seen order: the order one
+/// pass sees them in.
+fn extract_in_parts(
+    world: &World,
+    deployment: &Deployment,
+    points: &[TrackPoint],
+    cfg: &ContextCfg,
+    part_len: usize,
+) -> RunContext {
+    let n = points.len();
+    if n == 0 {
+        return RunContext::default();
     }
+    let mut env = vec![0.0; n * ENV_ATTRS];
+    let mut parts = points
+        .chunks(part_len)
+        .zip(env.chunks_mut(part_len * ENV_ATTRS))
+        .collect::<Vec<_>>()
+        .into_iter();
+    let per_group = parts.len().div_ceil(rayon::current_num_threads().max(1));
+    let groups: Vec<Vec<_>> = (0..parts.len().div_ceil(per_group))
+        .map(|_| parts.by_ref().take(per_group).collect())
+        .collect();
+    let extracted = std::thread::scope(|scope| {
+        let mut groups = groups.into_iter();
+        let first = groups.next().unwrap_or_default();
+        let rest: Vec<_> = groups
+            .map(|group| scope.spawn(move || extract_group(world, deployment, cfg, group)))
+            .collect();
+        let mut done = extract_group(world, deployment, cfg, first);
+        for group in rest {
+            done.extend(
+                group
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        done
+    });
+    let mut extracted = extracted.into_iter();
+    let mut ctx = extracted.next().unwrap_or_default();
+    // Row in `ctx.statics` of each deployment cell the route has seen.
+    let mut slots: Vec<Option<u32>> = vec![None; deployment.len()];
+    for (row, &(id, _)) in ctx.statics.iter().enumerate() {
+        slots[id as usize] = Some(index(row));
+    }
+    ctx.cell_ends.reserve_exact(n - ctx.len());
+    for part in extracted {
+        ctx.append(part, &mut slots);
+    }
+    ctx.env = env;
     // A served context stays resident for as long as its sessions live:
     // give back the growth slack of the vectors sized on the fly.
     ctx.statics.shrink_to_fit();
     ctx.cells.shrink_to_fit();
     ctx
+}
+
+/// Extract a group of consecutive parts, each against a static table of
+/// its own.
+fn extract_group(
+    world: &World,
+    deployment: &Deployment,
+    cfg: &ContextCfg,
+    parts: Vec<(&[TrackPoint], &mut [f32])>,
+) -> Vec<RunContext> {
+    let mut slots = vec![None; deployment.len()];
+    parts
+        .into_iter()
+        .map(|(points, env)| {
+            let part = extract_part(world, deployment, points, cfg, &mut slots, env);
+            for &(id, _) in &part.statics {
+                slots[id as usize] = None;
+            }
+            part
+        })
+        .collect()
+}
+
+/// One part of a route: its cells against its own static table (rows
+/// interned through `slots`, a dense map from cell id to row), and its
+/// environment rows written into `env`. The part's `env` stays empty.
+///
+/// The per-point queries write into buffers reused across the part, so
+/// a part allocates only its vectors. A cell's static features are
+/// computed when the part first sees it, and its distance feature comes
+/// from the distance the nearest-cells query already measured.
+fn extract_part(
+    world: &World,
+    deployment: &Deployment,
+    points: &[TrackPoint],
+    cfg: &ContextCfg,
+    slots: &mut [Option<u32>],
+    env: &mut [f32],
+) -> RunContext {
+    let mut part = RunContext {
+        cell_ends: Vec::with_capacity(points.len()),
+        ..RunContext::default()
+    };
+    let table = poi_table();
+    let mut visible = Vec::new();
+    for (pt, env) in points.iter().zip(env.chunks_exact_mut(ENV_ATTRS)) {
+        deployment.nearest_within_into(pt.pos, cfg.d_s, cfg.max_cells, &mut visible);
+        for &(dist_m, id) in &visible {
+            let row = *slots[id as usize].get_or_insert_with(|| {
+                part.statics
+                    .push((id, static_features(cfg, deployment, id)));
+                index(part.statics.len() - 1)
+            });
+            part.cells.push((row, distance_feature(cfg, dist_m)));
+        }
+        part.cell_ends.push(index(part.cells.len()));
+        write_env(&world.env_counts(pt.pos, cfg.env_radius_m), table, env);
+    }
+    part
+}
+
+impl RunContext {
+    /// Append the steps of `part`, extracted after this context's last
+    /// step with a static table of its own, through `slots`, this
+    /// context's row for each deployment cell it has seen.
+    fn append(&mut self, part: RunContext, slots: &mut [Option<u32>]) {
+        let rows: Vec<u32> = part
+            .statics
+            .iter()
+            .map(|&(id, feats)| {
+                *slots[id as usize].get_or_insert_with(|| {
+                    self.statics.push((id, feats));
+                    index(self.statics.len() - 1)
+                })
+            })
+            .collect();
+        let base = index(self.cells.len());
+        self.cells.extend(
+            part.cells
+                .iter()
+                .map(|&(row, dist)| (rows[row as usize], dist)),
+        );
+        self.cell_ends
+            .extend(part.cell_ends.iter().map(|&end| base + end));
+    }
 }
 
 #[cfg(test)]
@@ -438,6 +610,71 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), ctx.statics.len());
+    }
+
+    /// A context's private vectors, floats as bits.
+    type Raw = (Vec<(CellId, [u32; 4])>, Vec<(u32, u32)>, Vec<u32>, Vec<u32>);
+
+    fn raw(ctx: &RunContext) -> Raw {
+        (
+            ctx.statics
+                .iter()
+                .map(|&(id, f)| (id, f.map(f32::to_bits)))
+                .collect(),
+            ctx.cells.iter().map(|&(r, d)| (r, d.to_bits())).collect(),
+            ctx.cell_ends.clone(),
+            ctx.env.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn split_extraction_writes_the_vectors_of_one_pass() {
+        use crate::builders::{dataset_a, dataset_b, BuildCfg};
+        let cfg = ContextCfg {
+            max_cells: 8,
+            ..ContextCfg::default()
+        };
+        let w = World::generate(WorldCfg::city(7));
+        let d = Deployment::from_world(&w);
+        let walk = generate(
+            &w,
+            &TrajectoryCfg::new(Scenario::Walk, 4.0 * 3600.0, XY::new(300.0, -200.0), 9),
+        );
+        let mut routes = vec![(w, d, vec![walk])];
+        for ds in [
+            dataset_a(&BuildCfg::quick(42)),
+            dataset_b(&BuildCfg::quick(42)),
+        ] {
+            let trajs = ds.runs.iter().map(|run| run.traj.clone()).collect();
+            routes.push((ds.world, ds.deployment, trajs));
+        }
+        for (w, d, trajs) in &routes {
+            for t in trajs {
+                let n = t.points.len();
+                let one = raw(&extract_in_parts(w, d, &t.points, &cfg, n));
+                assert_eq!(raw(&extract(w, d, t, &cfg)), one, "extract, {n} points");
+                for part_len in [1, 7, 2048] {
+                    let split = extract_in_parts(w, d, &t.points, &cfg, part_len);
+                    assert_eq!(raw(&split), one, "parts of {part_len}, {n} points");
+                    assert_eq!(split.cell_ends.capacity(), n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn poi_table_equals_the_expression_up_to_its_bound_and_past_it() {
+        let table = poi_table();
+        for n in 0..=POI_TABLE_LEN as u32 {
+            let want = ((1.0 + n as f64).ln() / 4.0) as f32;
+            assert_eq!(poi_lookup(table, n).to_bits(), want.to_bits(), "n {n}");
+            let mut raw = [0.0; ENV_ATTRS];
+            raw[LandUse::COUNT] = f64::from(n);
+            assert_eq!(
+                normalize_env(&raw)[LandUse::COUNT].to_bits(),
+                want.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -25,4 +25,4 @@ pub mod world;
 pub use coords::{bearing_diff_deg, LatLon, Projection, XY};
 pub use landuse::{LandUse, PoiKind, ENV_ATTRS};
 pub use trajectory::{generate, generate_complex, Scenario, TrackPoint, Trajectory, TrajectoryCfg};
-pub use world::{District, DistrictKind, Poi, SitePlan, World, WorldCfg};
+pub use world::{District, DistrictKind, EnvCounts, Poi, SitePlan, World, WorldCfg};

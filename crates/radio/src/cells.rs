@@ -4,6 +4,11 @@
 //! azimuths (plus per-site jitter), district-dependent transmit power, and
 //! the `[lat, lon, p_max, direction]` attribute schema the GenDT network
 //! context uses (paper §2.3.3).
+//!
+//! Range queries run over 1-km buckets of sites: co-sited sectors share
+//! a position, so [`Deployment::nearest_within_into`] measures each
+//! site's distance once and expands the nearest sites to their cells in
+//! the order the per-cell scan gave them.
 
 use gendt_geo::coords::{LatLon, XY};
 use gendt_geo::world::{DistrictKind, World};
@@ -42,8 +47,15 @@ pub struct Deployment {
     /// insertion order within a bucket: a cell's position here is its
     /// rank in a row-major scan of the buckets.
     bucket_cells: Vec<CellId>,
-    /// Bucket `b` holds `bucket_cells[bucket_start[b]..bucket_start[b + 1]]`.
-    bucket_start: Vec<usize>,
+    /// Sites in rank order. A site is a run of cells adjacent in
+    /// `bucket_cells` at one position: the sectors of a site from
+    /// [`Deployment::from_world`], and co-sited cells listed together in
+    /// [`Deployment::from_cells`]. Site `s` sits at `site_pos[s]` and
+    /// holds ranks `site_start[s]..site_start[s + 1]`.
+    site_pos: Vec<XY>,
+    site_start: Vec<u32>,
+    /// Bucket `b` holds sites `bucket_sites[b]..bucket_sites[b + 1]`.
+    bucket_sites: Vec<u32>,
 }
 
 /// Transmit EIRP by district: urban sites run lower power (smaller cells),
@@ -100,19 +112,36 @@ impl Deployment {
             let gy = (((c.pos.y + extent_m) / bucket_m) as isize).clamp(0, side as isize - 1);
             buckets[gy as usize * side + gx as usize].push(c.id);
         }
-        let (mut bucket_start, mut total) = (vec![0], 0);
+        let index = |n: usize| u32::try_from(n).expect("at most u32::MAX cells");
+        let (mut site_pos, mut site_start, mut bucket_sites) = (Vec::new(), Vec::new(), vec![0]);
+        let mut rank = 0;
         for b in &buckets {
-            total += b.len();
-            bucket_start.push(total);
+            for (i, &id) in b.iter().enumerate() {
+                let pos = cells[id as usize].pos;
+                if i == 0 || site_pos.last() != Some(&pos) {
+                    site_pos.push(pos);
+                    site_start.push(index(rank));
+                }
+                rank += 1;
+            }
+            bucket_sites.push(index(site_pos.len()));
         }
+        site_start.push(index(rank));
         Deployment {
             cells,
             extent_m,
             bucket_m,
             side,
             bucket_cells: buckets.concat(),
-            bucket_start,
+            site_pos,
+            site_start,
+            bucket_sites,
         }
+    }
+
+    /// The ranks of site `s`'s cells.
+    fn site_ranks(&self, s: usize) -> std::ops::Range<usize> {
+        self.site_start[s] as usize..self.site_start[s + 1] as usize
     }
 
     /// Number of cells.
@@ -154,16 +183,20 @@ impl Deployment {
     /// [`Deployment::nearest_within`] into `out`, each id paired with its
     /// cell's distance from `p` (`cell(id).pos.dist(&p)`, bit for bit).
     /// `out` is cleared first; a caller that keeps it across queries
-    /// allocates nothing once it has grown.
+    /// allocates nothing once it has grown. Any finite `p` is safe; it
+    /// need not lie in the world.
     ///
     /// Candidates come from the 1-km buckets within
     /// `ceil(radius_m / 1 km) + 1` of `p`'s bucket, visited in square rings
-    /// outward from it. After each ring the scan stops once the visited
-    /// block's clearance from `p`, less 1 m for bucket-index rounding,
-    /// exceeds the radius or the `k`-th candidate's distance: every cell
-    /// not yet visited lies at least that far away. Outside the world
-    /// extent that bound does not hold — cells beyond the extent sit
-    /// clamped in the edge buckets — so there every ring is scanned.
+    /// outward from it, and are sites, not cells: each site's distance is
+    /// computed once for all its cells. After each ring the scan stops
+    /// once the visited block's clearance from `p`, less 1 m for
+    /// bucket-index rounding, exceeds the radius or the distance of the
+    /// `k`-th cell found: every cell not yet visited lies at least that far
+    /// away. Outside the world extent that bound does not hold — cells
+    /// beyond the extent sit clamped in the edge buckets — so there every
+    /// ring is scanned. The nearest sites then expand to their cells in
+    /// rank order, up to `k` cells in all, the last site perhaps in part.
     pub fn nearest_within_into(
         &self,
         p: XY,
@@ -175,31 +208,58 @@ impl Deployment {
         if k == 0 {
             return;
         }
-        let br = (radius_m / self.bucket_m).ceil() as isize + 1;
-        let bx = ((p.x + self.extent_m) / self.bucket_m) as isize;
-        let by = ((p.y + self.extent_m) / self.bucket_m) as isize;
+        // The window's buckets along one axis, clipped to the grid. It is
+        // computed in floats, so no point or radius overflows it.
+        let bucket = |v: f64| ((v + self.extent_m) / self.bucket_m).trunc();
+        let reach = (radius_m / self.bucket_m).ceil() + 1.0;
+        let last = (self.side - 1) as f64;
+        let clip = |b: f64| ((b - reach).max(0.0), (b + reach).min(last));
+        let ((x0, x1), (y0, y1)) = (clip(bucket(p.x)), clip(bucket(p.y)));
+        if x0 > x1 || y0 > y1 {
+            return;
+        }
+        let window = [x0, x1, y0, y1].map(|v| v as isize);
+        // Rings centre on p's bucket, moved next to the grid when p is far
+        // outside it: there the scan never stops early, so the order in
+        // which the window's buckets are visited does not matter.
+        let (bx, by) = (
+            bucket(p.x).clamp(-1.0, last + 1.0) as isize,
+            bucket(p.y).clamp(-1.0, last + 1.0) as isize,
+        );
+        let [x0, x1, y0, y1] = window;
+        let rings = (bx - x0).max(x1 - bx).max(by - y0).max(y1 - by);
         let inside = p.x.abs() <= self.extent_m && p.y.abs() <= self.extent_m;
         let edge = |g: isize| -self.extent_m + g as f64 * self.bucket_m;
-        // Candidates are (distance, rank in the row-major scan) until the
-        // final sort, which ranks them; then each rank becomes its id.
+        // Candidates are (distance, site) until the end. Sites are stored
+        // in rank order and a site's cells have consecutive ranks, so
+        // this key orders them as their cells' (distance, rank) does.
         let key = |a: &(f64, CellId), b: &(f64, CellId)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-        // The radius, then the k-th candidate's distance once k are found:
-        // a cell farther away cannot make the cut.
+        // The radius, then the k-th cell's distance once k are found: a
+        // cell farther away cannot make the cut.
         let mut bound = radius_m;
-        for t in 0..=br {
-            self.visit_ring(bx, by, t, |b| {
-                for rank in self.bucket_start[b]..self.bucket_start[b + 1] {
-                    let d = self.cells[self.bucket_cells[rank] as usize].pos.dist(&p);
+        let mut found = 0;
+        for t in 0..=rings {
+            self.visit_ring(bx, by, t, window, |sites| {
+                for s in sites {
+                    let d = self.site_pos[s].dist(&p);
                     if d <= bound {
-                        out.push((d, rank as CellId));
+                        out.push((d, s as CellId));
+                        found += self.site_ranks(s).len();
                     }
                 }
             });
-            if out.len() >= k {
-                // Keep the k best; a dropped candidate stays behind them.
-                out.select_nth_unstable_by(k - 1, key);
-                out.truncate(k);
-                bound = out[k - 1].0;
+            if found >= k {
+                // Keep the fewest nearest sites that hold k cells; a
+                // dropped site's cells all rank behind theirs.
+                out.sort_unstable_by(key);
+                let (mut kept, mut cells) = (0, 0);
+                while cells < k {
+                    cells += self.site_ranks(out[kept].1 as usize).len();
+                    kept += 1;
+                }
+                out.truncate(kept);
+                found = cells;
+                bound = out[kept - 1].0;
             }
             if inside {
                 let clear = (p.x - edge(bx - t))
@@ -213,32 +273,54 @@ impl Deployment {
             }
         }
         out.sort_unstable_by(key);
-        for c in out.iter_mut() {
-            c.1 = self.bucket_cells[c.1 as usize];
+        // Expand in place from the back: site j's cells start at or after
+        // index j, so no site is overwritten before it is read.
+        let n = found.min(k);
+        let sites = out.len();
+        out.resize(n, (0.0, 0));
+        let mut end = found;
+        for j in (0..sites).rev() {
+            let (d, s) = out[j];
+            let ranks = self.site_ranks(s as usize);
+            end -= ranks.len();
+            for (slot, rank) in (end..n).zip(ranks) {
+                out[slot] = (d, self.bucket_cells[rank]);
+            }
         }
+        out.truncate(n);
     }
 
-    /// Call `f` with the index of every in-grid bucket at Chebyshev
-    /// distance exactly `t` from bucket `(bx, by)`.
-    fn visit_ring(&self, bx: isize, by: isize, t: isize, mut f: impl FnMut(usize)) {
-        let side = self.side as isize;
-        let (x0, x1) = ((bx - t).max(0), (bx + t).min(side - 1));
-        let (y0, y1) = ((by - t).max(0), (by + t).min(side - 1));
-        if x0 > x1 || y0 > y1 {
+    /// Call `f` with the sites of every bucket of `window` (`[x0, x1, y0,
+    /// y1]`, inclusive) at Chebyshev distance exactly `t` from bucket
+    /// `(bx, by)`, as index ranges: the buckets of one row are adjacent,
+    /// so their sites form one range.
+    fn visit_ring(
+        &self,
+        bx: isize,
+        by: isize,
+        t: isize,
+        [x0, x1, y0, y1]: [isize; 4],
+        mut f: impl FnMut(std::ops::Range<usize>),
+    ) {
+        let (rx0, rx1) = ((bx - t).max(x0), (bx + t).min(x1));
+        let (ry0, ry1) = ((by - t).max(y0), (by + t).min(y1));
+        if rx0 > rx1 || ry0 > ry1 {
             return;
         }
-        for gy in y0..=y1 {
-            let row = (gy * side) as usize;
+        let sites = |from: isize, to: isize| {
+            self.bucket_sites[from as usize] as usize..self.bucket_sites[to as usize + 1] as usize
+        };
+        let side = self.side as isize;
+        for gy in ry0..=ry1 {
+            let row = gy * side;
             if gy == by - t || gy == by + t {
-                for gx in x0..=x1 {
-                    f(row + gx as usize);
-                }
+                f(sites(row + rx0, row + rx1));
             } else {
-                if bx - t >= 0 {
-                    f(row + (bx - t) as usize);
+                if bx - t >= x0 {
+                    f(sites(row + bx - t, row + bx - t));
                 }
-                if bx + t < side {
-                    f(row + (bx + t) as usize);
+                if bx + t <= x1 {
+                    f(sites(row + bx + t, row + bx + t));
                 }
             }
         }
@@ -314,7 +396,9 @@ mod tests {
                     continue;
                 }
                 let b = gy as usize * d.side + gx as usize;
-                for &id in &d.bucket_cells[d.bucket_start[b]..d.bucket_start[b + 1]] {
+                let (first, end) = (d.bucket_sites[b] as usize, d.bucket_sites[b + 1] as usize);
+                let ranks = d.site_start[first] as usize..d.site_start[end] as usize;
+                for &id in &d.bucket_cells[ranks] {
                     let dist = d.cells[id as usize].pos.dist(&p);
                     if dist <= radius_m {
                         out.push((dist, id));
@@ -482,6 +566,41 @@ mod tests {
         );
         assert_matches_oracle(&d, &[p]);
         assert_eq!(d.nearest_within(p, 250.0, 1), [0]);
+    }
+
+    #[test]
+    fn queries_are_safe_at_any_finite_point() {
+        let (_, d) = deployment();
+        let far = [0.0, 1e30, -1e30, f64::MAX, -f64::MAX];
+        for x in far {
+            for y in far {
+                if x == 0.0 && y == 0.0 {
+                    continue;
+                }
+                let p = XY::new(x, y);
+                for r in [250.0, 2000.0] {
+                    assert!(d.cells_within(p, r).is_empty(), "at {p:?}, r {r}");
+                    assert!(d.nearest_within(p, r, 8).is_empty(), "at {p:?}, r {r}");
+                }
+                // A radius that reaches the world from anywhere: every
+                // cell, nearest first.
+                assert_eq!(d.cells_within(p, f64::INFINITY).len(), d.len(), "at {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sectors_of_a_site_share_one_site_record() {
+        let (w, d) = deployment();
+        assert_eq!(d.site_pos.len(), w.sites.len());
+        assert_eq!(*d.site_start.last().unwrap() as usize, d.len());
+        for s in 0..d.site_pos.len() {
+            let ranks = d.site_ranks(s);
+            assert_eq!(ranks.len(), 3);
+            for r in ranks {
+                assert_eq!(d.cell(d.bucket_cells[r]).pos, d.site_pos[s]);
+            }
+        }
     }
 
     #[test]

@@ -355,6 +355,9 @@ fn wait_for_drain(state: &Arc<ServerState>) {
 /// Start serving. Returns once the listener is bound and workers are up.
 pub fn serve(cfg: ServerCfg) -> Result<ServerHandle, GendtError> {
     cfg.validate()?;
+    // Settle the thread budget (`GENDT_THREADS`) now: context extraction
+    // sizes its split from it, before any forward pass would settle it.
+    gendt_nn::num_threads();
     let registry = Registry::load(&cfg.models_dir)?;
     let world = World::generate(WorldCfg::city(cfg.world_seed));
     let deployment = Deployment::from_world(&world);
@@ -787,13 +790,18 @@ fn resolve_spec(
 ) -> Result<(Arc<ModelEntry>, Arc<RunContext>), GendtError> {
     let scenario = parse_scenario(&parsed.scenario)
         .ok_or_else(|| GendtError::invalid(format!("unknown scenario {:?}", parsed.scenario)))?;
+    // A start outside the world's extent is refused: routes begin in the
+    // world the server models.
+    let extent = state.world.cfg.extent_m;
     if !(parsed.duration_s.is_finite()
         && parsed.duration_s > 0.0
         && parsed.duration_s <= MAX_DURATION_S
-        && parsed.start_x.is_finite()
-        && parsed.start_y.is_finite())
+        && parsed.start_x.abs() <= extent
+        && parsed.start_y.abs() <= extent)
     {
-        return Err(GendtError::invalid("duration/start out of range"));
+        return Err(GendtError::invalid(format!(
+            "duration/start out of range (duration at most {MAX_DURATION_S} s, start within ±{extent} m)"
+        )));
     }
     let entry = state
         .registry

@@ -151,6 +151,41 @@ fn v1_errors_are_typed_envelopes_and_legacy_errors_stay_flat() {
 }
 
 #[test]
+fn start_outside_the_world_is_a_typed_400() {
+    let (handle, addr) = start_server("v1-start");
+    let generate = |x: f64, y: f64| {
+        let body = serde_json::to_string(&GenerateRequest {
+            model: "demo".to_string(),
+            scenario: "walk".to_string(),
+            duration_s: 30.0,
+            start_x: x,
+            start_y: y,
+            traj_seed: 3,
+            sample_seed: 1,
+        })
+        .expect("encode request");
+        http_request_full(&addr, "POST", "/v1/generate", &[], Some(&body)).expect("generate")
+    };
+    // The served world is the 4 km city.
+    for (x, y) in [
+        (1e30, 0.0),
+        (0.0, -1e30),
+        (f64::MAX, -f64::MAX),
+        (4000.5, 0.0),
+    ] {
+        let resp = generate(x, y);
+        assert_eq!(resp.status, 400, "start ({x}, {y}): {}", resp.body);
+        let env: ErrorEnvelope = serde_json::from_str(&resp.body).expect("typed envelope");
+        assert_eq!(env.code, "invalid_request");
+        assert!(!env.retryable);
+    }
+    // The extent's corner is still in the world.
+    let resp = generate(-4000.0, 4000.0);
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    handle.shutdown();
+}
+
+#[test]
 fn expired_deadline_times_out_with_retryable_envelope() {
     let (handle, addr) = start_server("v1-deadline");
 

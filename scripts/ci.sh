@@ -16,6 +16,10 @@ cargo test -q
 # training, serving and the benchmark run: the bitwise oracles must hold
 # for the code that ships, not only for the debug build.
 cargo test -q --release -p gendt-nn
+# The context-extraction oracles likewise: the environment, nearest-cell
+# and split-merge tests pin the optimized queries to the per-point loops
+# they replaced, bit for bit, on the codegen that ships.
+cargo test -q --release -p gendt-geo -p gendt-radio -p gendt-data
 # Every target: tests, benches and examples are linted as well as the
 # library and binary code.
 cargo clippy --workspace --all-targets -- -D warnings
