@@ -309,7 +309,7 @@ const MIN_PART_POINTS: usize = 1024;
 /// Extract the full context series for a trajectory.
 ///
 /// A long route is cut into contiguous parts, one per thread of the
-/// workspace's thread budget (`rayon::current_num_threads`, which
+/// workspace's thread budget ([`gendt_nn::num_threads`], which
 /// `GENDT_THREADS` sets) but none shorter than [`MIN_PART_POINTS`], and
 /// each part is extracted in a scoped thread, the first on the calling
 /// one. The parts merge in route order, so the context is the one a
@@ -321,7 +321,7 @@ pub fn extract(
     cfg: &ContextCfg,
 ) -> RunContext {
     let n = traj.points.len();
-    let parts = (n / MIN_PART_POINTS).clamp(1, rayon::current_num_threads().max(1));
+    let parts = (n / MIN_PART_POINTS).clamp(1, gendt_nn::num_threads());
     extract_in_parts(world, deployment, &traj.points, cfg, n.div_ceil(parts))
 }
 
@@ -353,7 +353,7 @@ fn extract_in_parts(
         .zip(env.chunks_mut(part_len * ENV_ATTRS))
         .collect::<Vec<_>>()
         .into_iter();
-    let per_group = parts.len().div_ceil(rayon::current_num_threads().max(1));
+    let per_group = parts.len().div_ceil(gendt_nn::num_threads());
     let groups: Vec<Vec<_>> = (0..parts.len().div_ceil(per_group))
         .map(|_| parts.by_ref().take(per_group).collect())
         .collect();

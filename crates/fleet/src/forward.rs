@@ -10,7 +10,7 @@
 use crate::membership::Probe;
 use gendt_faults::GendtError;
 use gendt_serve::api::InfoResponse;
-use gendt_serve::http::HttpResponse;
+use gendt_serve::http::{request_message, HttpResponse};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -61,21 +61,15 @@ fn timed_request(
         .set_write_timeout(Some(timeout))
         .map_err(|e| io_unavailable("configuring socket to", addr, &e))?;
 
-    let body_bytes = body.unwrap_or("").as_bytes();
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body_bytes.len()
+    let msg = request_message(
+        method,
+        path,
+        addr,
+        extra_headers,
+        body.unwrap_or("").as_bytes(),
     );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body_bytes))
+        .write_all(&msg)
         .and_then(|()| stream.flush())
         .map_err(|e| io_unavailable("writing to worker", addr, &e))?;
 

@@ -29,7 +29,7 @@ use gendt_serve::api::{
     SESSION_OWNER_HEADER,
 };
 use gendt_serve::http::{
-    read_request, write_json, write_json_extra, write_response_extra, Request,
+    read_request, request_message, write_json, write_json_extra, write_response_extra, Request,
 };
 use gendt_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use gendt_sync::mpsc::{self, RecvTimeoutError};
@@ -936,21 +936,16 @@ fn tunnel_stream(
         .and_then(|()| worker.set_write_timeout(Some(timeout)))
         .map_err(|e| GendtError::unavailable(format!("configuring socket to {addr}: {e}")))?;
 
-    let mut head = format!(
-        "POST {} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n{SESSION_HEADER}: {sid}\r\n",
-        req.path,
-        body.len(),
+    let ms = deadline_ms.map(|ms| ms.to_string());
+    let mut extra = vec![(SESSION_HEADER, sid)];
+    extra.extend(ms.as_deref().map(|ms| ("Deadline-Ms", ms)));
+    extra.extend(
+        req.header(traceid::TRACE_HEADER)
+            .map(|v| (traceid::TRACE_HEADER, v)),
     );
-    if let Some(ms) = deadline_ms {
-        head.push_str(&format!("Deadline-Ms: {ms}\r\n"));
-    }
-    if let Some(v) = req.header(traceid::TRACE_HEADER) {
-        head.push_str(&format!("{}: {v}\r\n", traceid::TRACE_HEADER));
-    }
-    head.push_str("\r\n");
+    let msg = request_message("POST", &req.path, addr, &extra, body.as_bytes());
     worker
-        .write_all(head.as_bytes())
-        .and_then(|()| worker.write_all(body.as_bytes()))
+        .write_all(&msg)
         .and_then(|()| worker.flush())
         .map_err(|e| GendtError::unavailable(format!("writing to worker {addr}: {e}")))?;
 

@@ -10,9 +10,13 @@
 //! * **One executor.** [`Plan::eval`] and [`Plan::backward_step`] hold the
 //!   only forward and backward arithmetic of every op. Recording runs on
 //!   them too: a record-mode [`Graph`] is a plan under construction whose
-//!   steps are all [`Kind::Plain`], with one value and one gradient buffer
-//!   per node ([`Plan::record`]); [`Graph::into_plan`] frees those buffers
-//!   and compiles the recorded steps.
+//!   steps are all [`Kind::Plain`], each with its own value buffer and a
+//!   gradient buffer allocated when a gradient first reaches it
+//!   ([`Plan::record`]). The recorded backward frees each step's gradient
+//!   once the step has pushed it to its inputs ([`Plan::free_grad`]), so
+//!   afterwards only the leaves that take a gradient (parameters, inputs
+//!   built with one) and the loss still hold theirs; [`Graph::into_plan`]
+//!   frees the value buffers and compiles the recorded steps.
 //! * **Liveness + arena.** A first-use/last-use interval pass assigns
 //!   every value and gradient to a slot in a reusable arena. Slots are
 //!   `Matrix` buffers allocated once at compile time and rebound
@@ -330,8 +334,10 @@ impl Plan {
     /// Record mode: append `op` as an unfused [`Kind::Plain`] step with
     /// its own value buffer (holding `value` for a leaf, otherwise
     /// allocated empty at the step's size) and its own gradient buffer,
-    /// which stays unallocated until a gradient reaches it. Returns the
-    /// step index; the caller evaluates it with [`Plan::eval`].
+    /// which stays unallocated until a gradient reaches it and, unless
+    /// the step is a leaf or the loss, is freed again by the recorded
+    /// backward ([`Plan::free_grad`]). Returns the step index; the caller
+    /// evaluates it with [`Plan::eval`].
     pub(crate) fn record(
         &mut self,
         op: Op,
@@ -380,10 +386,27 @@ impl Plan {
     }
 
     /// Gradient of step `i` from the last backward pass, if one reached
-    /// it. Meaningful on a recorded plan, which keeps one gradient buffer
-    /// per step; an arena slot may since hold another binding.
+    /// it and it is still held. Meaningful on a recorded plan, where the
+    /// leaves and the loss keep their gradients after backward and every
+    /// other step's is freed once pushed to its inputs; on a compiled
+    /// plan an arena slot may since hold another binding.
     pub(crate) fn grad(&self, i: usize) -> Option<&Matrix> {
         self.grad_present[i].then(|| self.grad_ref(i))
+    }
+
+    /// Record mode: free step `i`'s gradient buffer once its backward
+    /// step has pushed its contributions to its inputs. Afterwards
+    /// [`Plan::grad`] reports no gradient for it.
+    pub(crate) fn free_grad(&mut self, i: usize) {
+        self.slots[self.steps[i].grad_slot as usize] = Matrix::default();
+        self.grad_present[i] = false;
+    }
+
+    /// Capacity of step `i`'s gradient buffer: on a recorded plan, the
+    /// step's own buffer, allocated or not.
+    #[cfg(test)]
+    pub(crate) fn grad_capacity(&self, i: usize) -> usize {
+        self.grad_ref(i).data.capacity()
     }
 
     // -----------------------------------------------------------------

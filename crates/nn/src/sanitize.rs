@@ -13,8 +13,8 @@
 //!
 //! The checks wrap the plan executor only while recording — each
 //! recorded op runs unfused, with its own value and gradient buffer, so
-//! every value and gradient is still there to inspect — and never a
-//! replay. So while the mode is on, [`crate::plan::PlanCache::run`]
+//! every value, and every gradient until its node has pushed it on, is
+//! there to inspect — and never a replay. So while the mode is on, [`crate::plan::PlanCache::run`]
 //! records every step instead of replaying compiled plans.
 //!
 //! The checks cost one linear scan per recorded node and per gradient,

@@ -138,8 +138,8 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Write a complete response and flush. Always `Connection: close`.
-pub fn write_response(
-    stream: &mut TcpStream,
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     reason: &str,
     content_type: &str,
@@ -148,10 +148,30 @@ pub fn write_response(
     write_response_extra(stream, status, reason, content_type, &[], body)
 }
 
+/// Append `name: value` header lines and the blank line that ends the
+/// header block.
+fn end_head<K: AsRef<str>, V: AsRef<str>>(head: &mut String, extra: &[(K, V)]) {
+    for (name, value) in extra {
+        head.push_str(name.as_ref());
+        head.push_str(": ");
+        head.push_str(value.as_ref());
+        head.push_str("\r\n");
+    }
+    head.push_str("\r\n");
+}
+
+/// Head and body as one buffer, so a message leaves in one write.
+fn message(head: String, body: &[u8]) -> Vec<u8> {
+    let mut msg = head.into_bytes();
+    msg.extend_from_slice(body);
+    msg
+}
+
 /// [`write_response`] with extra headers (`Retry-After`, `Deprecation`,
-/// ...) between the standard block and the body.
-pub fn write_response_extra(
-    stream: &mut TcpStream,
+/// ...) between the standard block and the body. Head and body leave in
+/// one write.
+pub fn write_response_extra<W: Write>(
+    stream: &mut W,
     status: u16,
     reason: &str,
     content_type: &str,
@@ -162,23 +182,33 @@ pub fn write_response_extra(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         body.len()
     );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    end_head(&mut head, extra);
+    stream.write_all(&message(head, body))?;
     stream.flush()
+}
+
+/// A client request to `host`: request line, JSON content type, length,
+/// `Connection: close`, the `extra` headers and the body, in one buffer.
+pub fn request_message<K: AsRef<str>, V: AsRef<str>>(
+    method: &str,
+    path: &str,
+    host: &str,
+    extra: &[(K, V)],
+    body: &[u8],
+) -> Vec<u8> {
+    let mut head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+        body.len()
+    );
+    end_head(&mut head, extra);
+    message(head, body)
 }
 
 /// Start a chunked response: status line and headers with
 /// `Transfer-Encoding: chunked` instead of `Content-Length`. Follow
 /// with [`write_chunk`] calls and one [`finish_chunked`].
-pub fn write_chunked_head(
-    stream: &mut TcpStream,
+pub fn write_chunked_head<W: Write>(
+    stream: &mut W,
     status: u16,
     reason: &str,
     content_type: &str,
@@ -187,34 +217,40 @@ pub fn write_chunked_head(
     let mut head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n"
     );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
+    end_head(&mut head, extra);
     stream.write_all(head.as_bytes())?;
     stream.flush()
 }
 
-/// Write one HTTP/1.1 chunk (size line, payload, CRLF) and flush so
-/// the client sees the span as soon as the scheduler produced it.
-/// Empty payloads are skipped — a zero-size chunk would terminate the
-/// stream.
-pub fn write_chunk(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
+/// Append one HTTP/1.1 chunk (size line, payload, CRLF) to `msg`.
+fn push_chunk(msg: &mut Vec<u8>, payload: &[u8]) {
+    msg.extend_from_slice(format!("{:x}\r\n", payload.len()).as_bytes());
+    msg.extend_from_slice(payload);
+    msg.extend_from_slice(b"\r\n");
+}
+
+/// Write one HTTP/1.1 chunk in one write and flush, so the client sees
+/// the span as soon as the scheduler produced it. Empty payloads are
+/// skipped — a zero-size chunk would terminate the stream.
+pub fn write_chunk<W: Write>(stream: &mut W, payload: &[u8]) -> std::io::Result<()> {
     if payload.is_empty() {
         return Ok(());
     }
-    stream.write_all(format!("{:x}\r\n", payload.len()).as_bytes())?;
-    stream.write_all(payload)?;
-    stream.write_all(b"\r\n")?;
+    let mut msg = Vec::with_capacity(payload.len() + 12);
+    push_chunk(&mut msg, payload);
+    stream.write_all(&msg)?;
     stream.flush()
 }
 
-/// Terminate a chunked response with the zero-size chunk.
-pub fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
+/// Terminate a chunked response: the chunk `last` (none when empty) and
+/// the zero-size chunk, in one write.
+pub fn finish_chunked<W: Write>(stream: &mut W, last: &[u8]) -> std::io::Result<()> {
+    let mut msg = Vec::with_capacity(last.len() + 17);
+    if !last.is_empty() {
+        push_chunk(&mut msg, last);
+    }
+    msg.extend_from_slice(b"0\r\n\r\n");
+    stream.write_all(&msg)?;
     stream.flush()
 }
 
@@ -321,20 +357,8 @@ pub fn http_request_full(
     body: Option<&str>,
 ) -> Result<HttpResponse, HttpError> {
     let mut stream = TcpStream::connect(addr).map_err(HttpError::Io)?;
-    let body_bytes = body.unwrap_or("").as_bytes();
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body_bytes.len()
-    );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes()).map_err(HttpError::Io)?;
-    stream.write_all(body_bytes).map_err(HttpError::Io)?;
+    let msg = request_message(method, path, addr, extra, body.unwrap_or("").as_bytes());
+    stream.write_all(&msg).map_err(HttpError::Io)?;
     stream.flush().map_err(HttpError::Io)?;
 
     let mut raw = Vec::new();
@@ -376,6 +400,70 @@ pub fn http_request_full(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writer that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Each message leaves in one write, carrying the bytes the helpers
+    /// used to send piece by piece (head, body; size line, payload, CRLF;
+    /// trailer chunk, terminator).
+    #[test]
+    fn each_message_is_one_write_of_the_same_bytes() {
+        let extra = [("Retry-After", "1"), ("X-Trace-Id", "00ab")];
+        let body = br#"{"ok":true}"#;
+        let mut w = Writes::default();
+        write_response_extra(
+            &mut w,
+            503,
+            "Service Unavailable",
+            "application/json",
+            &extra,
+            body,
+        )
+        .unwrap();
+        let head = "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                    Content-Length: 11\r\nConnection: close\r\nRetry-After: 1\r\n\
+                    X-Trace-Id: 00ab\r\n\r\n";
+        assert_eq!(w.0, vec![[head.as_bytes(), body].concat()]);
+
+        let mut w = Writes::default();
+        write_chunked_head(&mut w, 200, "OK", "application/x-ndjson", &extra[1..]).unwrap();
+        write_chunk(&mut w, b"").unwrap();
+        write_chunk(&mut w, b"{\"seq\":0}\n").unwrap();
+        finish_chunked(&mut w, b"{\"done\":true}\n").unwrap();
+        finish_chunked(&mut w, b"").unwrap();
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                    Transfer-Encoding: chunked\r\nConnection: close\r\nX-Trace-Id: 00ab\r\n\r\n";
+        let want: [&[u8]; 4] = [
+            head.as_bytes(),
+            b"a\r\n{\"seq\":0}\n\r\n",
+            b"e\r\n{\"done\":true}\n\r\n0\r\n\r\n",
+            b"0\r\n\r\n",
+        ];
+        assert_eq!(w.0, want.map(<[u8]>::to_vec));
+
+        let msg = request_message("POST", "/v1/stream", "127.0.0.1:9", &extra[1..], body);
+        let head = "POST /v1/stream HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\
+                    Content-Type: application/json\r\nContent-Length: 11\r\n\
+                    Connection: close\r\nX-Trace-Id: 00ab\r\n\r\n";
+        assert_eq!(msg, [head.as_bytes(), body].concat());
+        let none: [(&str, &str); 0] = [];
+        let msg = request_message("GET", "/v1/models", "h", &none, b"");
+        let head = "GET /v1/models HTTP/1.1\r\nHost: h\r\nContent-Type: application/json\r\n\
+                    Content-Length: 0\r\nConnection: close\r\n\r\n";
+        assert_eq!(msg, head.as_bytes());
+    }
 
     #[test]
     fn header_end_detection() {

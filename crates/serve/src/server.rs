@@ -355,9 +355,6 @@ fn wait_for_drain(state: &Arc<ServerState>) {
 /// Start serving. Returns once the listener is bound and workers are up.
 pub fn serve(cfg: ServerCfg) -> Result<ServerHandle, GendtError> {
     cfg.validate()?;
-    // Settle the thread budget (`GENDT_THREADS`) now: context extraction
-    // sizes its split from it, before any forward pass would settle it.
-    gendt_nn::num_threads();
     let registry = Registry::load(&cfg.models_dir)?;
     let world = World::generate(WorldCfg::city(cfg.world_seed));
     let deployment = Deployment::from_world(&world);
@@ -1011,7 +1008,8 @@ fn handle_stream(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request
     stream_session(state, stream, sess, budget, deadline);
 }
 
-/// Write the final NDJSON trailer line and the terminal chunk.
+/// Write the final NDJSON trailer line and the terminal chunk, in one
+/// write.
 fn emit_trailer(
     stream: &mut TcpStream,
     sess: &StreamSession,
@@ -1029,8 +1027,7 @@ fn emit_trailer(
     };
     let mut line = encode(&trailer);
     line.push('\n');
-    let _ = write_chunk(stream, line.as_bytes());
-    let _ = finish_chunked(stream);
+    let _ = finish_chunked(stream, line.as_bytes());
 }
 
 /// The streaming loop: submit one chunk at a time (so streaming

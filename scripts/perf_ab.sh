@@ -17,6 +17,11 @@
 #   - `workloads.<name>.rows.<row>`: the same for the ungated latency
 #     and throughput rows (`light_p50_ms`, `busy_p95_ms`, `saturated_rps`);
 #   - `runs`: every run's final JSON line, with its rows, seed and order.
+# Then prints the bench-diff on stdout: one line per workload and
+# end-to-end metric with BASE median -> HEAD median, the change in
+# percent and HEAD's wins over the pairs, flagged WORSE when the change
+# goes the metric's worse way by more than BASE's IQR or by more than
+# its BENCHMARK.json `bound`, read as a relative change.
 # Quantiles interpolate linearly between order statistics. Nothing under
 # perfbench/ is touched; each extracted tree keeps its own build.
 # Run from a quiet machine: the two sides share it, so any other load
@@ -44,6 +49,25 @@ seconds=$(jq -r '.run_seconds' BENCHMARK.json)
 first_seed=$(( $(date +%s) % 1000000 ))
 
 tree() { echo "$work/$1"; }
+
+# The bench-diff table of a BENCH_perf.json (see the header).
+bench_diff() {
+  jq -r '.workloads | to_entries[] | .key as $w | .value.end_to_end | to_entries[]
+    | .value as $v
+    | if $v.base.median == null or $v.head.median == null then [$w, .key, "no data"] else
+        ($v.head.median - $v.base.median) as $gap
+        | (if $v.better == "lower" then $gap > 0 else $gap < 0 end) as $worse
+        | [if $worse and ($gap | fabs) > $v.base.iqr then "base IQR" else empty end,
+           if $worse and $v.bound != null and ($gap | fabs) > $v.bound * ($v.base.median | fabs)
+           then "bound \($v.bound * 100)%" else empty end] as $beyond
+        | [$w, .key, $v.base.median, $v.head.median, $v.unit, $v.change_pct, $v.head_wins, $v.pairs,
+           (if $beyond == [] then "" else "WORSE beyond " + ($beyond | join(" and ")) end)]
+      end | @tsv' "$1" |
+    awk -F '\t' '{
+      if (NF < 9) { printf "%-9s %-18s %s\n", $1, $2, $3; next }
+      printf "%-9s %-18s %10.4g -> %-10.4g %-4s %+7.2f%%  %2d/%-2d %s\n", $1, $2, $3, $4, $5, $6, $7, $8, $9
+    }'
+}
 
 for rev in "$base" "$head"; do
   dir=$(tree "$rev")
@@ -144,3 +168,4 @@ jq -s \
       runs: $runs
     }' "$runs/runs.jsonl" >BENCH_perf.json
 echo "perf_ab: wrote BENCH_perf.json (runs in $runs)" >&2
+bench_diff BENCH_perf.json
