@@ -43,8 +43,9 @@ cargo run --release -p gendt-audit -- smoke
 cargo run --release -p gendt-audit -- trace-smoke
 
 # Plan parity gate: compiled plans (how train and generate run) must be
-# bitwise-identical to record mode (every op unfused, one buffer per
-# node), forced by GENDT_SANITIZE, for training (weights + loss trace)
+# bitwise-identical to record mode (every op unfused, one value buffer
+# per node, each gradient freed once its node has passed it on), forced
+# by GENDT_SANITIZE, for training (weights + loss trace)
 # and for single, batched and chunked generation, including cached
 # replays and a replay after a cache miss released the plan arenas. It
 # checks what can differ between the two: fusion, arena binding, and
