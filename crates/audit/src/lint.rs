@@ -103,7 +103,7 @@ const NO_UNWRAP_NONTEST: &[&str] = &[
     // The session table sits inside every /v1/stream response; a panic
     // here takes the whole streaming connection pool down with it.
     "crates/serve/src/session.rs",
-    // Every generate and stream open resolves its context here; a
+    // Every generate and stream open resolves its route here; a
     // panicking resolver would also strand the requests waiting on it.
     "crates/serve/src/cache.rs",
     // The fleet routing path: a panicking router connection thread

@@ -348,7 +348,7 @@ fn run_plan_parity() -> bool {
     };
     let items = batch(&[8, 9]);
     // Chunked generation: one window per call, cursor carried across.
-    let windows = generation_window_count(&ctx, &cfg.generation_window());
+    let windows = generation_window_count(ctx.len(), &cfg.generation_window());
     let chunked = |m: &GenDt| {
         let mut items = [GenChunkItem {
             ctx: &ctx,

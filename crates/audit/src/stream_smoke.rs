@@ -7,7 +7,9 @@
 //! 1. **Parity** — a session opened with `max_windows` budgets and
 //!    continued to completion must concatenate, chunk by chunk across
 //!    responses, to a series bitwise-identical to the one-shot
-//!    `/v1/generate` answer for the same spec and seed.
+//!    `/v1/generate` answer for the same spec and seed; a one-window
+//!    continuation raises `gendt_serve_context_steps_extracted_total`
+//!    by exactly one window's steps.
 //! 2. **Deadline mid-stream** — a request carrying `Deadline-Ms: 1`
 //!    ends with a `deadline` trailer and an open session; a follow-up
 //!    continuation finishes the series, and the union of both
@@ -15,16 +17,18 @@
 //! 3. **Drain with open sessions** — after `POST /v1/shutdown`, a
 //!    paused session's continuation is refused with a typed 503 (the
 //!    drain shed its state; nothing hangs, nothing panics).
-//! 4. **One extraction per route** — concurrent opens of one route,
+//! 4. **One synthesis per route** — concurrent opens of one route,
 //!    released together, raise the worker's
 //!    `gendt_serve_context_cache_misses_total` by exactly 1 (the opens
-//!    share one single-flight extraction), and every session's chunks
-//!    still equal the one-shot series.
+//!    share one single-flight trajectory synthesis), and every
+//!    session's chunks still equal the one-shot series.
 //! 5. **Long route in one response** — a 4 h walk opened with one
 //!    window per chunk and no window budget streams its whole series in
 //!    one response, over 1 MiB; the workspace client reads all of it,
-//!    the trailer reads `complete`, and the chunks equal the one-shot
-//!    series.
+//!    the trailer reads `complete`, the chunks equal the one-shot
+//!    series, and the stream extracted the context of exactly
+//!    `total_windows` windows' steps: each step once, when its window
+//!    was generated.
 //!
 //! Every window of every checked series is compared exactly; a single
 //! flipped bit anywhere fails the gate.
@@ -43,7 +47,7 @@ const SEED: u64 = 11;
 
 /// Run the gate; prints its findings and returns overall success.
 pub fn run() -> bool {
-    println!("== stream-smoke: /v1/stream parity, deadline, drain, shared context, long route ==");
+    println!("== stream-smoke: /v1/stream parity, deadline, drain, shared route, long route ==");
     let ok = match smoke() {
         Ok(()) => true,
         Err(e) => {
@@ -91,13 +95,13 @@ fn start_server(dir: &std::path::Path) -> Result<(ServerHandle, String), GendtEr
 /// Route length of the parity and drain passes, seconds.
 const SHORT_ROUTE_S: f64 = 30.0;
 
-/// Route length of the deadline pass: extracting its 3,600 points
-/// outlasts a 1 ms deadline on any host, and one response still
+/// Route length of the deadline pass: streaming its 360 windows takes
+/// far longer than a 1 ms deadline on any host, and one response still
 /// carries the whole series.
 const DEADLINE_ROUTE_S: f64 = 3600.0;
 
-/// Route length of the shared-context pass: the longest a request may
-/// ask for, so its extraction (tens of milliseconds) spans the opens.
+/// Route length of the shared-route and long-route passes: the longest
+/// a request may ask for.
 const LONG_ROUTE_S: f64 = 4.0 * 3600.0;
 
 fn open_body(duration_s: f64, chunk_windows: usize, max_windows: usize) -> String {
@@ -154,6 +158,14 @@ fn parse_stream(resp: &HttpResponse) -> Result<(Vec<StreamChunk>, StreamTrailer)
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| fail(format!("bad chunk line: {e}")))?;
     Ok((chunks, trailer))
+}
+
+/// The model's window length, from the first chunk of a stream.
+fn window_len(chunks: &[StreamChunk]) -> Result<usize, GendtError> {
+    match chunks.first() {
+        Some(c) if c.windows > 0 => Ok(c.series.len() / c.windows),
+        _ => Err(fail("no chunk to read the window length from")),
+    }
 }
 
 fn concat_into(acc: &mut Vec<Vec<f64>>, chunks: &[StreamChunk]) {
@@ -213,12 +225,25 @@ fn parity_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     let (chunks, trailer) = parse_stream(&resp)?;
     let mut cat: Vec<Vec<f64>> = Vec::new();
     concat_into(&mut cat, &chunks);
+    if trailer.done || trailer.reason != stream_reason::PAUSED {
+        return Err(fail(format!("budgeted open ended {:?}", trailer.reason)));
+    }
+    // A one-window continuation extracts exactly one window's steps.
+    let before = steps_extracted(&addr)?;
+    let cont = format!("{{\"session\":{sid:?},\"max_windows\":1}}");
+    let (one, trailer) = parse_stream(&http(&addr, "/v1/stream", &[], Some(&cont))?)?;
+    let extracted = steps_extracted(&addr)? - before;
+    let window_len = window_len(&chunks)?;
+    if one.len() != 1 || extracted != window_len as u64 {
+        return Err(fail(format!(
+            "a one-window continuation streamed {} chunks and extracted {extracted} steps, want 1 and {window_len}",
+            one.len()
+        )));
+    }
+    concat_into(&mut cat, &one);
     let trailer = if trailer.done {
         trailer
     } else {
-        if trailer.reason != stream_reason::PAUSED {
-            return Err(fail(format!("budgeted open ended {:?}", trailer.reason)));
-        }
         drain_session(&addr, &sid, &mut cat, 3)?
     };
     if trailer.reason != stream_reason::COMPLETE {
@@ -241,8 +266,10 @@ fn parity_pass(dir: &std::path::Path) -> Result<(), GendtError> {
 /// and parity across the expired response plus its continuation.
 fn deadline_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     let (handle, addr) = start_server(dir)?;
-    // The open is the route's first request, so extracting its context
-    // (a cache miss) outlasts the 1 ms deadline whatever the host.
+    // The open synthesizes the route, then each chunk extracts and
+    // generates its window; the deadline expires at one of the loop's
+    // checks between chunks (or in the queue), long before the route's
+    // last window.
     let resp = http(
         &addr,
         "/v1/stream",
@@ -321,21 +348,31 @@ fn drain_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     Ok(())
 }
 
-/// The worker's context-cache miss counter, scraped from `/v1/metrics`.
-fn cache_misses(addr: &str) -> Result<u64, GendtError> {
+/// A counter of the worker's, scraped from `/v1/metrics`.
+fn counter(addr: &str, name: &str) -> Result<u64, GendtError> {
     let resp = http_request_full(addr, "GET", "/v1/metrics", &[], None)
         .map_err(|e| fail(format!("GET /v1/metrics: {e}")))?;
     resp.body
         .lines()
-        .find_map(|l| l.strip_prefix("gendt_serve_context_cache_misses_total "))
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
         .and_then(|v| v.trim().parse().ok())
-        .ok_or_else(|| fail("/v1/metrics has no context-cache miss counter"))
+        .ok_or_else(|| fail(format!("/v1/metrics has no {name}")))
 }
 
-/// Concurrent opens of one not-yet-cached route: exactly one
-/// extraction between them, and every session still bitwise-equal to
-/// the one-shot series.
-fn shared_context_pass(dir: &std::path::Path) -> Result<(), GendtError> {
+/// The route cache's misses: one per route synthesis.
+fn cache_misses(addr: &str) -> Result<u64, GendtError> {
+    counter(addr, "gendt_serve_context_cache_misses_total")
+}
+
+/// Route steps whose context the worker has extracted.
+fn steps_extracted(addr: &str) -> Result<u64, GendtError> {
+    counter(addr, "gendt_serve_context_steps_extracted_total")
+}
+
+/// Concurrent opens of one not-yet-cached route: the flight is one
+/// trajectory synthesis, exactly one between them, and every session
+/// is still bitwise-equal to the one-shot series.
+fn shared_route_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     const OPENS: usize = 6;
     let (handle, addr) = start_server(dir)?;
     let before = cache_misses(&addr)?;
@@ -361,30 +398,32 @@ fn shared_context_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     for h in opens {
         sessions.push(h.join().map_err(|_| fail("open thread panicked"))??);
     }
-    let extractions = cache_misses(&addr)? - before;
-    if extractions != 1 {
+    let syntheses = cache_misses(&addr)? - before;
+    if syntheses != 1 {
         return Err(fail(format!(
-            "{OPENS} concurrent opens of one route ran {extractions} extractions, want 1"
+            "{OPENS} concurrent opens of one route ran {syntheses} route syntheses, want 1"
         )));
     }
     let reference = one_shot(&addr, LONG_ROUTE_S)?;
     if sessions.iter().any(|cat| *cat != reference) {
         return Err(fail(
-            "shared context: a concurrently opened session diverged from one-shot",
+            "shared route: a concurrently opened session diverged from one-shot",
         ));
     }
     println!(
-        "  shared context: {OPENS} concurrent opens, 1 extraction, every session bitwise-equal to one-shot"
+        "  shared route: {OPENS} concurrent opens, 1 route synthesis, every session bitwise-equal to one-shot"
     );
     handle.shutdown();
     Ok(())
 }
 
 /// The longest route a request may ask for, one window per chunk and
-/// no budget: a single response carries every window, and the client
-/// must read it whole.
+/// no budget: a single response carries every window, the client must
+/// read it whole, and each chunk extracts its own window's steps and
+/// no others.
 fn long_route_pass(dir: &std::path::Path) -> Result<(), GendtError> {
     let (handle, addr) = start_server(dir)?;
+    let before = steps_extracted(&addr)?;
     let resp = http(
         &addr,
         "/v1/stream",
@@ -398,17 +437,27 @@ fn long_route_pass(dir: &std::path::Path) -> Result<(), GendtError> {
             trailer.reason, trailer.done
         )));
     }
+    let extracted = steps_extracted(&addr)? - before;
     let mut cat: Vec<Vec<f64>> = Vec::new();
     concat_into(&mut cat, &chunks);
+    let window_len = window_len(&chunks)?;
+    let want = (trailer.total_windows * window_len) as u64;
+    if extracted != want {
+        return Err(fail(format!(
+            "long route: streaming {} windows of {window_len} steps extracted {extracted} steps, want {want}",
+            trailer.total_windows
+        )));
+    }
     if cat != one_shot(&addr, LONG_ROUTE_S)? {
         return Err(fail(
             "long route: the one-response stream diverged from one-shot",
         ));
     }
     println!(
-        "  long route: {} chunks in one {}-byte response, complete, bitwise-equal to one-shot",
+        "  long route: {} chunks in one {}-byte response, complete, bitwise-equal to one-shot, {extracted} steps extracted ({} windows x {window_len})",
         chunks.len(),
-        resp.body.len()
+        resp.body.len(),
+        trailer.total_windows
     );
     handle.shutdown();
     Ok(())
@@ -419,7 +468,7 @@ fn smoke() -> Result<(), GendtError> {
     parity_pass(&dir)?;
     deadline_pass(&dir)?;
     drain_pass(&dir)?;
-    shared_context_pass(&dir)?;
+    shared_route_pass(&dir)?;
     long_route_pass(&dir)?;
     Ok(())
 }

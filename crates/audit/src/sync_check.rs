@@ -5,14 +5,14 @@
 //! Two halves, both mandatory for a green gate:
 //!
 //! 1. **Invariant zoo** — the actual production types
-//!    ([`Scheduler`], [`Registry`], [`ContextCache`], [`ServeMetrics`])
+//!    ([`Scheduler`], [`Registry`], [`RouteCache`], [`ServeMetrics`])
 //!    are exercised under thousands of explored thread interleavings,
 //!    asserting the invariants the serving path depends on: every
 //!    accepted job is answered exactly once, a batch never mixes model
 //!    versions across a `/reload`, jobs queued behind a running batch
 //!    form the next batch, the idle Condvar wait survives spurious
 //!    wakeups, shutdown drains without stranding a reply channel, the
-//!    LRU cache stays linearizable, and `/metrics` rendering races
+//!    LRU route cache stays linearizable, and `/metrics` rendering races
 //!    cleanly with writers. The forward pass is stubbed behind the
 //!    [`BatchRunner`] seam so the exploration budget goes to
 //!    interleavings, not inference.
@@ -35,7 +35,7 @@ use gendt_geo::trajectory::{Scenario, TrajectoryCfg};
 use gendt_geo::XY;
 use gendt_serve::api::InfoResponse;
 use gendt_serve::batch::{BatchOut, GenJob};
-use gendt_serve::cache::{ContextCache, ContextKey};
+use gendt_serve::cache::{Route, RouteCache, RouteKey};
 use gendt_serve::http::HttpResponse;
 use gendt_serve::metrics::ServeMetrics;
 use gendt_serve::registry::{ModelEntry, ModelMap, Registry};
@@ -458,55 +458,52 @@ fn model_registry_swap(v1: &Arc<ModelEntry>, v2: &Arc<ModelEntry>) -> Report {
     })
 }
 
-/// A context whose length tells which key's extraction built it.
-fn ctx_of_len(n: usize) -> RunContext {
-    let mut ctx = RunContext::default();
-    for _ in 0..n {
-        ctx.push_step([], &[0.0; gendt_geo::landuse::ENV_ATTRS]);
-    }
-    ctx
+/// A route whose length tells which key's synthesis built it.
+fn route_of_len(n: usize) -> Route {
+    vec![XY::new(0.0, 0.0); n].into()
 }
 
-/// A resolver thread for `k` whose extractor builds `ctx_of_len(n)` and
-/// counts its runs in `runs`.
+/// A resolver thread for `k` whose synthesizer builds `route_of_len(n)`
+/// and counts its runs in `runs`.
 fn spawn_resolver(
-    cache: &Arc<ContextCache>,
-    k: ContextKey,
+    cache: &Arc<RouteCache>,
+    k: RouteKey,
     n: usize,
     runs: &Arc<AtomicU64>,
-) -> thread::JoinHandle<Arc<RunContext>> {
+) -> thread::JoinHandle<Route> {
     let (c, runs) = (cache.clone(), runs.clone());
     thread::spawn(move || {
         let got = c
             .resolve(k, None, || {
                 // sync: SeqCst tally, read after every resolver joined.
                 runs.fetch_add(1, Ordering::SeqCst);
-                ctx_of_len(n)
+                route_of_len(n)
             })
             .expect("no deadline, no timeout");
-        assert_eq!(got.len(), n, "wrong context for key");
+        assert_eq!(got.len(), n, "wrong route for key");
         got
     })
 }
 
-/// Single-flight LRU resolution: concurrent resolvers of one key share
-/// one extraction and one `Arc`, within-capacity entries are never
-/// lost, over-capacity keeps exactly `cap` survivors, a waiter gets its
-/// flight's context even when eviction races the publish, no flight is
-/// stranded, and the hit/miss counters match the observed extractions.
+/// Single-flight LRU resolution of the route cache: concurrent
+/// resolvers of one key share one synthesis and one `Arc`,
+/// within-capacity entries are never lost, over-capacity keeps exactly
+/// `cap` survivors, a waiter gets its flight's route even when eviction
+/// races the publish, no flight is stranded, and the hit/miss counters
+/// match the observed syntheses.
 fn model_cache_linearizes() -> Report {
     let cfg = Config::random(1_500, 0x5eed_0006);
     interleave::explore(&cfg, move || {
         let walk = |seed| {
             let traj = TrajectoryCfg::new(Scenario::Walk, 60.0, XY::new(0.0, 0.0), seed);
-            ContextKey::new(&traj, &Default::default())
+            RouteKey::new(&traj)
         };
         let (k1, k2) = (walk(1), walk(2));
         let runs = |c: &Arc<AtomicU64>| c.load(Ordering::SeqCst);
 
         // Capacity 2, two resolvers of k1 and one of k2: nothing can be
-        // evicted, so each key is extracted exactly once.
-        let roomy = Arc::new(ContextCache::new(2));
+        // evicted, so each key is synthesized exactly once.
+        let roomy = Arc::new(RouteCache::new(2));
         let (r1, r2) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
         let hs = [
             spawn_resolver(&roomy, k1, 1, &r1),
@@ -517,8 +514,12 @@ fn model_cache_linearizes() -> Report {
             .into_iter()
             .map(|h| h.join().expect("resolver must not panic"))
             .collect();
-        assert_eq!((runs(&r1), runs(&r2)), (1, 1), "a key was extracted twice");
-        assert!(Arc::ptr_eq(&got[0], &got[1]), "one key, two contexts");
+        assert_eq!(
+            (runs(&r1), runs(&r2)),
+            (1, 1),
+            "a key was synthesized twice"
+        );
+        assert!(Arc::ptr_eq(&got[0], &got[1]), "one key, two routes");
         assert_eq!(roomy.stats(), (1, 2), "hit/miss counters drifted");
         let probe = Arc::new(AtomicU64::new(0));
         for (k, want) in [(k1, &got[0]), (k2, &got[2])] {
@@ -527,12 +528,12 @@ fn model_cache_linearizes() -> Report {
                 .expect("resolver must not panic");
             assert!(Arc::ptr_eq(&again, want), "within-capacity entry lost");
         }
-        assert_eq!(runs(&probe), 0, "within-capacity entry extracted again");
+        assert_eq!(runs(&probe), 0, "within-capacity entry synthesized again");
 
         // Capacity 1: an extractor and a same-key waiter on k1 race a
         // resolver of k2, whose publish can evict k1 before the waiter
-        // wakes; the waiter must still get the extractor's context.
-        let tight = Arc::new(ContextCache::new(1));
+        // wakes; the waiter must still get the synthesizer's route.
+        let tight = Arc::new(RouteCache::new(1));
         let (r1, r2) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
         let hs = [
             spawn_resolver(&tight, k1, 1, &r1),
@@ -543,17 +544,17 @@ fn model_cache_linearizes() -> Report {
             .into_iter()
             .map(|h| h.join().expect("resolver must not panic"))
             .collect();
-        // k1 is extracted twice only when the second resolver arrived
+        // k1 is synthesized twice only when the second resolver arrived
         // after the first flight ended and k2 had evicted its entry.
         assert!(matches!(runs(&r1), 1 | 2) && runs(&r2) == 1);
         if runs(&r1) == 1 {
             assert!(
                 Arc::ptr_eq(&got[0], &got[1]),
-                "a waiter got a context other than its flight's"
+                "a waiter got a route other than its flight's"
             );
         }
         let (hits, misses) = tight.stats();
-        assert_eq!(misses, runs(&r1) + runs(&r2), "a miss is one extraction");
+        assert_eq!(misses, runs(&r1) + runs(&r2), "a miss is one synthesis");
         assert_eq!(hits + misses, 3, "every resolve is a hit or a miss");
         assert_eq!(
             tight.resident(),

@@ -9,7 +9,7 @@ use gendt_geo::landuse::ENV_ATTRS;
 use gendt_geo::trajectory::{generate, Scenario, TrajectoryCfg};
 use gendt_geo::world::{World, WorldCfg};
 use gendt_geo::XY;
-use gendt_nn::{Graph, Lstm, LstmNodeState, Matrix, ParamStore, Rng};
+use gendt_nn::{Graph, Lstm, LstmNodeState, Matrix, ParamStore, PlanCache, PlanKey, Rng};
 use gendt_radio::cells::Deployment;
 use gendt_radio::kpi::{KpiCfg, KpiEngine};
 use gendt_radio::propagation::{PropagationCfg, ShadowField};
@@ -68,6 +68,24 @@ fn bench_matmul_paper_shapes(c: &mut Criterion) {
             bch.iter(|| std::hint::black_box(d_gates.matmul_nt(&w_hh)));
         });
     }
+    // Batch 1, the serving batch size: `h·W_hh` replayed from a compiled
+    // plan, which column-packs the parameter once and runs single-row
+    // products over four packed column blocks per pass.
+    let mut store = ParamStore::new();
+    let w = store.add("w_hh", w_hh.clone());
+    let h = rand_matrix(&mut rng, 1, 100);
+    let plans = PlanCache::new();
+    let key = PlanKey::new("matmul_paper_nn", [1, 100, 400, 0, 0, 0]);
+    group.bench_with_input(BenchmarkId::new("nn", 1), &1, |bch, _| {
+        bch.iter(|| {
+            plans.run(key, |g| {
+                let x = g.input_ref(&h);
+                let wn = g.param(&store, w);
+                let y = g.matmul(x, wn);
+                (std::hint::black_box(g.value(y).data[0]), None)
+            })
+        });
+    });
     group.finish();
 }
 

@@ -19,16 +19,17 @@ use serde::{Deserialize, Serialize};
 /// what "generating for a new trajectory without field measurements"
 /// means). Targets and AR seeds are zero-filled placeholders.
 pub fn generation_windows(ctx: &RunContext, n_ch: usize, cfg: &WindowCfg) -> Vec<Window> {
-    (0..generation_window_count(ctx, cfg))
+    (0..generation_window_count(ctx.len(), cfg))
         .map(|i| build_generation_window(ctx, n_ch, cfg, i))
         .collect()
 }
 
-/// How many windows [`generation_windows`] builds for `ctx`, without
-/// building them: every `cfg.len`-step window starting at a multiple of
-/// `cfg.stride` (positive in every validated config) that fits.
-pub fn generation_window_count(ctx: &RunContext, cfg: &WindowCfg) -> usize {
-    match ctx.len().checked_sub(cfg.len) {
+/// How many windows [`generation_windows`] builds for a route of `steps`
+/// points, without its context: every `cfg.len`-step window starting at
+/// a multiple of `cfg.stride` (positive in every validated config) that
+/// fits.
+pub fn generation_window_count(steps: usize, cfg: &WindowCfg) -> usize {
+    match steps.checked_sub(cfg.len) {
         Some(room) => room / cfg.stride + 1,
         None => 0,
     }
@@ -225,7 +226,7 @@ pub fn generate_series_chunk(
     // Window range this chunk covers for stream i: [starts[i], ends[i]).
     let totals: Vec<usize> = items
         .iter()
-        .map(|it| generation_window_count(it.ctx, &wcfg))
+        .map(|it| generation_window_count(it.ctx.len(), &wcfg))
         .collect();
     let starts: Vec<usize> = items
         .iter()
@@ -741,7 +742,7 @@ mod tests {
                 sub_run.samples.truncate(steps);
                 let want = gendt_data::windows::windows(&sub_run, &sub, &Kpi::DATASET_A, &cfg);
                 let at = format!("{steps} steps, stride {stride}");
-                assert_eq!(generation_window_count(&sub, &cfg), want.len(), "{at}");
+                assert_eq!(generation_window_count(sub.len(), &cfg), want.len(), "{at}");
                 assert_eq!(generation_windows(&sub, 4, &cfg).len(), want.len(), "{at}");
                 for (i, w) in want.iter().enumerate() {
                     let g = build_generation_window(&sub, 4, &cfg, i);

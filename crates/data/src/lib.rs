@@ -28,7 +28,7 @@ pub mod stats;
 pub mod windows;
 
 pub use builders::{dataset_a, dataset_b, dataset_b_subscenarios, BuildCfg};
-pub use context::{cell_features, extract, ContextCfg, RunContext, CELL_FEATS};
+pub use context::{cell_features, extract, extract_positions, ContextCfg, RunContext, CELL_FEATS};
 pub use kpi_types::Kpi;
 pub use run::{Dataset, Run};
 pub use split::{geographic_split, regional_subsets, Split};

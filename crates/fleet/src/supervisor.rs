@@ -44,7 +44,7 @@ pub struct WorkerSpec {
     pub max_batch: usize,
     /// Scheduler queue capacity.
     pub queue_cap: usize,
-    /// Context cache capacity (entries).
+    /// Route cache capacity (entries).
     pub cache_cap: usize,
     /// Scheduler worker threads inside the process.
     pub threads: usize,

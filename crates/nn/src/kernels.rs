@@ -260,6 +260,42 @@ fn micro_1(ar: &[f32], packed: &[f32]) -> [f32; NR] {
     c
 }
 
+/// Single-row microkernel over four consecutive packed column blocks
+/// (`quad`, four `kdim x NR` blocks): [`micro_1`] of each block, run in
+/// one pass with the four blocks' accumulators independent, so every
+/// output keeps its k-ascending sum bit for bit. A batch-1 product
+/// (`A` of one row) has no rows to tile, and one block's two-register
+/// accumulator chain leaves the FMA ports idle; four blocks give eight
+/// independent chains.
+#[inline]
+fn micro_1x4(ar: &[f32], quad: &[f32]) -> [[f32; NR]; 4] {
+    let block = quad.len() / 4;
+    let (b01, b23) = quad.split_at(2 * block);
+    let (b0, b1) = b01.split_at(block);
+    let (b2, b3) = b23.split_at(block);
+    let mut c0 = [0.0f32; NR];
+    let mut c1 = [0.0f32; NR];
+    let mut c2 = [0.0f32; NR];
+    let mut c3 = [0.0f32; NR];
+    let rows = b0
+        .chunks_exact(NR)
+        .zip(b1.chunks_exact(NR))
+        .zip(b2.chunks_exact(NR).zip(b3.chunks_exact(NR)));
+    for (&x, ((k0, k1), (k2, k3))) in ar.iter().zip(rows) {
+        let k0: &[f32; NR] = as_array(k0);
+        let k1: &[f32; NR] = as_array(k1);
+        let k2: &[f32; NR] = as_array(k2);
+        let k3: &[f32; NR] = as_array(k3);
+        for j in 0..NR {
+            c0[j] += x * k0[j];
+            c1[j] += x * k1[j];
+            c2[j] += x * k2[j];
+            c3[j] += x * k3[j];
+        }
+    }
+    [c0, c1, c2, c3]
+}
+
 /// Write one fully accumulated output-tile row: plain store, or a
 /// single `+=` per element when `acc` is set. The accumulate form is
 /// bitwise identical to materializing the product and adding it
@@ -558,9 +594,24 @@ pub(crate) fn gemm_nn_packed_into(
 }
 
 /// One horizontal output slab of the pre-packed product: walk the packed
-/// column blocks, reusing [`nn_tiles`].
+/// column blocks, reusing [`nn_tiles`]. A single-row slab (the LSTM,
+/// ResGen and head products at batch 1) runs [`micro_1x4`] over four
+/// column blocks per pass first, then the remaining blocks as usual;
+/// either way each output is [`micro_1`]'s sum.
 fn packed_slab(a: &[f32], kdim: usize, b_packed: &[f32], n: usize, out: &mut [f32], acc: bool) {
     let mut j0 = 0;
+    let mut b_packed = b_packed;
+    if out.len() == n {
+        let mut quads = b_packed.chunks_exact(4 * kdim * NR);
+        for quad in &mut quads {
+            for c in micro_1x4(a, quad) {
+                let jw = NR.min(n - j0);
+                store_row(&mut out[j0..j0 + jw], &c[..jw], acc);
+                j0 += NR;
+            }
+        }
+        b_packed = quads.remainder();
+    }
     for block in b_packed.chunks_exact(kdim * NR) {
         let jw = NR.min(n - j0);
         nn_tiles(a, kdim, block, n, j0, jw, out, acc);
@@ -858,6 +909,37 @@ mod tests {
                 at.matmul_tn_naive(&b).data,
                 "tn {m}x{k}x{n}"
             );
+        }
+    }
+
+    /// A batch-1 product through the pre-packed kernel, which takes four
+    /// column blocks per pass, equals `micro_1` run block by block, bit
+    /// for bit, stored and accumulated, at widths that leave 0 to 3
+    /// blocks after the last group of four and a partial last block.
+    #[test]
+    fn single_row_packed_product_equals_micro_1_per_block() {
+        use super::NR;
+        let mut rng = Rng::seed_from(41);
+        for k in [0, 1, 7, 100] {
+            for n in [1, 31, 33, 100, 129, 200, 257, 300] {
+                let a = rand_mat(&mut rng, 1, k);
+                let b = rand_mat(&mut rng, k, n);
+                let base = rand_mat(&mut rng, 1, n);
+                let mut packed = vec![0.0f32; super::packed_b_len(k, n)];
+                super::pack_b_full(&b, &mut packed);
+                for acc in [false, true] {
+                    let mut want = base.clone();
+                    for (blk, j0) in (0..n).step_by(NR).enumerate() {
+                        let jw = NR.min(n - j0);
+                        let c = super::micro_1(&a.data, &packed[blk * k * NR..(blk + 1) * k * NR]);
+                        super::store_row(&mut want.data[j0..j0 + jw], &c[..jw], acc);
+                    }
+                    let mut got = base.clone();
+                    super::gemm_nn_packed_into(&a, &packed, n, &mut got, acc);
+                    let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "k {k} n {n} acc {acc}");
+                }
+            }
         }
     }
 

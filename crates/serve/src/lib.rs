@@ -14,9 +14,10 @@
 //! * a [checkpoint registry](registry) loading named models from a
 //!   directory, hot-swappable via `/reload` without dropping in-flight
 //!   requests;
-//! * a [context cache](cache) so repeated trajectories skip
-//!   `gendt_data::extract`, and concurrent requests for one route share
-//!   a single extraction;
+//! * a [route cache](cache) so repeated trajectories skip trajectory
+//!   synthesis, and concurrent requests for one route share a single
+//!   synthesis; each request extracts the context of just the windows
+//!   it generates;
 //! * a [stream session table](session) behind `POST /v1/stream`:
 //!   sessions hold carried LSTM state server-side so chunked responses
 //!   stream windows as the scheduler produces them and continuations

@@ -40,6 +40,9 @@ pub struct ServeMetrics {
     pub stream_chunks: AtomicU64,
     /// Live sessions in the session table (gauge).
     pub stream_sessions: AtomicU64,
+    /// Route steps whose context was extracted: a `/v1/generate`
+    /// request's full windows, a `/v1/stream` chunk's own windows.
+    pub context_steps_extracted: AtomicU64,
     latency_ms: Mutex<Histogram>,
     batch_size: Mutex<Histogram>,
 }
@@ -62,6 +65,7 @@ impl ServeMetrics {
             stream_sessions_expired: AtomicU64::new(0),
             stream_chunks: AtomicU64::new(0),
             stream_sessions: AtomicU64::new(0),
+            context_steps_extracted: AtomicU64::new(0),
             // 0..10s in 25ms bins: generation latencies land well inside.
             latency_ms: Mutex::new(Histogram::empty(0.0, 10_000.0, 400)),
             batch_size: Mutex::new(Histogram::empty(0.0, max_batch.max(1) as f64 + 1.0, {
@@ -155,14 +159,20 @@ impl ServeMetrics {
         counter(
             &mut out,
             "gendt_serve_context_cache_hits_total",
-            "Context cache hits, including requests handed another request's extraction of the same route.",
+            "Route cache hits, including requests handed another request's synthesis of the same route.",
             cache_hits,
         );
         counter(
             &mut out,
             "gendt_serve_context_cache_misses_total",
-            "Context cache misses: one per extraction.",
+            "Route cache misses: a miss is one route synthesis.",
             cache_misses,
+        );
+        counter(
+            &mut out,
+            "gendt_serve_context_steps_extracted_total",
+            "Route steps whose context was extracted, each when its window is generated.",
+            self.context_steps_extracted.load(Ordering::Relaxed),
         );
         counter(
             &mut out,
@@ -270,6 +280,7 @@ mod tests {
     fn render_contains_core_series() {
         let m = ServeMetrics::new(8);
         m.http_requests.fetch_add(3, Ordering::Relaxed);
+        m.context_steps_extracted.fetch_add(50, Ordering::Relaxed);
         m.observe_latency_ms(12.0);
         m.observe_batch(4);
         let text = m.render(2, 5, 7);
@@ -277,6 +288,7 @@ mod tests {
             "gendt_serve_http_requests_total 3",
             "gendt_serve_models_live 2",
             "gendt_serve_context_cache_hits_total 5",
+            "gendt_serve_context_steps_extracted_total 50",
             "gendt_serve_latency_ms_count 1",
             "gendt_serve_latency_ms_bucket{le=\"25\"} 1",
             "gendt_serve_latency_ms_bucket{le=\"+Inf\"} 1",

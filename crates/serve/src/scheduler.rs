@@ -331,7 +331,6 @@ mod tests {
     use gendt::{GenDt, GenDtCfg};
     use gendt_data::context::RunContext;
     use gendt_data::kpi_types::Kpi;
-    use gendt_sync::testing::inject_spurious_wakeups;
     use gendt_sync::thread;
 
     /// Upper bound on any single wait in these tests: a failure bound,
@@ -419,7 +418,9 @@ mod tests {
             queue_cap: 8,
         });
         let entry = test_entry();
-        inject_spurious_wakeups(3);
+        // Armed on this scheduler's condvar alone: the condvar waits of
+        // tests running in parallel are untouched.
+        s.cv.inject_spurious_wakeups(3);
         let worker = spawn_worker(&s);
         for seed in [7u64, 8] {
             let rx = s.submit(job(&entry, seed), None).expect("queue open");
@@ -427,7 +428,6 @@ mod tests {
         }
         s.stop();
         worker.join().expect("worker panicked");
-        inject_spurious_wakeups(0);
     }
 
     /// Holds the first batch until the test releases it, so the test

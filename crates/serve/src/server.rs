@@ -1,5 +1,6 @@
 //! The HTTP server: accept loop, routing, and the `/generate` handler
-//! wiring registry → cache → scheduler together.
+//! wiring registry → route cache → context extraction → scheduler
+//! together.
 //!
 //! Routing is versioned: every endpoint lives under `/v1/*` and answers
 //! errors with the typed [`ErrorEnvelope`] of the workspace taxonomy;
@@ -24,7 +25,7 @@ use crate::api::{
     StreamTrailer,
 };
 use crate::batch::{GenJob, StreamPart};
-use crate::cache::{ContextCache, ContextKey};
+use crate::cache::{Route, RouteCache, RouteKey};
 use crate::http::{
     finish_chunked, read_request, write_chunk, write_chunked_head, write_json, write_json_extra,
     write_response_extra, Request,
@@ -34,7 +35,7 @@ use crate::registry::{ModelEntry, Registry};
 use crate::scheduler::{SchedCfg, Scheduler, SubmitError};
 use crate::session::{Checkout, SessionTable, StreamSession};
 use gendt::{generation_window_count, GenCursor};
-use gendt_data::context::{extract, ContextCfg, RunContext};
+use gendt_data::context::{extract_positions, ContextCfg, RunContext};
 use gendt_faults::GendtError;
 use gendt_geo::{trajectory, World, WorldCfg, XY};
 use gendt_obs::{flightrec, traceid};
@@ -43,6 +44,7 @@ use gendt_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use gendt_sync::thread::{self, JoinHandle};
 use gendt_sync::time::Instant;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,7 +78,7 @@ pub struct ServerCfg {
     pub world_seed: u64,
     /// Micro-batching scheduler knobs.
     pub sched: SchedCfg,
-    /// Context cache capacity (entries).
+    /// Route cache capacity (entries).
     pub cache_cap: usize,
     /// Scheduler worker threads.
     pub workers: usize,
@@ -193,7 +195,7 @@ impl ServerCfgBuilder {
         self
     }
 
-    /// Context cache capacity (entries).
+    /// Route cache capacity (entries).
     pub fn cache_cap(mut self, n: usize) -> Self {
         self.cfg.cache_cap = n;
         self
@@ -255,7 +257,7 @@ struct ServerState {
     deployment: Deployment,
     metrics: Arc<ServeMetrics>,
     scheduler: Arc<Scheduler>,
-    cache: ContextCache,
+    cache: RouteCache,
     /// Drain requested: shed new work, report unhealthy, keep answering.
     draining: AtomicBool,
     /// Hard close: the acceptor exits as soon as it observes this.
@@ -373,7 +375,7 @@ pub fn serve(cfg: ServerCfg) -> Result<ServerHandle, GendtError> {
         deployment,
         metrics,
         scheduler: scheduler.clone(),
-        cache: ContextCache::new(cfg.cache_cap),
+        cache: RouteCache::new(cfg.cache_cap),
         draining: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
         active: AtomicU64::new(0),
@@ -776,15 +778,15 @@ fn handle_generate(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Reque
 }
 
 /// Validate a generate/stream-open spec and resolve it to the pinned
-/// model entry plus the route's shared (single-flight, cached)
-/// trajectory context — the front half of `/v1/generate` and
-/// `/v1/stream` opens. Waiting for another request's extraction of the
-/// same route ends at `deadline`.
+/// model entry plus the route's shared (single-flight, cached) track
+/// positions — the front half of `/v1/generate` and `/v1/stream` opens.
+/// Waiting for another request's synthesis of the same route ends at
+/// `deadline`.
 fn resolve_spec(
     state: &Arc<ServerState>,
     parsed: &GenerateRequest,
     deadline: Option<Instant>,
-) -> Result<(Arc<ModelEntry>, Arc<RunContext>), GendtError> {
+) -> Result<(Arc<ModelEntry>, Route), GendtError> {
     let scenario = parse_scenario(&parsed.scenario)
         .ok_or_else(|| GendtError::invalid(format!("unknown scenario {:?}", parsed.scenario)))?;
     // A start outside the world's extent is refused: routes begin in the
@@ -805,10 +807,6 @@ fn resolve_spec(
         .get(&parsed.model)
         .ok_or_else(|| GendtError::not_found(format!("unknown model {:?}", parsed.model)))?;
 
-    let ctx_cfg = ContextCfg {
-        max_cells: entry.model.cfg().window.max_cells,
-        ..ContextCfg::default()
-    };
     let traj_cfg = trajectory::TrajectoryCfg::new(
         scenario,
         parsed.duration_s,
@@ -818,12 +816,40 @@ fn resolve_spec(
         },
         parsed.traj_seed,
     );
-    let key = ContextKey::new(&traj_cfg, &ctx_cfg);
-    let ctx = state.cache.resolve(key, deadline, || {
-        let traj = trajectory::generate(&state.world, &traj_cfg);
-        extract(&state.world, &state.deployment, &traj, &ctx_cfg)
-    })?;
-    Ok((entry, ctx))
+    let route = state
+        .cache
+        .resolve(RouteKey::new(&traj_cfg), deadline, || {
+            let traj = trajectory::generate(&state.world, &traj_cfg);
+            traj.points.iter().map(|p| p.pos).collect()
+        })?;
+    Ok((entry, route))
+}
+
+/// The context of generation windows `windows` of `route`, extracted
+/// with `entry`'s settings: the steps those windows cover, and no other,
+/// so window `w` of the route is window `w - windows.start` of the
+/// result. Counted on `/metrics`.
+fn extract_windows(
+    state: &ServerState,
+    entry: &ModelEntry,
+    route: &[XY],
+    windows: Range<usize>,
+) -> Arc<RunContext> {
+    let model_cfg = entry.model.cfg();
+    // Generation windows tile the route back to back (stride = length).
+    let len = model_cfg.generation_window().len;
+    let steps = windows.start * len..windows.end * len;
+    let cfg = ContextCfg {
+        max_cells: model_cfg.window.max_cells,
+        ..ContextCfg::default()
+    };
+    let ctx = extract_positions(&state.world, &state.deployment, &route[steps], &cfg);
+    // sync: monotonic counter for /metrics only.
+    state
+        .metrics
+        .context_steps_extracted
+        .fetch_add(ctx.len() as u64, Ordering::Relaxed);
+    Arc::new(ctx)
 }
 
 /// The generate pipeline: validate, resolve, extract, submit, await.
@@ -839,7 +865,10 @@ fn generate_response(
         .map_err(|e| GendtError::invalid(format!("bad request body: {e}")))?;
     rec.scenario = flightrec::scenario_code(&parsed.scenario);
     let deadline = request_deadline(state, req, started)?;
-    let (entry, ctx) = resolve_spec(state, &parsed, deadline)?;
+    let (entry, route) = resolve_spec(state, &parsed, deadline)?;
+    let windows = generation_window_count(route.len(), &entry.model.cfg().generation_window());
+    let ctx = extract_windows(state, &entry, &route, 0..windows);
+    drop(route);
 
     let job = GenJob {
         entry: entry.clone(),
@@ -959,7 +988,7 @@ fn handle_stream(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request
                     return;
                 }
             };
-            let (entry, ctx) = match resolve_spec(state, &spec, deadline) {
+            let (entry, route) = match resolve_spec(state, &spec, deadline) {
                 Ok(r) => r,
                 Err(e) => {
                     fail(stream, state, &e);
@@ -967,7 +996,7 @@ fn handle_stream(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request
                 }
             };
             let cfg = entry.model.cfg();
-            let total_windows = generation_window_count(&ctx, &cfg.generation_window());
+            let total_windows = generation_window_count(route.len(), &cfg.generation_window());
             let chunk_windows = match parsed.chunk_windows {
                 Some(n) if n > 0 => n,
                 _ => state.chunk_windows,
@@ -982,7 +1011,7 @@ fn handle_stream(state: &Arc<ServerState>, stream: &mut TcpStream, req: &Request
                 StreamSession {
                     id: id.clone(),
                     entry,
-                    ctx,
+                    route,
                     cursor,
                     total_windows,
                     sample_seed: spec.sample_seed,
@@ -1030,11 +1059,16 @@ fn emit_trailer(
     let _ = finish_chunked(stream, line.as_bytes());
 }
 
-/// The streaming loop: submit one chunk at a time (so streaming
+/// The streaming loop: extract the context of one chunk's windows here,
+/// in the connection thread, then submit the chunk (so streaming
 /// continuations coalesce into the same micro-batches as one-shot
 /// requests), flush each span the moment the scheduler returns it, and
 /// close with a typed trailer. The session returns to the table
 /// (`paused`/`deadline`) or is removed (`complete`/`drain`).
+///
+/// The job sees only its chunk's context, so its cursor is rebased to
+/// window 0 of that context and the session's absolute `next_window`
+/// restored from the returned cursor.
 fn stream_session(
     state: &Arc<ServerState>,
     stream: &mut TcpStream,
@@ -1086,13 +1120,19 @@ fn stream_session(
             return;
         }
 
+        let start = sess.cursor.next_window;
+        let end = start
+            .saturating_add(sess.chunk_windows.min(budget))
+            .min(sess.total_windows);
+        let mut cursor = sess.cursor.clone();
+        cursor.next_window = 0;
         let job = GenJob {
             entry: sess.entry.clone(),
-            ctx: sess.ctx.clone(),
+            ctx: extract_windows(state, &sess.entry, &sess.route, start..end),
             sample_seed: sess.sample_seed,
             stream: Some(StreamPart {
-                cursor: sess.cursor.clone(),
-                max_windows: sess.chunk_windows.min(budget),
+                cursor,
+                max_windows: end - start,
             }),
         };
         let outcome = state
@@ -1133,13 +1173,14 @@ fn stream_session(
                 return;
             }
         };
-        let Some(cursor) = done.cursor else {
+        let Some(mut cursor) = done.cursor else {
             let e = GendtError::internal("stream job returned no cursor");
             emit_trailer(stream, &sess, stream_reason::ERROR, false, Some(&e));
             let id = sess.id.clone();
             state.sessions.checkin(&id, sess);
             return;
         };
+        cursor.next_window += start;
 
         let advanced = cursor.next_window.saturating_sub(sess.cursor.next_window);
         let chunk = StreamChunk {

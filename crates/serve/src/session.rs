@@ -3,10 +3,13 @@
 //! A streaming session holds the carried LSTM state, RNG stream
 //! position, and window offset of a partially generated series so a
 //! continuation request resumes bitwise-exactly where the last chunk
-//! stopped. The table layers the same recency discipline as the LRU
-//! context cache, plus an idle TTL: capacity pressure evicts the least
-//! recently used *idle* session, and a sweep expires sessions idle
-//! longer than the TTL.
+//! stopped. Of its route it holds only the track positions (shared with
+//! the route cache, 16 B per point); each chunk extracts the context of
+//! its own windows when it runs, so no session keeps a context. The
+//! table layers the same recency discipline as the LRU route cache,
+//! plus an idle TTL: capacity pressure evicts the least recently used
+//! *idle* session, and a sweep expires sessions idle longer than the
+//! TTL.
 //!
 //! Checkout leaves a `Busy` marker in the slot, so a session being
 //! continued right now can never be evicted, expired, or shed out from
@@ -15,10 +18,10 @@
 //! the slot (refreshing recency) unless the session was force-removed
 //! while busy, in which case the state is simply dropped.
 
+use crate::cache::Route;
 use crate::metrics::ServeMetrics;
 use crate::registry::ModelEntry;
 use gendt::GenCursor;
-use gendt_data::context::RunContext;
 use gendt_sync::atomic::Ordering;
 use gendt_sync::Mutex;
 use std::collections::BTreeMap;
@@ -26,15 +29,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything a `/v1/stream` continuation needs to resume generation
-/// bitwise-exactly: the pinned model, the extracted context, and the
-/// resume cursor.
+/// bitwise-exactly: the pinned model, the route, and the resume cursor.
 pub struct StreamSession {
     /// Session id (minted by the worker or forwarded by the fleet).
     pub id: String,
     /// Model entry pinned at open time; a `/reload` cannot swap it.
     pub entry: Arc<ModelEntry>,
-    /// Extracted trajectory context (possibly shared via the cache).
-    pub ctx: Arc<RunContext>,
+    /// The route's track positions (shared via the route cache).
+    pub route: Route,
     /// Resume position: carried LSTM state, RNG stream, next window.
     pub cursor: GenCursor,
     /// Total generation windows in the full series.

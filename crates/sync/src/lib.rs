@@ -6,8 +6,9 @@
 //! the `sync-discipline` audit lint. The facade has two personalities:
 //!
 //! - **Production** (default): inline newtypes over `std::sync` with no
-//!   extra state and no custom guard `Drop` impls — zero overhead, bitwise
-//!   identical behavior. The one deliberate difference from raw std is that
+//!   extra state (but a condvar's spurious-wakeup test budget) and no
+//!   custom guard `Drop` impls — zero overhead, bitwise identical
+//!   behavior. The one deliberate difference from raw std is that
 //!   `lock()`/`read()`/`write()` are poison-tolerant: a panicking thread
 //!   can never wedge `/metrics` or the context cache (ISSUE 7 satellite).
 //! - **Checked** (`--features check`, enabled by `gendt-audit`): every
@@ -18,14 +19,15 @@
 //!   checker serializes all participant threads and systematically explores
 //!   interleavings of the *real* production code.
 //!
-//! Deterministic spurious-wakeup injection for tests lives in [`testing`]
-//! and works in both personalities.
+//! Deterministic spurious-wakeup injection for tests,
+//! [`Condvar::inject_spurious_wakeups`], reaches only the condvar it is
+//! armed on and works in both personalities.
 
 #![forbid(unsafe_code)]
 
 pub mod atomic;
 pub mod mpsc;
-pub mod testing;
+mod testing;
 pub mod thread;
 pub mod time;
 

@@ -11,7 +11,7 @@
 //! thread-local read plus the plain std call — behavior is identical to the
 //! production personality.
 
-use crate::testing::consume_spurious;
+use crate::testing::SpuriousBudget;
 use crate::WaitTimeoutResult;
 use std::time::Duration;
 
@@ -101,6 +101,7 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
 #[derive(Debug, Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    spurious: SpuriousBudget,
 }
 
 impl Condvar {
@@ -108,7 +109,15 @@ impl Condvar {
     pub const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
+            spurious: SpuriousBudget::new(),
         }
+    }
+
+    /// Test hook: the next `n` waits on this condvar (on any thread)
+    /// return at once, not timed out, as if spuriously woken; 0
+    /// disarms. Waits on every other condvar are untouched.
+    pub fn inject_spurious_wakeups(&self, n: u32) {
+        self.spurious.arm(n);
     }
 
     /// Blocks until notified; under exploration the wakeup (notify choice,
@@ -133,7 +142,7 @@ impl Condvar {
         mut guard: MutexGuard<'a, T>,
         dur: Option<Duration>,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        if consume_spurious() {
+        if self.spurious.consume() {
             return (guard, WaitTimeoutResult::new(false));
         }
         if guard.modeled && interleave::participating() {

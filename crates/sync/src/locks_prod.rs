@@ -7,7 +7,7 @@
 //! poisoning as "some other thread crashed", which must never cascade into
 //! wedging metrics or caches).
 
-use crate::testing::consume_spurious;
+use crate::testing::SpuriousBudget;
 use crate::WaitTimeoutResult;
 use std::time::Duration;
 
@@ -41,6 +41,7 @@ impl<T: ?Sized> Mutex<T> {
 #[derive(Debug, Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    spurious: SpuriousBudget,
 }
 
 impl Condvar {
@@ -48,13 +49,21 @@ impl Condvar {
     pub const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
+            spurious: SpuriousBudget::new(),
         }
+    }
+
+    /// Test hook: the next `n` waits on this condvar (on any thread)
+    /// return at once, not timed out, as if spuriously woken; 0
+    /// disarms. Waits on every other condvar are untouched.
+    pub fn inject_spurious_wakeups(&self, n: u32) {
+        self.spurious.arm(n);
     }
 
     /// Blocks until notified (or an injected spurious wakeup fires).
     #[inline]
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        if consume_spurious() {
+        if self.spurious.consume() {
             return guard;
         }
         self.inner.wait(guard).unwrap_or_else(|p| p.into_inner())
@@ -68,7 +77,7 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         dur: Duration,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        if consume_spurious() {
+        if self.spurious.consume() {
             return (guard, WaitTimeoutResult::new(false));
         }
         match self.inner.wait_timeout(guard, dur) {

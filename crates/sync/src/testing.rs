@@ -2,32 +2,42 @@
 //!
 //! Spurious wakeups are allowed by the `Condvar` contract but essentially
 //! impossible to provoke on demand with raw std. The facade makes them
-//! injectable: arm a budget here and the next N `wait`/`wait_timeout`
-//! calls (on any facade `Condvar`, any thread) return immediately without
-//! having been notified, exactly like an OS-level spurious wakeup. Works
-//! in both facade personalities; disarmed (the default) it costs one
-//! relaxed atomic load per blocking wait.
+//! injectable: [`Condvar::inject_spurious_wakeups`](crate::Condvar::inject_spurious_wakeups)
+//! arms a budget on one condvar, and its next N `wait`/`wait_timeout`
+//! calls (on any thread) return immediately without having been
+//! notified, exactly like an OS-level spurious wakeup. The budget belongs
+//! to that condvar alone, so a test that arms it cannot wake the waits of
+//! other tests running in parallel in the same process. Works in both
+//! facade personalities; disarmed (the default) it costs one relaxed
+//! atomic load per blocking wait.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-static SPURIOUS_BUDGET: AtomicU32 = AtomicU32::new(0);
+/// A condvar's armed spurious wakeups.
+#[derive(Debug, Default)]
+pub(crate) struct SpuriousBudget(AtomicU32);
 
-/// Arms `n` spurious wakeups process-wide. Each facade `Condvar::wait` /
-/// `wait_timeout` consumes one and returns immediately (not timed out).
-/// Intended for tests; call with 0 to disarm.
-pub fn inject_spurious_wakeups(n: u32) {
-    SPURIOUS_BUDGET.store(n, Ordering::SeqCst);
-}
-
-/// Consumes one armed spurious wakeup if any remain.
-pub(crate) fn consume_spurious() -> bool {
-    // sync: fast-path probe; the authoritative decrement below is SeqCst.
-    if SPURIOUS_BUDGET.load(Ordering::Relaxed) == 0 {
-        return false;
+impl SpuriousBudget {
+    /// Disarmed.
+    pub(crate) const fn new() -> Self {
+        SpuriousBudget(AtomicU32::new(0))
     }
-    SPURIOUS_BUDGET
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-        .is_ok()
+
+    /// Arms `n` spurious wakeups; 0 disarms.
+    pub(crate) fn arm(&self, n: u32) {
+        self.0.store(n, Ordering::SeqCst);
+    }
+
+    /// Consumes one armed spurious wakeup if any remain.
+    pub(crate) fn consume(&self) -> bool {
+        // sync: fast-path probe; the authoritative decrement below is SeqCst.
+        if self.0.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        self.0
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
+            .is_ok()
+    }
 }
 
 #[cfg(test)]
@@ -36,10 +46,13 @@ mod tests {
 
     #[test]
     fn budget_consumed_exactly() {
-        inject_spurious_wakeups(2);
-        assert!(consume_spurious());
-        assert!(consume_spurious());
-        assert!(!consume_spurious());
-        inject_spurious_wakeups(0);
+        let budget = SpuriousBudget::new();
+        budget.arm(2);
+        assert!(budget.consume());
+        assert!(budget.consume());
+        assert!(!budget.consume());
+        budget.arm(1);
+        budget.arm(0);
+        assert!(!budget.consume());
     }
 }

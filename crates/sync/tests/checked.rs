@@ -309,12 +309,12 @@ fn facade_is_plain_std_outside_exploration() {
 #[test]
 fn injected_spurious_wakeup_outside_exploration() {
     // The deterministic test hook works in plain mode too: a wait returns
-    // immediately without a notifier.
-    gendt_sync::testing::inject_spurious_wakeups(1);
+    // immediately without a notifier. The budget is this condvar's own,
+    // so the waits of tests running in parallel cannot take it.
     let m = Mutex::new(());
     let cv = Condvar::new();
+    cv.inject_spurious_wakeups(1);
     let g = m.lock();
     let (_g, res) = cv.wait_timeout(g, Duration::from_secs(60));
     assert!(!res.timed_out(), "spurious wakeup is not a timeout");
-    gendt_sync::testing::inject_spurious_wakeups(0);
 }
