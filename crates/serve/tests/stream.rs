@@ -147,6 +147,50 @@ fn streamed_chunks_concatenate_to_one_shot_bitwise() {
     handle.shutdown();
 }
 
+/// At the paper's window length (`L = 50`) the open and every
+/// one-window continuation extract the context of exactly their own 50
+/// steps, wherever they are in the route: the server keeps no context
+/// between chunks.
+#[test]
+fn one_window_chunks_extract_one_windows_steps_at_paper_shapes() {
+    let dir = std::env::temp_dir().join("gendt-stream-test-paper-steps");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create model dir");
+    let mut cfg = gendt::GenDtCfg::paper(4, 5);
+    cfg.window.max_cells = 8;
+    gendt::save_model_to_file(&gendt::GenDt::new(cfg), &dir.join("paper.json"))
+        .expect("write checkpoint");
+    let handle =
+        serve(ServerCfg::builder(dir).workers(1).build().expect("config")).expect("server starts");
+    let addr = handle.addr.to_string();
+    let metrics = handle.metrics();
+    let steps = || {
+        metrics
+            .context_steps_extracted
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+
+    let open = "{\"model\":\"paper\",\"scenario\":\"walk\",\"duration_s\":600.0,\
+                \"start_x\":0.0,\"start_y\":0.0,\"traj_seed\":3,\"sample_seed\":5,\
+                \"chunk_windows\":1,\"max_windows\":1}";
+    let resp = http_request_full(&addr, "POST", "/v1/stream", &[], Some(open)).expect("open");
+    let sid = resp.header(SESSION_HEADER).expect("session id").to_string();
+    let (chunks, trailer) = parse_stream(&resp);
+    assert_eq!((chunks.len(), trailer.total_windows), (1, 12));
+    assert_eq!(steps(), 50, "the open extracts its one window");
+
+    let cont = format!("{{\"session\":{sid:?},\"max_windows\":1}}");
+    for k in 1..4u64 {
+        let resp =
+            http_request_full(&addr, "POST", "/v1/stream", &[], Some(&cont)).expect("continue");
+        let (chunks, trailer) = parse_stream(&resp);
+        assert_eq!(trailer.reason, stream_reason::PAUSED);
+        assert_eq!((chunks.len(), chunks[0].start), (1, 50 * k as usize));
+        assert_eq!(steps(), 50 * (k + 1), "continuation {k} extracts 50 steps");
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn budgeted_stream_pauses_then_continuation_completes() {
     let (handle, addr) = start_server("resume", |b| b.chunk_windows(1));
