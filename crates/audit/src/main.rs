@@ -315,14 +315,35 @@ fn run_plan_parity() -> bool {
         ok &= eq;
     };
 
+    let series = |v: Vec<GeneratedSeries>| v.into_iter().map(|g| g.series).collect::<Vec<_>>();
+    let batch = |seeds: &[u64]| -> Vec<GenBatchItem> {
+        seeds
+            .iter()
+            .map(|&seed| GenBatchItem { ctx: &ctx, seed })
+            .collect()
+    };
+    let items = batch(&[8, 9]);
+
     // Train the same seed twice: GENDT_SANITIZE forces record mode on
     // every step, otherwise every new shape is recorded once and replayed.
-    // Several steps so later steps replay cached plans, including plans
-    // whose arenas a teacher-forced/free-running key switch released.
+    // Several steps so later steps replay cached programs. The explicit
+    // 2-thread budget runs the two shards at once on any runner: both
+    // replay one shared program, each on its own pooled arena, and the
+    // teacher-forced and free-running programs take turns on those
+    // arenas. The plan side records its batched generation program before
+    // training (generation reads the model, it does not change it), so
+    // its first replay after training runs in an arena a training
+    // program last used.
+    let threads = gendt_nn::num_threads();
     let train = |tape: bool| {
         gendt_nn::set_sanitize(tape);
+        gendt_nn::set_num_threads(2);
         let mut model = GenDt::new(cfg.clone());
+        if !tape {
+            let _ = generate_series_batch(&model, &Kpi::DATASET_A, &items);
+        }
         model.train(&pool);
+        gendt_nn::set_num_threads(threads);
         model
     };
     let mut tape = train(true);
@@ -339,14 +360,6 @@ fn run_plan_parity() -> bool {
     check("train weights", weights(&tape) == weights(&plan));
     check("train loss trace", mse(&tape) == mse(&plan));
 
-    let series = |v: Vec<GeneratedSeries>| v.into_iter().map(|g| g.series).collect::<Vec<_>>();
-    let batch = |seeds: &[u64]| -> Vec<GenBatchItem> {
-        seeds
-            .iter()
-            .map(|&seed| GenBatchItem { ctx: &ctx, seed })
-            .collect()
-    };
-    let items = batch(&[8, 9]);
     // Chunked generation: one window per call, cursor carried across.
     let windows = generation_window_count(ctx.len(), &cfg.generation_window());
     let chunked = |m: &GenDt| {
@@ -371,15 +384,18 @@ fn run_plan_parity() -> bool {
     let c_base = chunked(&tape);
     gendt_nn::set_sanitize(false);
 
-    // Each plan-side call runs twice: the first records the plans, the
-    // second replays them from the cache.
+    check(
+        "generate_series_batch (replay in an arena training last used)",
+        b_base == series(generate_series_batch(&plan, &Kpi::DATASET_A, &items)),
+    );
+
+    // The single and chunked calls run twice: the first records their
+    // programs, the second replays them from the cache.
     let first = generate_series(&mut plan, &ctx, &Kpi::DATASET_A, false, 7).series;
     let replay = generate_series(&mut plan, &ctx, &Kpi::DATASET_A, false, 7).series;
     check("generate (recorded)", base == first);
     check("generate (cached replay)", base == replay);
-    let b_first = series(generate_series_batch(&plan, &Kpi::DATASET_A, &items));
     let b_replay = series(generate_series_batch(&plan, &Kpi::DATASET_A, &items));
-    check("generate_series_batch (recorded)", b_base == b_first);
     check("generate_series_batch (cached replay)", b_base == b_replay);
     check("generate_series_chunk (recorded)", c_base == chunked(&plan));
     check(
@@ -387,12 +403,12 @@ fn run_plan_parity() -> bool {
         c_base == chunked(&plan),
     );
 
-    // A new batch shape misses the cache, which releases the arenas of
-    // every cached plan; the next replay reserves them again.
+    // A new batch shape misses the cache, which drops the idle arenas;
+    // the next replay fits a fresh one.
     let _ = generate_series_batch(&plan, &Kpi::DATASET_A, &batch(&[8, 9, 10]));
     let b_released = series(generate_series_batch(&plan, &Kpi::DATASET_A, &items));
     check(
-        "generate_series_batch (replay after arena release)",
+        "generate_series_batch (replay after a miss dropped the idle arenas)",
         b_base == b_released,
     );
 

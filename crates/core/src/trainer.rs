@@ -602,6 +602,22 @@ mod tests {
     }
 
     #[test]
+    fn warm_training_cache_holds_one_weight_copy_per_store() {
+        let cfg = tiny_cfg();
+        let pool = training_pool(&cfg);
+        let mut model = GenDt::new(cfg);
+        for _ in 0..4 {
+            model.train_step(&pool);
+        }
+        let stats = model.plans.stats();
+        // Shard programs read the generator's store, the discriminator
+        // step's program the discriminator's.
+        assert_eq!(stats.weight_copies, 2, "{stats:?}");
+        // An arena per shard running at once, lent again by every step.
+        assert!((1..=2).contains(&stats.arenas), "{stats:?}");
+    }
+
+    #[test]
     fn weights_stay_finite() {
         let cfg = tiny_cfg();
         let pool = training_pool(&cfg);

@@ -21,6 +21,7 @@
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use crate::plan::Plan;
+use std::cell::Cell;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,6 +35,36 @@ impl NodeId {
     }
 }
 
+/// A constant matrix an op reads that is not a node: SRNN noise, a mask,
+/// loss targets. The op records the constant's shape; its values are
+/// per-run state, written by each run of the graph into its arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Const {
+    rows: u32,
+    cols: u32,
+    /// Position among the run's constants, in recording order.
+    index: u32,
+}
+
+impl Const {
+    pub(crate) fn new((rows, cols): (usize, usize), index: usize) -> Const {
+        Const {
+            rows: rows as u32,
+            cols: cols as u32,
+            index: index as u32,
+        }
+    }
+
+    /// Shape `(rows, cols)` of the constant.
+    pub fn shape(self) -> (usize, usize) {
+        (self.rows as usize, self.cols as usize)
+    }
+
+    pub(crate) fn index(self) -> usize {
+        self.index as usize
+    }
+}
+
 /// One recorded tape operation.
 ///
 /// The enum is public so external verification tooling (the `gendt-audit`
@@ -42,8 +73,9 @@ impl NodeId {
 /// updating the audit rules is a compile error, which is the point.
 /// Graphs can only be built through the checked [`Graph`] constructors;
 /// the variants carry no invariants of their own beyond what those
-/// constructors established.
-#[derive(Clone, Debug)]
+/// constructors established. A compiled program's ops never change: the
+/// values of their [`Const`]s live with each run.
+#[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// Constant input (no gradient).
     Input,
@@ -104,8 +136,9 @@ pub enum Op {
         x: NodeId,
         /// Noise amplitude.
         a: f32,
-        /// Sampled standard-normal noise, same shape as `x` (constant).
-        noise: Matrix,
+        /// Sampled noise scaled by each row's mean, same shape as `x`
+        /// (constant; filled from the fresh draw when the step runs).
+        noise: Const,
     },
     /// `(a + b) + row_broadcast(bias)` in one pass (LSTM gate assembly).
     AddAddRow(NodeId, NodeId, NodeId),
@@ -116,9 +149,9 @@ pub enum Op {
         /// Input rows, `rows x cols` with `rows % group == 0`.
         x: NodeId,
         /// Per-row weight column, `rows x 1` (constant).
-        mask: Matrix,
+        mask: Const,
         /// Per-group normalizer column, `rows/group x 1` (constant).
-        scale: Matrix,
+        scale: Const,
         /// Consecutive rows reduced per output row.
         group: usize,
     },
@@ -127,7 +160,7 @@ pub enum Op {
     /// Mean of squared difference `mean((a-b)^2)` -> `1 x 1`.
     MseLoss(NodeId, NodeId),
     /// Binary cross-entropy with logits against constant targets -> `1 x 1`.
-    BceWithLogits(NodeId, Matrix),
+    BceWithLogits(NodeId, Const),
     /// Sum of several `1 x 1` scalars with weights.
     WeightedSum(Vec<(NodeId, f32)>),
     /// Gaussian negative log-likelihood of constant targets given
@@ -138,7 +171,7 @@ pub enum Op {
         /// Predicted standard deviation (positive), same shape as `target`.
         sigma: NodeId,
         /// Observed values (constant).
-        target: Matrix,
+        target: Const,
     },
 }
 
@@ -198,8 +231,8 @@ impl Op {
     }
 
     /// The tape nodes this op reads, in argument order. Leaves (inputs,
-    /// parameters) have none; constant matrices stored inside an op (noise,
-    /// masks, targets) are not nodes and do not appear here.
+    /// parameters) have none; an op's constants (noise, masks, targets)
+    /// are not nodes and do not appear here.
     pub fn inputs(&self) -> Vec<NodeId> {
         match self {
             Op::Input | Op::Param(_) => Vec::new(),
@@ -250,6 +283,11 @@ pub struct Graph {
     /// Replay mode: the number of steps replayed so far. `None` while
     /// recording.
     cursor: Option<usize>,
+    /// Record mode: whether each step's value was read externally (see
+    /// [`Graph::value`]).
+    ext: Vec<Cell<bool>>,
+    /// Record mode: the step of each parameter recorded so far.
+    memo: Vec<(ParamId, u32)>,
 }
 
 impl Default for Graph {
@@ -264,20 +302,24 @@ impl Graph {
         Graph {
             plan: Plan::recording(),
             cursor: None,
+            ext: Vec::new(),
+            memo: Vec::new(),
         }
     }
 
     /// A graph that *replays* a compiled plan: the same builder code that
     /// recorded the plan re-executes against its arena, and
     /// [`Graph::into_plan`] recovers the plan afterwards for re-caching.
-    /// Allocates nothing, except to reserve an arena that a plan-cache
-    /// miss released.
+    /// Allocates nothing, except to fit an arena that has not yet served
+    /// a program this large, and to sync a weight copy that has not yet
+    /// seen a store.
     pub fn replay(mut plan: Plan) -> Self {
-        plan.reserve();
-        plan.param_memo.clear();
+        plan.begin_run();
         Graph {
             plan,
             cursor: Some(0),
+            ext: Vec::new(),
+            memo: Vec::new(),
         }
     }
 
@@ -290,12 +332,14 @@ impl Graph {
     /// Panics in replay mode if the builder did not replay the full
     /// recorded op sequence — the plan key failed to determine the tape.
     pub fn into_plan(self, loss: Option<NodeId>) -> Plan {
-        let Graph { mut plan, cursor } = self;
+        let Graph {
+            mut plan,
+            cursor,
+            ext,
+            ..
+        } = self;
         let Some(cursor) = cursor else {
-            // Free the recording buffers before compile allocates the arena.
-            let steps = std::mem::take(&mut plan.steps);
-            drop(plan);
-            return crate::plan::compile(steps, loss.map(|l| l.0));
+            return plan.compile(ext.into_iter().map(Cell::into_inner), loss.map(|l| l.0));
         };
         assert_eq!(
             cursor,
@@ -304,25 +348,38 @@ impl Graph {
              the plan cache key does not fully determine the op sequence",
             plan.len()
         );
+        plan.end_run();
         plan
     }
 
     /// Replay-mode guard shared by the op constructors: match the op
-    /// being built against the recorded step at the cursor (the `check`
-    /// closure also refreshes per-step constants stored inside the op),
-    /// advance, and evaluate the step into the arena. Returns `None` in
-    /// record mode.
+    /// being built against the recorded step at the cursor, advance, and
+    /// evaluate the step into the arena. Returns `None` in record mode.
     fn r_step(
         &mut self,
         expect: &'static str,
-        check: impl FnOnce(&mut Op) -> bool,
+        check: impl FnOnce(&Op) -> bool,
+        extra: Option<&Matrix>,
+    ) -> Option<NodeId> {
+        self.r_step_with(expect, check, &[], extra)
+    }
+
+    /// [`Graph::r_step`] for an op with per-run constants: once `check`
+    /// has matched their shapes, `consts` are written into the arena, in
+    /// the op's argument order, before the step evaluates.
+    fn r_step_with(
+        &mut self,
+        expect: &'static str,
+        check: impl FnOnce(&Op) -> bool,
+        consts: &[&Matrix],
         extra: Option<&Matrix>,
     ) -> Option<NodeId> {
         let i = self.cursor?;
         self.plan.expect_step(i, expect);
-        if !check(&mut self.plan.steps[i].op) {
+        if !check(&self.plan.prog.steps[i].op) {
             self.plan.diverged(i, expect);
         }
+        self.plan.write_consts(i, consts);
         self.cursor = Some(i + 1);
         self.plan.eval(i, extra);
         Some(NodeId(i))
@@ -334,7 +391,7 @@ impl Graph {
     fn r_input(&mut self, value: &Matrix, needs_grad: bool) -> Option<NodeId> {
         let i = self.cursor?;
         self.plan.expect_step(i, "Input");
-        let st = &self.plan.steps[i];
+        let st = &self.plan.prog.steps[i];
         if !matches!(st.op, Op::Input) || st.needs_grad != needs_grad {
             self.plan.diverged(i, "Input");
         }
@@ -349,6 +406,7 @@ impl Graph {
     fn push(&mut self, op: Op, shape: (usize, usize), extra: Option<&Matrix>) -> NodeId {
         let needs_grad = op.inputs().iter().any(|&id| self.needs(id));
         let i = self.plan.record(op, shape, needs_grad, None);
+        self.ext.push(Cell::new(false));
         self.run(i, extra)
     }
 
@@ -366,6 +424,7 @@ impl Graph {
             value.data.len()
         );
         let i = self.plan.record(op, value.shape(), needs_grad, Some(value));
+        self.ext.push(Cell::new(false));
         self.run(i, None)
     }
 
@@ -384,11 +443,11 @@ impl Graph {
     }
 
     fn needs(&self, id: NodeId) -> bool {
-        self.plan.steps[id.0].needs_grad
+        self.plan.prog.steps[id.0].needs_grad
     }
 
     fn shape(&self, id: NodeId) -> (usize, usize) {
-        let st = &self.plan.steps[id.0];
+        let st = &self.plan.prog.steps[id.0];
         (st.rows as usize, st.cols as usize)
     }
 
@@ -404,13 +463,13 @@ impl Graph {
         if let Some(cursor) = self.cursor {
             return self.plan.ext_value(id.0, cursor);
         }
-        self.plan.steps[id.0].ext.set(true);
+        self.ext[id.0].set(true);
         self.plan.val_ref(id.0)
     }
 
     /// The recorded operation of a node (for tape auditing).
     pub fn op(&self, id: NodeId) -> &Op {
-        &self.plan.steps[id.0].op
+        &self.plan.prog.steps[id.0].op
     }
 
     /// Whether a node participates in gradient computation.
@@ -484,30 +543,29 @@ impl Graph {
     /// models must enter via [`Graph::param_frozen`].
     ///
     /// Repeated calls for the same id return the same node. In replay
-    /// mode the plan's parameter slots are first synchronized against the
-    /// store (version-gated, so unchanged stores cost one integer
-    /// compare).
+    /// mode the first call binds the run to the cache's copy of the
+    /// store's weights, synced to the store's current version (once per
+    /// version and cache; later calls cost two integer compares).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        if self.cursor.is_some() {
-            self.plan.sync_params(store);
-        }
-        let memo = &self.plan.param_memo;
-        if let Some(&(_, step)) = memo.iter().find(|&&(pid, _)| pid == id) {
-            return NodeId(step as usize);
-        }
-        let n = match self.cursor {
-            Some(i) => {
-                self.plan.expect_step(i, "Param");
-                if !matches!(self.plan.steps[i].op, Op::Param(p) if p == id) {
-                    self.plan.diverged(i, "Param");
-                }
-                self.cursor = Some(i + 1);
-                NodeId(i)
+        let Some(i) = self.cursor else {
+            if let Some(&(_, step)) = self.memo.iter().find(|&&(pid, _)| pid == id) {
+                return NodeId(step as usize);
             }
-            None => self.push_leaf(Op::Param(id), store.value(id).clone(), true),
+            let n = self.push_leaf(Op::Param(id), store.value(id).clone(), true);
+            self.memo.push((id, n.0 as u32));
+            return n;
         };
-        self.plan.param_memo.push((id, n.0 as u32));
-        n
+        self.plan.bind_weights(store);
+        match self.plan.prog.param_step(id) {
+            Some(step) if step < i => return NodeId(step),
+            _ => {}
+        }
+        self.plan.expect_step(i, "Param");
+        if !matches!(self.plan.prog.steps[i].op, Op::Param(p) if p == id) {
+            self.plan.diverged(i, "Param");
+        }
+        self.cursor = Some(i + 1);
+        NodeId(i)
     }
 
     /// Leaf a parameter as a frozen constant: gradients flow *through* ops
@@ -830,8 +888,8 @@ impl Graph {
             (rows, cols),
             "noisy_renorm: noise shape mismatch"
         );
-        // The noise buffer is filled from `u` when the step evaluates.
-        let noise = Matrix::zeros(rows, cols);
+        // The noise constant is filled from `u` when the step evaluates.
+        let noise = self.plan.record_const(Matrix::zeros(rows, cols));
         self.push(Op::NoisyRenorm { x, a, noise }, (rows, cols), Some(u))
     }
 
@@ -871,27 +929,18 @@ impl Graph {
         scale: &Matrix,
         group: usize,
     ) -> NodeId {
-        if let Some(n) = self.r_step(
+        // The mask and scale columns vary per batch (padding pattern): a
+        // replay writes this run's into its arena.
+        if let Some(n) = self.r_step_with(
             "MaskedGroupMean",
-            |op| match op {
-                Op::MaskedGroupMean {
-                    x: x0,
-                    mask: m0,
-                    scale: s0,
-                    group: g0,
-                } if *x0 == x
-                    && *g0 == group
-                    && m0.shape() == mask.shape()
-                    && s0.shape() == scale.shape() =>
-                {
-                    // The mask and scale columns vary per batch (padding
-                    // pattern); refresh the recorded constants in place.
-                    m0.data.copy_from_slice(&mask.data);
-                    s0.data.copy_from_slice(&scale.data);
-                    true
-                }
-                _ => false,
+            |op| {
+                matches!(op, Op::MaskedGroupMean { x: x0, mask: m0, scale: s0, group: g0 }
+                    if *x0 == x
+                        && *g0 == group
+                        && m0.shape() == mask.shape()
+                        && s0.shape() == scale.shape())
             },
+            &[mask, scale],
             None,
         ) {
             return n;
@@ -911,8 +960,8 @@ impl Graph {
         );
         let op = Op::MaskedGroupMean {
             x,
-            mask: mask.clone(),
-            scale: scale.clone(),
+            mask: self.plan.record_const(mask.clone()),
+            scale: self.plan.record_const(scale.clone()),
             group,
         };
         self.push(op, (rows / group, cols), None)
@@ -944,20 +993,16 @@ impl Graph {
     /// Numerically stable formulation
     /// `max(x,0) - x*t + ln(1 + e^{-|x|})`.
     pub fn bce_with_logits(&mut self, logits: NodeId, targets: Matrix) -> NodeId {
-        if let Some(n) = self.r_step(
+        if let Some(n) = self.r_step_with(
             "BceWithLogits",
-            |op| match op {
-                Op::BceWithLogits(l0, t0) if *l0 == logits && t0.shape() == targets.shape() => {
-                    t0.data.copy_from_slice(&targets.data);
-                    true
-                }
-                _ => false,
-            },
+            |op| matches!(op, Op::BceWithLogits(l0, t0) if *l0 == logits && t0.shape() == targets.shape()),
+            &[&targets],
             None,
         ) {
             return n;
         }
         assert_eq!(self.shape(logits), targets.shape(), "bce shape mismatch");
+        let targets = self.plan.record_const(targets);
         self.push(Op::BceWithLogits(logits, targets), (1, 1), None)
     }
 
@@ -981,19 +1026,13 @@ impl Graph {
     /// `sigma` must be elementwise positive (pass it through
     /// [`Graph::softplus`] plus a floor first).
     pub fn gaussian_nll(&mut self, mu: NodeId, sigma: NodeId, target: Matrix) -> NodeId {
-        if let Some(n) = self.r_step(
+        if let Some(n) = self.r_step_with(
             "GaussianNll",
-            |op| match op {
-                Op::GaussianNll {
-                    mu: m0,
-                    sigma: s0,
-                    target: t0,
-                } if *m0 == mu && *s0 == sigma && t0.shape() == target.shape() => {
-                    t0.data.copy_from_slice(&target.data);
-                    true
-                }
-                _ => false,
+            |op| {
+                matches!(op, Op::GaussianNll { mu: m0, sigma: s0, target: t0 }
+                    if *m0 == mu && *s0 == sigma && t0.shape() == target.shape())
             },
+            &[&target],
             None,
         ) {
             return n;
@@ -1001,6 +1040,7 @@ impl Graph {
         let sm = self.shape(mu);
         assert_eq!(sm, self.shape(sigma), "gaussian_nll mu/sigma mismatch");
         assert_eq!(sm, target.shape(), "gaussian_nll target mismatch");
+        let target = self.plan.record_const(target);
         self.push(Op::GaussianNll { mu, sigma, target }, (1, 1), None)
     }
 
@@ -1044,7 +1084,7 @@ impl Graph {
             // Every consumer of step `i` sits later on the tape, so its
             // backward has run and nothing reads this gradient again; only
             // the leaves and the loss keep theirs.
-            if i != loss.0 && !matches!(plan.steps[i].op, Op::Input | Op::Param(_)) {
+            if i != loss.0 && !matches!(plan.prog.steps[i].op, Op::Input | Op::Param(_)) {
                 plan.free_grad(i);
             }
         });
@@ -1055,7 +1095,7 @@ impl Graph {
 fn profile(plan: &Plan, i: usize, phase: gendt_trace::Phase, t0: u64) {
     let dur = gendt_trace::now_ns().saturating_sub(t0);
     let (flops, bytes) = op_cost(plan, i);
-    gendt_trace::record_op(plan.steps[i].op.name(), phase, dur, flops, bytes);
+    gendt_trace::record_op(plan.prog.steps[i].op.name(), phase, dur, flops, bytes);
 }
 
 /// Order-of-magnitude FLOP and byte-traffic estimates for one execution
@@ -1065,15 +1105,15 @@ fn profile(plan: &Plan, i: usize, phase: gendt_trace::Phase, t0: u64) {
 /// visits reuse the same estimate — gradient kernels touch the same
 /// operands at the same shapes.
 fn op_cost(plan: &Plan, i: usize) -> (u64, u64) {
-    let el = |id: &NodeId| plan.steps[id.0].elems() as u64;
-    let op = &plan.steps[i].op;
+    let el = |id: &NodeId| plan.prog.steps[id.0].elems() as u64;
+    let op = &plan.prog.steps[i].op;
     let out_el = el(&NodeId(i));
     let in_el: u64 = op.inputs().iter().map(el).sum();
     let bytes = 4 * (in_el + out_el);
     let flops = match op {
         Op::Input | Op::Param(_) => 0,
         Op::MatMul(a, b) => {
-            let (sa, sb) = (&plan.steps[a.0], &plan.steps[b.0]);
+            let (sa, sb) = (&plan.prog.steps[a.0], &plan.prog.steps[b.0]);
             2 * sa.rows as u64 * sa.cols as u64 * sb.cols as u64
         }
         // Transcendental activations: charge a handful of flops per
@@ -1094,7 +1134,7 @@ fn op_cost(plan: &Plan, i: usize) -> (u64, u64) {
 /// attributes, and the state of its inputs, so a NaN is caught at the op
 /// that *created* it rather than steps later in a loss or a checkpoint.
 fn sanitize_forward(plan: &Plan, i: usize) {
-    let (op, value) = (&plan.steps[i].op, plan.val_ref(i));
+    let (op, value) = (&plan.prog.steps[i].op, plan.val_ref(i));
     if value.has_non_finite() {
         panic!(
             "GENDT_SANITIZE: op {} (node {i}) produced a non-finite value (shape {}x{}){}",
@@ -1115,7 +1155,7 @@ fn sanitize_inputs(plan: &Plan, op: &Op) -> String {
         s.push_str(&format!(
             "\n  input node {} = {} (shape {}x{}, non_finite={})",
             id.0,
-            plan.steps[id.0].op.describe(),
+            plan.prog.steps[id.0].op.describe(),
             v.rows,
             v.cols,
             v.has_non_finite()
@@ -1127,16 +1167,16 @@ fn sanitize_inputs(plan: &Plan, op: &Op) -> String {
 /// Sanitizer-mode backward check, after step `i` pushed its gradient
 /// contributions: no input of `i` may now hold a non-finite gradient.
 fn sanitize_backward(plan: &Plan, i: usize) {
-    for id in plan.steps[i].op.inputs() {
+    for id in plan.prog.steps[i].op.inputs() {
         if let Some(g) = plan.grad(id.0).filter(|g| g.has_non_finite()) {
             panic!(
                 "GENDT_SANITIZE: non-finite gradient flowing into node {} ({}, shape {}x{}) \
                  from node {i} ({})",
                 id.0,
-                plan.steps[id.0].op.describe(),
+                plan.prog.steps[id.0].op.describe(),
                 g.rows,
                 g.cols,
-                plan.steps[i].op.describe()
+                plan.prog.steps[i].op.describe()
             );
         }
     }

@@ -68,13 +68,13 @@ pub mod rng {
     pub use gendt_rng::*;
 }
 
-pub use graph::{Graph, NodeId, Op};
+pub use graph::{Const, Graph, NodeId, Op};
 pub use layers::{
     dropout, Linear, Lstm, LstmNodeState, LstmState, LstmWeights, Mlp, StochasticCfg,
 };
 pub use matrix::Matrix;
 pub use params::{Adam, ParamId, ParamStore, Sgd};
-pub use plan::{fold_dims, LiveRange, Plan, PlanCache, PlanKey};
+pub use plan::{fold_dims, LiveRange, Plan, PlanCache, PlanCacheStats, PlanKey};
 pub use rng::Rng;
 pub use sanitize::{sanitize_enabled, set_sanitize};
 pub use threads::{num_threads, set_num_threads};

@@ -8,6 +8,7 @@
 use crate::checkpoint::CheckpointError;
 use crate::matrix::Matrix;
 use crate::rng::Rng;
+use gendt_sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 
 /// Handle to a parameter inside a [`ParamStore`].
@@ -26,15 +27,53 @@ pub struct Param {
 }
 
 /// The set of all trainable parameters of one model (or sub-model).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// A store is not serialized itself: checkpoints hold its values by
+/// parameter name (see [`crate::checkpoint`]), and its identity belongs
+/// to the running process.
+#[derive(Debug)]
 pub struct ParamStore {
     params: Vec<Param>,
     /// Monotonic mutation counter: bumped whenever parameter *values*
     /// may have changed (registration, `value_mut`, optimizer steps) —
-    /// but not by gradient traffic. Compiled plans compare it to decide
-    /// whether their parameter slots need re-synchronizing; plans start
-    /// at a sentinel version, so any store state triggers a first sync.
+    /// but not by gradient traffic. A plan cache compares it to decide
+    /// whether its copy of the weights needs re-synchronizing; a copy
+    /// starts at a sentinel version, so any store state triggers a first
+    /// sync.
     version: u64,
+    /// Identity of this store object, unique in the process: a plan
+    /// cache keys its weight copies by it, since two stores (a model's
+    /// generator and discriminator) both number their parameters from
+    /// `ParamId(0)`. A clone is a new store and draws a new identity.
+    id: u64,
+}
+
+/// Next store identity.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
+
+fn next_store_id() -> u64 {
+    // sync: a unique-id counter; nothing is published through it.
+    NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for ParamStore {
+    fn default() -> Self {
+        ParamStore {
+            params: Vec::new(),
+            version: 0,
+            id: next_store_id(),
+        }
+    }
+}
+
+impl Clone for ParamStore {
+    fn clone(&self) -> Self {
+        ParamStore {
+            params: self.params.clone(),
+            version: self.version,
+            id: next_store_id(),
+        }
+    }
 }
 
 impl ParamStore {
@@ -46,6 +85,11 @@ impl ParamStore {
     /// Current value-mutation version (see the field docs).
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Process-unique identity of this store object (see the field docs).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Register a parameter with an explicit initial value.

@@ -1,11 +1,14 @@
-//! Ahead-of-time compiled execution plans with arena memory — and the
-//! one executor every op runs on.
+//! Ahead-of-time compiled execution plans — shared programs run in lent
+//! arenas — and the one executor every op runs on.
 //!
 //! GenDT's train-once/generate-many workload builds the same op sequence
 //! over and over: it is a pure function of the (model, batch-shape) pair.
-//! This module compiles one recorded tape into a [`Plan`] — a
-//! topo-ordered op list with resolved shapes for forward and backward —
-//! and re-executes it with **zero per-step heap allocation**:
+//! This module compiles one recorded tape into a program — a topo-ordered
+//! op list with resolved shapes for forward and backward — and
+//! re-executes it with **zero per-step heap allocation**. A [`Plan`] is
+//! one run of a program: the program itself, immutable and shared by
+//! `Arc` with every other run of its key; the arena the run executes in;
+//! and the copy of the weights it reads.
 //!
 //! * **One executor.** [`Plan::eval`] and [`Plan::backward_step`] hold the
 //!   only forward and backward arithmetic of every op. Recording runs on
@@ -17,12 +20,24 @@
 //!   afterwards only the leaves that take a gradient (parameters, inputs
 //!   built with one) and the loss still hold theirs; [`Graph::into_plan`]
 //!   frees the value buffers and compiles the recorded steps.
-//! * **Liveness + arena.** A first-use/last-use interval pass assigns
-//!   every value and gradient to a slot in a reusable arena. Slots are
-//!   `Matrix` buffers allocated once at compile time and rebound
-//!   (shape + length within the preallocated capacity) as steps
-//!   execute; two live buffers never share a slot (see
-//!   [`Plan::live_ranges`]).
+//! * **Liveness + lent arenas.** A first-use/last-use interval pass
+//!   assigns every value and gradient to a slot and records each slot's
+//!   capacity in the program; two live buffers never share a slot (see
+//!   [`Plan::live_ranges`]). The slots themselves — with the workspace,
+//!   the gradient flags and the per-run constants of the ops (SRNN noise,
+//!   masks, loss targets) — live in an arena that is **lent per run**,
+//!   not allocated at compile time: [`PlanCache::run`] lends an idle
+//!   arena from its pool and takes it back afterwards, and an arena grows
+//!   once to the per-slot capacities of every program it has served.
+//!   Buffers are rebound (shape + length within that capacity) as steps
+//!   execute. Two runs need two arenas only when they run at once (two
+//!   training shards); a teacher-forced and a free-running step of one
+//!   shard take turns on one.
+//! * **One weight copy per store.** Parameter values and the hoisted GEMM
+//!   column packs of the weights are not arena state: a cache keeps one
+//!   copy per parameter store, keyed by the store's identity and synced
+//!   once per store version, and every run of every program that reads
+//!   the store shares it.
 //! * **Plan-time fusion.** Two chain patterns from the recorded tape are
 //!   collapsed at compile time: the LSTM gate assembly
 //!   `MatMul + MatMul + AddAddRow` becomes two in-place GEMMs plus a
@@ -33,35 +48,39 @@
 //! * **Replay via the same builder.** A plan is executed by running the
 //!   *same* model-building code against [`Graph::replay`]: each op
 //!   constructor validates that it matches the recorded step (panicking
-//!   loudly on divergence), refreshes per-step constants (inputs, noise,
-//!   targets) in place, and evaluates into the arena. This keeps
-//!   control-flow that depends on intermediate values (the generator's
-//!   free-running feedback loop) working unchanged.
+//!   loudly on divergence), writes the step's per-run constants (inputs,
+//!   masks, targets) into the arena, and evaluates into the arena. A
+//!   replay never changes the program. This keeps control-flow that
+//!   depends on intermediate values (the generator's free-running
+//!   feedback loop) working unchanged.
 //!
 //! # Determinism contract
 //!
 //! Replaying a plan is **bitwise identical** to recording it: the fused
 //! kinds replicate the unfused arithmetic exactly, including
 //! accumulation order and the `±0.0` behavior of sparse gradient
-//! scatters, and arena binding never changes a number. Replay therefore
-//! changes wall-clock, never numbers. What can still differ — fusion,
-//! arena binding, and replay of fresh inputs — is what the parity gate in
-//! `scripts/ci.sh` checks; the finite-difference gradcheck checks the one
-//! backward both modes run.
+//! scatters, and neither arena binding nor the arena a run is lent ever
+//! changes a number. Replay therefore changes wall-clock, never numbers.
+//! What can still differ — fusion, arena binding, and replay of fresh
+//! inputs — is what the parity gate in `scripts/ci.sh` checks; the
+//! finite-difference gradcheck checks the one backward both modes run.
 
-use crate::graph::{Graph, NodeId, Op};
+use crate::graph::{Const, Graph, NodeId, Op};
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use gendt_sync::Mutex;
-use std::cell::Cell;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Slot sentinel: this step has no value (or gradient) buffer.
 const NONE: u32 = u32::MAX;
 
 /// Release time for arena bindings that live for the whole plan.
 const PINNED: usize = usize::MAX;
+
+/// Version of a weight copy that has never been synced.
+const NO_VERSION: u64 = u64::MAX;
 
 /// How a step executes, decided once at compile time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,7 +109,7 @@ pub(crate) enum Kind {
     /// two covering `SliceCols`: forward writes `h` and `c` straight into
     /// the slices' slots (the concatenated value is never materialized),
     /// backward assembles the split gradients with the exact `±0.0`
-    /// semantics of the two slices' scatter (see [`grad_pair`]).
+    /// semantics of the two slices' scatter (see [`select_cell_grads`]).
     CellSplit {
         /// Step index of the `SliceCols(.., 0, hidden)` consumer.
         h_step: u32,
@@ -110,7 +129,9 @@ pub(crate) struct Step {
     pub(crate) op: Op,
     pub(crate) kind: Kind,
     /// Arena slot holding this step's forward value ([`NONE`] for
-    /// [`Kind::GateMatmul`] steps, whose value is never materialized).
+    /// [`Kind::GateMatmul`] steps, whose value is never materialized, and
+    /// for the parameters of a compiled program, which read the weight
+    /// copy).
     pub(crate) val_slot: u32,
     /// Arena slot holding this step's gradient during backward
     /// ([`NONE`] when no gradient ever materializes here).
@@ -118,7 +139,7 @@ pub(crate) struct Step {
     pub(crate) needs_grad: bool,
     /// Whether the recording pass read this value externally
     /// (via [`crate::graph::Graph::value`]); such slots are pinned.
-    pub(crate) ext: Cell<bool>,
+    pub(crate) ext: bool,
     pub(crate) rows: u32,
     pub(crate) cols: u32,
 }
@@ -148,115 +169,330 @@ pub struct LiveRange {
     pub elems: usize,
 }
 
-/// A compiled execution plan: topo-ordered steps, the arena they execute
-/// in, and everything needed to replay forward/backward with zero heap
-/// allocation. Build one with [`crate::graph::Graph::into_plan`] and
-/// execute it with [`crate::graph::Graph::replay`].
-#[derive(Debug)]
-pub struct Plan {
+/// A compiled program: everything about a plan that is the same for every
+/// run of its key. Immutable once compiled; the cache and every run share
+/// it by `Arc`. While recording, the steps recorded so far.
+#[derive(Debug, Default)]
+pub(crate) struct Program {
     pub(crate) steps: Vec<Step>,
-    /// The arena: one reusable `Matrix` per slot, allocated to its
-    /// maximum bound capacity at compile time.
-    slots: Vec<Matrix>,
     /// Per-slot element capacity (rebinding must stay within it).
     caps: Vec<usize>,
+    /// Workspace elements the neediest step uses.
+    ws_len: usize,
+    /// Element count of each per-run constant, by [`Const`] index.
+    const_lens: Vec<usize>,
+    /// Loss step index when the program was compiled from a tape that
+    /// runs backward; `None` for generation-only programs.
+    loss: Option<usize>,
+    /// All `Param` steps in recording order, for binding the weights and
+    /// for finding a repeated [`crate::graph::Graph::param`] call's step.
+    param_steps: Vec<(ParamId, u32)>,
+    /// Parameters consumed as the B operand of a forward GEMM. Their
+    /// column-block pack is hoisted out of the per-step kernel into the
+    /// weight copy: packed once per store version, then reused by every
+    /// GEMM reading them (an LSTM weight is hit `L` times per forward).
+    packs: Vec<ParamId>,
+    /// Binding intervals, kept for property tests and diagnostics.
+    ranges: Vec<LiveRange>,
+}
+
+impl Program {
+    /// The step of parameter `id`, if the program has one.
+    pub(crate) fn param_step(&self, id: ParamId) -> Option<usize> {
+        self.param_steps
+            .iter()
+            .find(|&&(pid, _)| pid == id)
+            .map(|&(_, s)| s as usize)
+    }
+}
+
+/// Per-run state: the buffers one run of a program executes in. Lent by
+/// [`PlanCache::run`] from its pool and taken back afterwards; fitted to
+/// every program it serves. Nothing in it survives from one run to the
+/// next: every buffer is written before it is read.
+#[derive(Debug, Default)]
+pub(crate) struct Arena {
+    /// Value and gradient buffers by slot (one pair per step while
+    /// recording).
+    slots: Vec<Matrix>,
+    /// Shared scratch for GEMM packing, LSTM activations, and backward
+    /// row reductions.
+    ws: Vec<f32>,
     /// Whether each step's gradient currently holds a contribution: the
     /// first contribution sets the buffer, later ones add to it.
     grad_present: Vec<bool>,
-    /// Shared scratch for GEMM packing, LSTM activations, and backward
-    /// row reductions. Sized at compile time to the largest need.
-    ws: Vec<f32>,
-    /// Compiled length of `ws` (kept while the arena is released).
-    ws_len: usize,
-    /// True while the arena (slots, `ws` and `pack_bufs`) is freed: a
-    /// cache miss releases idle plans, and
-    /// [`crate::graph::Graph::replay`] reserves the arena again before the
-    /// next replay.
-    released: bool,
-    /// Loss step index when the plan was compiled from a tape that runs
-    /// backward; `None` for generation-only plans.
-    loss: Option<usize>,
-    /// All `Param` steps in recording order, for store synchronization.
-    param_steps: Vec<(ParamId, u32)>,
-    /// Param memoization: repeated [`crate::graph::Graph::param`] calls
-    /// for one id return one step, while recording and on every replay;
-    /// cleared by [`crate::graph::Graph::replay`].
-    pub(crate) param_memo: Vec<(ParamId, u32)>,
-    /// Store version the param slots were last synchronized against.
-    param_version: u64,
-    /// Param steps consumed as the B operand of a forward GEMM, whose
-    /// column-block pack is hoisted out of the per-step kernel: packed
-    /// once per store version by [`Plan::sync_params`], then reused by
-    /// every GEMM reading them (an LSTM weight is hit `L` times per
-    /// forward). `pack_of[step]` indexes `pack_steps`/`pack_bufs`.
-    pack_steps: Vec<u32>,
-    /// Pre-packed buffers, parallel to `pack_steps` (see
-    /// [`crate::kernels::pack_b_full`]); allocated at compile time.
-    pack_bufs: Vec<Vec<f32>>,
-    /// Per-step index into `pack_bufs` ([`NONE`] when not packed).
-    pack_of: Vec<u32>,
-    /// Binding intervals, kept for property tests and diagnostics.
-    ranges: Vec<LiveRange>,
+    /// The ops' per-run constants (SRNN noise, masks, loss targets), by
+    /// [`Const`] index.
+    consts: Vec<Matrix>,
+}
+
+impl Arena {
+    /// Grow to serve `prog`: every slot and constant to at least the
+    /// program's capacity, the workspace and the flags to its lengths. A
+    /// no-op on an arena that has served a program at least as large, so
+    /// warm replays stay allocation-free.
+    fn fit(&mut self, prog: &Program) {
+        fit_bufs(&mut self.slots, &prog.caps);
+        fit_bufs(&mut self.consts, &prog.const_lens);
+        fit_len(&mut self.ws, prog.ws_len, 0.0);
+        fit_len(&mut self.grad_present, prog.steps.len(), false);
+    }
+
+    /// Heap bytes the arena holds.
+    fn bytes(&self) -> usize {
+        let bufs = |v: &Vec<Matrix>| {
+            v.capacity() * std::mem::size_of::<Matrix>()
+                + v.iter().map(|m| 4 * m.data.capacity()).sum::<usize>()
+        };
+        bufs(&self.slots)
+            + bufs(&self.consts)
+            + 4 * self.ws.capacity()
+            + self.grad_present.capacity()
+    }
+}
+
+/// Grow `bufs` to `caps.len()` buffers, each with at least its capacity.
+fn fit_bufs(bufs: &mut Vec<Matrix>, caps: &[usize]) {
+    if bufs.len() < caps.len() {
+        bufs.reserve_exact(caps.len() - bufs.len());
+        bufs.resize_with(caps.len(), Matrix::default);
+    }
+    for (m, &cap) in bufs.iter_mut().zip(caps) {
+        if m.data.capacity() < cap {
+            m.data.reserve_exact(cap - m.data.len());
+        }
+    }
+}
+
+/// Grow `v` to at least `len` elements.
+fn fit_len<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() < len {
+        v.reserve_exact(len - v.len());
+        v.resize(len, fill);
+    }
+}
+
+/// One parameter store's weights as the runs of a cache read them: the
+/// values, and the hoisted column packs of those a program reads as a
+/// GEMM `B` operand.
+#[derive(Debug)]
+pub(crate) struct Weights {
+    /// Identity of the store the copy mirrors.
+    store: u64,
+    /// Store version the copy holds ([`NO_VERSION`] before its first
+    /// sync).
+    version: u64,
+    /// Values by [`ParamId`].
+    values: Vec<Matrix>,
+    /// Column packs by [`ParamId`] (see [`kernels::pack_b_full`]); `None`
+    /// until some program reads the parameter as a GEMM `B` operand.
+    packs: Vec<Option<Vec<f32>>>,
+}
+
+impl Weights {
+    fn new(store: u64) -> Weights {
+        Weights {
+            store,
+            version: NO_VERSION,
+            values: Vec::new(),
+            packs: Vec::new(),
+        }
+    }
+
+    /// True when the copy holds `store`'s current values and every pack
+    /// `prog` reads.
+    fn serves(&self, store: &ParamStore, prog: &Program) -> bool {
+        self.version == store.version()
+            && prog
+                .packs
+                .iter()
+                .all(|p| matches!(self.packs.get(p.0), Some(Some(_))))
+    }
+
+    /// Bring the copy to `store`'s version (values, then every pack it
+    /// holds) and add the packs `prog` reads that it lacks. Buffers are
+    /// refilled in place, so a warm sync allocates nothing. Returns
+    /// whether the values were synced.
+    fn sync(&mut self, store: &ParamStore, prog: &Program) -> bool {
+        let synced = self.version != store.version();
+        if synced {
+            self.values.resize_with(store.len(), Matrix::default);
+            self.packs.resize_with(store.len(), || None);
+            for (v, p) in self.values.iter_mut().zip(store.iter()) {
+                v.rows = p.value.rows;
+                v.cols = p.value.cols;
+                v.data.clear();
+                v.data.extend_from_slice(&p.value.data);
+            }
+            for (pack, v) in self.packs.iter_mut().zip(&self.values) {
+                if let Some(buf) = pack {
+                    buf.resize(kernels::packed_b_len(v.rows, v.cols), 0.0);
+                    kernels::pack_b_full(v, buf);
+                }
+            }
+            self.version = store.version();
+        }
+        for &pid in &prog.packs {
+            let v = &self.values[pid.0];
+            if self.packs[pid.0].is_none() {
+                let mut buf = vec![0.0; kernels::packed_b_len(v.rows, v.cols)];
+                kernels::pack_b_full(v, &mut buf);
+                self.packs[pid.0] = Some(buf);
+            }
+        }
+        synced
+    }
+
+    /// Heap bytes the copy holds.
+    fn bytes(&self) -> usize {
+        let values: usize = self.values.iter().map(|m| m.data.capacity()).sum();
+        let packs: usize = self.packs.iter().flatten().map(Vec::capacity).sum();
+        4 * (values + packs)
+    }
+}
+
+/// The weight copies of one cache (or of one plan outside any cache), one
+/// per parameter store its programs read.
+#[derive(Debug, Default)]
+pub(crate) struct WeightPool {
+    copies: Mutex<WeightCopies>,
+}
+
+#[derive(Debug, Default)]
+struct WeightCopies {
+    list: Vec<Arc<Weights>>,
+    /// Version syncs so far, for the once-per-cache test.
+    #[cfg(test)]
+    syncs: usize,
+}
+
+impl WeightPool {
+    /// The copy of `store`'s weights at its current version, with every
+    /// pack `prog` reads. The first run to ask for a new store version
+    /// syncs the copy in place; the runs after it share that copy. A copy
+    /// still read by a run at an older version is left to that run, and
+    /// the store gets a fresh one.
+    fn acquire(&self, store: &ParamStore, prog: &Program) -> Arc<Weights> {
+        let mut copies = self.copies.lock();
+        let pos = match copies.list.iter().position(|w| w.store == store.id()) {
+            Some(pos) => pos,
+            None => {
+                copies.list.push(Arc::new(Weights::new(store.id())));
+                copies.list.len() - 1
+            }
+        };
+        if !copies.list[pos].serves(store, prog) {
+            if Arc::get_mut(&mut copies.list[pos]).is_none() {
+                copies.list[pos] = Arc::new(Weights::new(store.id()));
+            }
+            let synced = Arc::get_mut(&mut copies.list[pos])
+                .expect("a fresh weight copy is unshared")
+                .sync(store, prog);
+            #[cfg(test)]
+            {
+                copies.syncs += usize::from(synced);
+            }
+            let _ = synced;
+        }
+        Arc::clone(&copies.list[pos])
+    }
+
+    /// Number of copies and their heap bytes.
+    fn usage(&self) -> (usize, usize) {
+        let copies = self.copies.lock();
+        let bytes = copies.list.iter().map(|w| w.bytes()).sum();
+        (copies.list.len(), bytes)
+    }
+}
+
+/// One run of a compiled program: the program (shared by `Arc` with its
+/// cache and every other run of its key), the arena the run executes in,
+/// and the weight copy it reads. Build one with
+/// [`crate::graph::Graph::into_plan`] and execute it with
+/// [`crate::graph::Graph::replay`]; a [`PlanCache`] keeps the program and
+/// pools the arena between runs.
+#[derive(Debug)]
+pub struct Plan {
+    pub(crate) prog: Arc<Program>,
+    arena: Arena,
+    /// Where the run finds its weights: the owning cache's copies, or the
+    /// plan's own outside a cache.
+    pool: Arc<WeightPool>,
+    /// The copy the run reads, bound by its first
+    /// [`crate::graph::Graph::param`] and dropped when the run ends.
+    weights: Option<Arc<Weights>>,
 }
 
 impl Plan {
     /// Number of compiled steps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.prog.steps.len()
     }
 
     /// True when the plan has no steps.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.prog.steps.is_empty()
     }
 
-    /// Number of arena slots.
+    /// Number of arena slots the program uses.
     pub fn arena_slots(&self) -> usize {
-        self.caps.len()
+        self.prog.caps.len()
     }
 
-    /// Total bytes of the arena (slot capacities, workspace and hoisted
-    /// weight packs) while it is resident.
+    /// Heap bytes of the arena this plan holds (slots, workspace,
+    /// gradient flags and per-run constants): zero for a plan fresh from
+    /// compilation or lent a new arena, until a replay fits one.
     pub fn arena_bytes(&self) -> usize {
-        let packs: usize = (0..self.pack_bufs.len()).map(|k| self.pack_len(k)).sum();
-        4 * (self.caps.iter().sum::<usize>() + self.ws_len + packs)
-    }
-
-    /// Element count of hoisted weight pack `k`.
-    fn pack_len(&self, k: usize) -> usize {
-        let st = &self.steps[self.pack_steps[k] as usize];
-        kernels::packed_b_len(st.rows as usize, st.cols as usize)
+        self.arena.bytes()
     }
 
     /// All binding intervals assigned by the liveness pass.
     pub fn live_ranges(&self) -> &[LiveRange] {
-        &self.ranges
+        &self.prog.ranges
     }
 
     /// Per-slot element capacities.
     pub fn slot_caps(&self) -> &[usize] {
-        &self.caps
+        &self.prog.caps
     }
 
+    /// Value of step `i`: its arena slot, or the weight copy for a
+    /// parameter of a compiled program.
     pub(crate) fn val_ref(&self, i: usize) -> &Matrix {
-        &self.slots[self.steps[i].val_slot as usize]
+        match self.prog.steps[i].val_slot {
+            NONE => self.weight(i),
+            slot => &self.arena.slots[slot as usize],
+        }
+    }
+
+    fn weight(&self, i: usize) -> &Matrix {
+        let Op::Param(pid) = self.prog.steps[i].op else {
+            unreachable!("step {i} has no value buffer")
+        };
+        &self.weights().values[pid.0]
+    }
+
+    fn weights(&self) -> &Weights {
+        self.weights
+            .as_deref()
+            .expect("plan replay: a parameter was read before its store was bound")
     }
 
     fn grad_ref(&self, i: usize) -> &Matrix {
-        &self.slots[self.steps[i].grad_slot as usize]
+        &self.arena.slots[self.prog.steps[i].grad_slot as usize]
     }
 
     pub(crate) fn diverged(&self, i: usize, got: &str) -> ! {
         panic!(
             "plan replay diverged at step {i}: recorded {}, got {got}; \
              the plan cache key does not fully determine the op sequence",
-            self.steps[i].op.describe()
+            self.prog.steps[i].op.describe()
         )
     }
 
     pub(crate) fn expect_step(&self, i: usize, what: &str) {
         assert!(
-            i < self.steps.len(),
+            i < self.prog.steps.len(),
             "plan replay overran the recorded tape at step {i} (got {what}); \
              the plan cache key does not fully determine the op sequence"
         );
@@ -265,45 +501,61 @@ impl Plan {
     /// Value of an externally-read step during replay.
     pub(crate) fn ext_value(&self, i: usize, cursor: usize) -> &Matrix {
         assert!(i < cursor, "plan replay: value read before step {i} ran");
-        let st = &self.steps[i];
+        let st = &self.prog.steps[i];
         assert!(
-            st.ext.get(),
+            st.ext,
             "plan replay: step {i} ({}) was not read externally during \
              recording; external reads must be identical for every \
              execution of the same plan key",
             st.op.describe()
         );
-        &self.slots[st.val_slot as usize]
+        self.val_ref(i)
     }
 
-    /// Free the arena while the plan sits idle in a cache. Parameter
-    /// slots and weight packs lose their synchronized values, so the next
-    /// replay re-syncs them.
-    fn release(&mut self) {
-        self.slots.fill_with(Matrix::default);
-        self.ws = Vec::new();
-        self.pack_bufs.fill_with(Vec::new);
-        self.param_version = u64::MAX;
-        self.released = true;
+    /// Start a run: fit the arena to the program. Allocates only when the
+    /// arena has not yet served a program this large.
+    pub(crate) fn begin_run(&mut self) {
+        self.arena.fit(&self.prog);
     }
 
-    /// Re-allocate a released arena at its compiled capacities; a no-op
-    /// on a resident plan, so warm replays stay allocation-free.
-    pub(crate) fn reserve(&mut self) {
-        if !self.released {
-            return;
+    /// End a run: drop the weight copy, so the next store version can be
+    /// synced into it in place.
+    pub(crate) fn end_run(&mut self) {
+        self.weights = None;
+    }
+
+    /// Bind the run to `store`'s weight copy at its current version; a
+    /// no-op when already bound to it.
+    ///
+    /// # Panics
+    /// Panics if the run already reads another store's parameters (a
+    /// program's parameters all come from one store), or if a parameter's
+    /// shape differs from the recording.
+    pub(crate) fn bind_weights(&mut self, store: &ParamStore) {
+        if let Some(w) = &self.weights {
+            assert_eq!(
+                w.store,
+                store.id(),
+                "plan replay: parameters of two stores in one graph"
+            );
+            if w.version == store.version() {
+                return;
+            }
         }
-        for (slot, &cap) in self.slots.iter_mut().zip(&self.caps) {
-            slot.data.reserve_exact(cap);
+        self.weights = None;
+        let w = self.pool.acquire(store, &self.prog);
+        for &(pid, si) in &self.prog.param_steps {
+            let st = &self.prog.steps[si as usize];
+            let shape = w.values.get(pid.0).map(Matrix::shape);
+            assert_eq!(
+                shape,
+                Some((st.rows as usize, st.cols as usize)),
+                "plan replay: shape of parameter step {si} ({:?}) changed; the \
+                 plan cache key does not fully determine shapes",
+                pid
+            );
         }
-        self.ws.reserve_exact(self.ws_len);
-        self.ws.resize(self.ws_len, 0.0);
-        for k in 0..self.pack_bufs.len() {
-            let len = self.pack_len(k);
-            self.pack_bufs[k].reserve_exact(len);
-            self.pack_bufs[k].resize(len, 0.0);
-        }
-        self.released = false;
+        self.weights = Some(w);
     }
 
     // -----------------------------------------------------------------
@@ -313,22 +565,16 @@ impl Plan {
     /// An empty plan to record into (see [`Plan::record`]).
     pub(crate) fn recording() -> Plan {
         Plan {
-            steps: Vec::new(),
-            slots: Vec::new(),
-            caps: Vec::new(),
-            grad_present: Vec::new(),
-            ws: Vec::new(),
-            ws_len: 0,
-            released: false,
-            loss: None,
-            param_steps: Vec::new(),
-            param_memo: Vec::new(),
-            param_version: u64::MAX,
-            pack_steps: Vec::new(),
-            pack_bufs: Vec::new(),
-            pack_of: Vec::new(),
-            ranges: Vec::new(),
+            prog: Arc::default(),
+            arena: Arena::default(),
+            pool: Arc::default(),
+            weights: None,
         }
+    }
+
+    /// The program under construction.
+    fn recorded(&mut self) -> &mut Program {
+        Arc::get_mut(&mut self.prog).expect("a recording owns its program")
     }
 
     /// Record mode: append `op` as an unfused [`Kind::Plain`] step with
@@ -345,43 +591,75 @@ impl Plan {
         needs_grad: bool,
         value: Option<Matrix>,
     ) -> usize {
-        let i = self.steps.len();
-        let val_slot = self.slots.len() as u32;
+        let val_slot = self.arena.slots.len() as u32;
         let value = value.unwrap_or_else(|| Matrix {
             rows,
             cols,
             data: Vec::with_capacity(rows * cols),
         });
-        self.slots.extend([value, Matrix::default()]);
-        self.caps.extend([rows * cols; 2]);
-        self.steps.push(Step {
+        self.arena.slots.extend([value, Matrix::default()]);
+        self.arena.grad_present.push(false);
+        let prog = self.recorded();
+        let i = prog.steps.len();
+        prog.caps.extend([rows * cols; 2]);
+        prog.steps.push(Step {
             op,
             kind: Kind::Plain,
             val_slot,
             grad_slot: val_slot + 1,
             needs_grad,
-            ext: Cell::new(false),
+            ext: false,
             rows: rows as u32,
             cols: cols as u32,
         });
-        self.grad_present.push(false);
-        self.pack_of.push(NONE);
-        self.grow_ws(ws_need(&self.steps, i, false));
+        let need = ws_need(&prog.steps, i, false);
+        self.grow_ws(need);
         i
+    }
+
+    /// Record mode: keep `value` as a per-run constant of the op about to
+    /// be recorded, and return its handle.
+    pub(crate) fn record_const(&mut self, value: Matrix) -> Const {
+        let c = Const::new(value.shape(), self.arena.consts.len());
+        self.arena.consts.push(value);
+        c
     }
 
     /// Record mode: size the workspace for the backward pass of steps
     /// `0..=loss_idx` before [`Plan::backward_with`] runs it.
     pub(crate) fn reserve_backward(&mut self, loss_idx: usize) {
         for i in 0..=loss_idx {
-            self.grow_ws(ws_need(&self.steps, i, true));
+            let need = ws_need(&self.prog.steps, i, true);
+            self.grow_ws(need);
         }
     }
 
     fn grow_ws(&mut self, need: usize) {
-        if need > self.ws.len() {
-            self.ws.resize(need, 0.0);
-            self.ws_len = need;
+        if need > self.arena.ws.len() {
+            self.arena.ws.resize(need, 0.0);
+        }
+    }
+
+    /// Finish a recording: free its buffers, set each step's external-read
+    /// flag from `ext`, and compile the steps into a plan whose program
+    /// runs backward from `loss` (`None` for a forward-only program). The
+    /// plan keeps the recording's weight pool and has no arena yet.
+    pub(crate) fn compile(self, ext: impl IntoIterator<Item = bool>, loss: Option<usize>) -> Plan {
+        let Plan {
+            prog, arena, pool, ..
+        } = self;
+        drop(arena);
+        let mut steps = Arc::try_unwrap(prog)
+            .expect("a recording owns its program")
+            .steps;
+        for (st, e) in steps.iter_mut().zip(ext) {
+            st.ext = e;
+        }
+        Plan {
+            prog: Arc::new(compile(steps, loss)),
+            arena: Arena::default(),
+            pool,
+            weights: None,
         }
     }
 
@@ -391,15 +669,15 @@ impl Plan {
     /// other step's is freed once pushed to its inputs; on a compiled
     /// plan an arena slot may since hold another binding.
     pub(crate) fn grad(&self, i: usize) -> Option<&Matrix> {
-        self.grad_present[i].then(|| self.grad_ref(i))
+        self.arena.grad_present[i].then(|| self.grad_ref(i))
     }
 
     /// Record mode: free step `i`'s gradient buffer once its backward
     /// step has pushed its contributions to its inputs. Afterwards
     /// [`Plan::grad`] reports no gradient for it.
     pub(crate) fn free_grad(&mut self, i: usize) {
-        self.slots[self.steps[i].grad_slot as usize] = Matrix::default();
-        self.grad_present[i] = false;
+        self.arena.slots[self.prog.steps[i].grad_slot as usize] = Matrix::default();
+        self.arena.grad_present[i] = false;
     }
 
     /// Capacity of step `i`'s gradient buffer: on a recorded plan, the
@@ -415,14 +693,14 @@ impl Plan {
     // plan-lint: begin step path
 
     /// Take a step's value buffer out of the arena, bound to the step's
-    /// recorded shape. Rebinding resizes within the preallocated slot
+    /// recorded shape. Rebinding resizes within the slot's fitted
     /// capacity and never reallocates.
     fn take_val(&mut self, i: usize) -> Matrix {
-        let st = &self.steps[i];
+        let st = &self.prog.steps[i];
         let os = st.val_slot as usize;
         let (r, c) = (st.rows as usize, st.cols as usize);
-        debug_assert!(r * c <= self.caps[os], "arena slot capacity underflow");
-        let mut m = std::mem::take(&mut self.slots[os]);
+        debug_assert!(r * c <= self.prog.caps[os], "arena slot capacity underflow");
+        let mut m = std::mem::take(&mut self.arena.slots[os]);
         m.rows = r;
         m.cols = c;
         m.data.resize(r * c, 0.0);
@@ -430,13 +708,13 @@ impl Plan {
     }
 
     fn put_val(&mut self, i: usize, m: Matrix) {
-        self.slots[self.steps[i].val_slot as usize] = m;
+        self.arena.slots[self.prog.steps[i].val_slot as usize] = m;
     }
 
-    /// Bind a step's value slot and copy `src` into it (inputs, frozen
-    /// params, and the store synchronization path).
+    /// Bind a step's value slot and copy `src` into it (inputs and
+    /// frozen params).
     pub(crate) fn write_value(&mut self, i: usize, src: &Matrix) {
-        let st = &self.steps[i];
+        let st = &self.prog.steps[i];
         assert_eq!(
             (src.rows, src.cols),
             (st.rows as usize, st.cols as usize),
@@ -449,24 +727,23 @@ impl Plan {
         self.put_val(i, m);
     }
 
-    /// Synchronize all parameter slots from `store`, gated on the store's
-    /// mutation version so unchanged replays skip the copies entirely.
-    pub(crate) fn sync_params(&mut self, store: &ParamStore) {
-        if self.param_version == store.version() {
-            return;
+    /// Write step `i`'s per-run constants — the op's [`Const`]s in
+    /// argument order, paired with `values` — into the arena. The replaying
+    /// constructor has matched their shapes against the recording.
+    pub(crate) fn write_consts(&mut self, i: usize, values: &[&Matrix]) {
+        let handles = op_consts(&self.prog.steps[i].op);
+        for (c, v) in handles.into_iter().flatten().zip(values) {
+            let m = &mut self.arena.consts[c.index()];
+            m.rows = v.rows;
+            m.cols = v.cols;
+            m.data.clear();
+            m.data.extend_from_slice(&v.data);
         }
-        for k in 0..self.param_steps.len() {
-            let (pid, si) = self.param_steps[k];
-            self.write_value(si as usize, store.value(pid));
-        }
-        // Refresh the hoisted GEMM packs from the freshly synced values.
-        for k in 0..self.pack_steps.len() {
-            let si = self.pack_steps[k] as usize;
-            let mut buf = std::mem::take(&mut self.pack_bufs[k]);
-            kernels::pack_b_full(self.val_ref(si), &mut buf);
-            self.pack_bufs[k] = buf;
-        }
-        self.param_version = store.version();
+    }
+
+    /// Per-run constant `c`, as last written.
+    fn constant(&self, c: Const) -> &Matrix {
+        &self.arena.consts[c.index()]
     }
 
     /// Evaluate step `i` into the arena — the one forward implementation
@@ -476,7 +753,7 @@ impl Plan {
     /// are refreshed in place by the replaying constructor before this
     /// call.
     pub(crate) fn eval(&mut self, i: usize, extra: Option<&Matrix>) {
-        match self.steps[i].kind {
+        match self.prog.steps[i].kind {
             // Value produced (or never materialized) elsewhere.
             Kind::GateMatmul { .. } | Kind::CellSlice => return,
             Kind::CellSplit { h_step, c_step } => {
@@ -489,16 +766,16 @@ impl Plan {
             }
             Kind::Plain => {}
         }
-        if let Op::NoisyRenorm { .. } = self.steps[i].op {
+        if let Op::NoisyRenorm { .. } = self.prog.steps[i].op {
             let u = extra.expect("plan replay: NoisyRenorm needs its noise input");
             self.eval_noisy_renorm(i, u);
             return;
         }
         let mut out = self.take_val(i);
-        let mut ws = std::mem::take(&mut self.ws);
+        let mut ws = std::mem::take(&mut self.arena.ws);
         let rows = out.rows;
         let cols = out.cols;
-        match &self.steps[i].op {
+        match &self.prog.steps[i].op {
             // Values written by the constructor / param sync, not here.
             Op::Input | Op::Param(_) => {}
             Op::MatMul(a, b) => {
@@ -680,6 +957,7 @@ impl Plan {
             } => {
                 let group = *group;
                 let vx = self.val_ref(x.index());
+                let (mask, scale) = (self.constant(*mask), self.constant(*scale));
                 out.data.fill(0.0);
                 for r in 0..rows {
                     let o = &mut out.data[r * cols..(r + 1) * cols];
@@ -712,6 +990,7 @@ impl Plan {
             }
             Op::BceWithLogits(l, targets) => {
                 let vl = self.val_ref(l.index());
+                let targets = self.constant(*targets);
                 let n = vl.data.len().max(1) as f32;
                 let s: f32 = vl
                     .data
@@ -724,12 +1003,13 @@ impl Plan {
             Op::WeightedSum(terms) => {
                 let mut s = 0.0;
                 for &(id, w) in terms {
-                    s += w * self.slots[self.steps[id.index()].val_slot as usize].data[0];
+                    s += w * self.val_ref(id.index()).data[0];
                 }
                 out.data[0] = s;
             }
             Op::GaussianNll { mu, sigma, target } => {
                 let (vm, vs) = (self.val_ref(mu.index()), self.val_ref(sigma.index()));
+                let target = self.constant(*target);
                 let n = vm.data.len().max(1) as f32;
                 let mut s = 0.0;
                 for k in 0..vm.data.len() {
@@ -741,27 +1021,27 @@ impl Plan {
                 out.data[0] = s / n;
             }
         }
-        self.ws = ws;
+        self.arena.ws = ws;
         self.put_val(i, out);
     }
 
-    /// `NoisyRenorm` forward: refresh the recorded noise buffer from the
-    /// step's fresh `u` draw and the input's current row means, then
-    /// renormalize.
+    /// `NoisyRenorm` forward: fill the step's per-run noise constant from
+    /// its fresh `u` draw and the input's current row means, then
+    /// renormalize. Each row of `x` is summed once: its mean and the
+    /// ratio's numerator come from the same sum.
     fn eval_noisy_renorm(&mut self, i: usize, u: &Matrix) {
-        let (x, a) = match &self.steps[i].op {
-            Op::NoisyRenorm { x, a, .. } => (x.index(), *a),
-            _ => unreachable!(),
-        };
-        let mut noise = match &mut self.steps[i].op {
-            Op::NoisyRenorm { noise, .. } => std::mem::take(noise),
+        let (x, a, nc) = match &self.prog.steps[i].op {
+            Op::NoisyRenorm { x, a, noise } => (x.index(), *a, *noise),
             _ => unreachable!(),
         };
         assert_eq!(
             u.shape(),
-            noise.shape(),
+            nc.shape(),
             "plan replay: noisy_renorm noise shape changed"
         );
+        let mut noise = std::mem::take(&mut self.arena.consts[nc.index()]);
+        (noise.rows, noise.cols) = nc.shape();
+        noise.data.resize(u.data.len(), 0.0);
         let mut out = self.take_val(i);
         let (rows, cols) = (out.rows, out.cols);
         {
@@ -771,14 +1051,14 @@ impl Plan {
                 let ur = &u.data[r * cols..(r + 1) * cols];
                 let nr = &mut noise.data[r * cols..(r + 1) * cols];
                 let o = &mut out.data[r * cols..(r + 1) * cols];
-                let mean = xr.iter().sum::<f32>() / cols.max(1) as f32;
+                let sx: f32 = xr.iter().sum();
+                let mean = sx / cols.max(1) as f32;
                 for c in 0..cols {
                     nr[c] = ur[c] * mean;
                 }
                 for c in 0..cols {
                     o[c] = xr[c] + nr[c] * a;
                 }
-                let sx: f32 = xr.iter().sum();
                 let sp: f32 = o.iter().sum();
                 let ratio = (sx + 1e-3) * (1.0 / (sp + 1e-3));
                 for ov in o.iter_mut() {
@@ -786,27 +1066,28 @@ impl Plan {
                 }
             }
         }
-        match &mut self.steps[i].op {
-            Op::NoisyRenorm { noise: slot, .. } => *slot = noise,
-            _ => unreachable!(),
-        }
+        self.arena.consts[nc.index()] = noise;
         self.put_val(i, out);
     }
 
     /// GEMM `val[a] · val[b]` into `out`, routed through the hoisted
-    /// column pack when `b` is a packed parameter step. Both routes are
-    /// bitwise identical (the packed kernel shares the unpacked one's
+    /// column pack when `b` is a weight of a compiled program. Both routes
+    /// are bitwise identical (the packed kernel shares the unpacked one's
     /// tile loop and consumes the same packed bytes).
     fn gemm_step(&self, a: usize, b: usize, out: &mut Matrix, ws: &mut [f32], acc: bool) {
-        match self.pack_of[b] {
-            NONE => kernels::gemm_nn_into(self.val_ref(a), self.val_ref(b), out, ws, acc),
-            pk => kernels::gemm_nn_packed_into(
-                self.val_ref(a),
-                &self.pack_bufs[pk as usize],
-                out.cols,
-                out,
-                acc,
-            ),
+        match self.pack(b) {
+            None => kernels::gemm_nn_into(self.val_ref(a), self.val_ref(b), out, ws, acc),
+            Some(pack) => kernels::gemm_nn_packed_into(self.val_ref(a), pack, out.cols, out, acc),
+        }
+    }
+
+    /// The hoisted column pack of step `b`, when it is a parameter of a
+    /// compiled program.
+    fn pack(&self, b: usize) -> Option<&[f32]> {
+        let st = &self.prog.steps[b];
+        match (st.val_slot, &st.op) {
+            (NONE, Op::Param(pid)) => self.weights().packs[pid.0].as_deref(),
+            _ => None,
         }
     }
 
@@ -815,20 +1096,20 @@ impl Plan {
     /// `(xi + hh) + bias` with both products fully accumulated first —
     /// bitwise identical to the unfused `MatMul`/`MatMul`/`AddAddRow`.
     fn eval_fused_gates(&mut self, i: usize, xi: usize, hh: usize) {
-        let (x, w1) = match &self.steps[xi].op {
+        let (x, w1) = match &self.prog.steps[xi].op {
             Op::MatMul(a, b) => (a.index(), b.index()),
             _ => unreachable!(),
         };
-        let (h, w2) = match &self.steps[hh].op {
+        let (h, w2) = match &self.prog.steps[hh].op {
             Op::MatMul(a, b) => (a.index(), b.index()),
             _ => unreachable!(),
         };
-        let bias = match &self.steps[i].op {
+        let bias = match &self.prog.steps[i].op {
             Op::AddAddRow(_, _, bias) => bias.index(),
             _ => unreachable!(),
         };
         let mut out = self.take_val(i);
-        let mut ws = std::mem::take(&mut self.ws);
+        let mut ws = std::mem::take(&mut self.arena.ws);
         self.gemm_step(x, w1, &mut out, &mut ws, false);
         self.gemm_step(h, w2, &mut out, &mut ws, true);
         let cols = out.cols;
@@ -838,7 +1119,7 @@ impl Plan {
                 *d += b;
             }
         }
-        self.ws = ws;
+        self.arena.ws = ws;
         self.put_val(i, out);
     }
 
@@ -846,7 +1127,7 @@ impl Plan {
     /// rows into the c-slice's slot; the `[h | c]` concatenation is never
     /// materialized. The arithmetic is the plain cell forward.
     fn eval_cell_split(&mut self, i: usize, hs: usize, cs: usize) {
-        let (gates, c_prev, hidden) = match &self.steps[i].op {
+        let (gates, c_prev, hidden) = match &self.prog.steps[i].op {
             Op::LstmCell {
                 gates,
                 c_prev,
@@ -856,7 +1137,7 @@ impl Plan {
         };
         let mut hout = self.take_val(hs);
         let mut cout = self.take_val(cs);
-        let mut ws = std::mem::take(&mut self.ws);
+        let mut ws = std::mem::take(&mut self.arena.ws);
         let rows_out = hout
             .data
             .chunks_exact_mut(hidden)
@@ -867,7 +1148,7 @@ impl Plan {
             &mut ws[..4 * hidden],
             rows_out,
         );
-        self.ws = ws;
+        self.arena.ws = ws;
         self.put_val(hs, hout);
         self.put_val(cs, cout);
     }
@@ -883,24 +1164,24 @@ impl Plan {
     /// recorded plan's gradient buffer is allocated here, on its first
     /// binding.)
     fn take_grad(&mut self, j: usize) -> (Matrix, bool) {
-        let st = &self.steps[j];
+        let st = &self.prog.steps[j];
         let gs = st.grad_slot as usize;
         let (r, c) = (st.rows as usize, st.cols as usize);
-        debug_assert!(r * c <= self.caps[gs], "arena slot capacity underflow");
-        let mut m = std::mem::take(&mut self.slots[gs]);
+        debug_assert!(r * c <= self.prog.caps[gs], "arena slot capacity underflow");
+        let mut m = std::mem::take(&mut self.arena.slots[gs]);
         m.rows = r;
         m.cols = c;
         m.data.resize(r * c, 0.0);
-        (m, self.grad_present[j])
+        (m, self.arena.grad_present[j])
     }
 
     fn put_grad(&mut self, j: usize, m: Matrix) {
-        self.slots[self.steps[j].grad_slot as usize] = m;
-        self.grad_present[j] = true;
+        self.arena.slots[self.prog.steps[j].grad_slot as usize] = m;
+        self.arena.grad_present[j] = true;
     }
 
     fn needs(&self, j: usize) -> bool {
-        self.steps[j].needs_grad
+        self.prog.steps[j].needs_grad
     }
 
     /// Dense whole-gradient contribution: `dst op= f(g)` elementwise,
@@ -954,7 +1235,7 @@ impl Plan {
             return;
         }
         let (mut m, present) = self.take_grad(dst);
-        let mut ws = std::mem::take(&mut self.ws);
+        let mut ws = std::mem::take(&mut self.arena.ws);
         {
             let g = self.grad_ref(src);
             let cols = g.cols;
@@ -973,14 +1254,14 @@ impl Plan {
                 m.data.copy_from_slice(sums);
             }
         }
-        self.ws = ws;
+        self.arena.ws = ws;
         self.put_grad(dst, m);
     }
 
     /// MatMul backward for step `i`, reading the gradient of `gsrc`
     /// (the step itself, or its fused parent for [`Kind::GateMatmul`]).
     fn bwd_matmul(&mut self, i: usize, gsrc: usize) {
-        let (a, b) = match &self.steps[i].op {
+        let (a, b) = match &self.prog.steps[i].op {
             Op::MatMul(a, b) => (a.index(), b.index()),
             _ => unreachable!(),
         };
@@ -991,7 +1272,7 @@ impl Plan {
         }
         if self.needs(b) {
             let (mut m, present) = self.take_grad(b);
-            let mut ws = std::mem::take(&mut self.ws);
+            let mut ws = std::mem::take(&mut self.arena.ws);
             kernels::gemm_tn_into(
                 self.val_ref(a),
                 self.grad_ref(gsrc),
@@ -999,7 +1280,7 @@ impl Plan {
                 &mut ws,
                 present,
             );
-            self.ws = ws;
+            self.arena.ws = ws;
             self.put_grad(b, m);
         }
     }
@@ -1007,9 +1288,12 @@ impl Plan {
     /// `LstmCell` backward, reading the step's own `[h | c]` gradient
     /// ([`Kind::Plain`]) or its two slices' gradients (`split`, for
     /// [`Kind::CellSplit`]). Gate activations are recomputed from the
-    /// saved pre-activations: bitwise the forward values.
+    /// saved pre-activations: bitwise the forward values. A split cell's
+    /// effective `(gh, gc)` rows are selected once per row into workspace
+    /// ([`select_cell_grads`]); [`cell_backward_row`] then runs
+    /// branch-free element loops.
     fn bwd_lstm(&mut self, i: usize, gsrc_h: usize, gsrc_c: usize, split: bool) {
-        let (gates, c_prev, hidden) = match &self.steps[i].op {
+        let (gates, c_prev, hidden) = match &self.prog.steps[i].op {
             Op::LstmCell {
                 gates,
                 c_prev,
@@ -1021,108 +1305,76 @@ impl Plan {
         if !ng_g && !ng_c {
             return;
         }
-        let gtar = if ng_g {
-            Some(self.take_grad(gates))
+        let (mut gtar, gpresent) = if ng_g {
+            self.take_grad(gates)
         } else {
-            None
+            (Matrix::default(), false)
         };
-        let ctar = if ng_c {
-            Some(self.take_grad(c_prev))
+        let (mut ctar, cpresent) = if ng_c {
+            self.take_grad(c_prev)
         } else {
-            None
+            (Matrix::default(), false)
         };
-        let (mut gtar, gpresent) = gtar.unzip_or_default();
-        let (mut ctar, cpresent) = ctar.unzip_or_default();
-        let mut ws = std::mem::take(&mut self.ws);
+        let mut ws = std::mem::take(&mut self.arena.ws);
         {
             let (vg, vc) = (self.val_ref(gates), self.val_ref(c_prev));
-            let rows = vg.rows;
-            // Gradient sources: the step's own [h|c] gradient, or — for
-            // CellSplit — the two slice gradients with presence flags
-            // replicating the slices' scatter assembly (`0.0 + g` /
-            // `g + 0.0` when both contributed, raw bits when only one).
             let (hp, cp) = if split {
-                (self.grad_present[gsrc_h], self.grad_present[gsrc_c])
+                (
+                    self.arena.grad_present[gsrc_h],
+                    self.arena.grad_present[gsrc_c],
+                )
             } else {
                 (true, true)
             };
             // A split slice whose gradient is absent (no slot assigned, or
             // simply not produced this pass) has nothing to read — its rows
-            // are never consumed (`grad_pair` checks the presence flag
-            // first), so an empty slice stands in for the whole buffer.
+            // are never consumed (`select_cell_grads` checks the presence
+            // flag first), so an empty slice stands in for the whole buffer.
             let slot_data = |s: usize, present: bool| -> &[f32] {
-                match self.steps[s].grad_slot {
+                match self.prog.steps[s].grad_slot {
                     _ if !present => &[],
                     NONE => &[],
-                    slot => &self.slots[slot as usize].data,
+                    slot => &self.arena.slots[slot as usize].data,
                 }
             };
             let gh_all = slot_data(gsrc_h, hp);
             let gc_all = slot_data(gsrc_c, cp);
-            let (act, dct) = ws[..6 * hidden].split_at_mut(4 * hidden);
-            for r in 0..rows {
-                let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
-                let cpv = &vc.data[r * hidden..(r + 1) * hidden];
-                cell_act(gr, act, hidden);
-                let (i_v, rest) = act.split_at(hidden);
-                let (f_v, rest) = rest.split_at(hidden);
-                let (cand, o_v) = rest.split_at(hidden);
-                fn slice_row(all: &[f32], r: usize, hidden: usize) -> &[f32] {
-                    if all.is_empty() {
-                        all
-                    } else {
-                        &all[r * hidden..(r + 1) * hidden]
-                    }
-                }
-                let (gh_row, gc_row) = if split {
-                    (slice_row(gh_all, r, hidden), slice_row(gc_all, r, hidden))
+            let (scratch, sel) = ws[..8 * hidden].split_at_mut(6 * hidden);
+            let (gh_sel, gc_sel) = sel.split_at_mut(hidden);
+            fn row(all: &[f32], r: usize, hidden: usize) -> &[f32] {
+                if all.is_empty() {
+                    all
                 } else {
-                    let go = &gh_all[r * 2 * hidden..(r + 1) * 2 * hidden];
-                    go.split_at(hidden)
-                };
-                let (ct, dc_total) = dct.split_at_mut(hidden);
-                for k in 0..hidden {
-                    ct[k] = kernels::fast_tanh(f_v[k] * cpv[k] + i_v[k] * cand[k]);
-                }
-                for k in 0..hidden {
-                    let (gh_k, gc_k) = grad_pair(gh_row, gc_row, k, hp, cp, split);
-                    dc_total[k] = gc_k + gh_k * o_v[k] * (1.0 - ct[k] * ct[k]);
-                }
-                if ng_g {
-                    let dgr = &mut gtar.data[r * 4 * hidden..(r + 1) * 4 * hidden];
-                    for k in 0..hidden {
-                        let (gh_k, _) = grad_pair(gh_row, gc_row, k, hp, cp, split);
-                        let d0 = dc_total[k] * cand[k] * i_v[k] * (1.0 - i_v[k]);
-                        let d1 = dc_total[k] * cpv[k] * f_v[k] * (1.0 - f_v[k]);
-                        let d2 = dc_total[k] * i_v[k] * (1.0 - cand[k] * cand[k]);
-                        let d3 = gh_k * ct[k] * o_v[k] * (1.0 - o_v[k]);
-                        if gpresent {
-                            dgr[k] += d0;
-                            dgr[hidden + k] += d1;
-                            dgr[2 * hidden + k] += d2;
-                            dgr[3 * hidden + k] += d3;
-                        } else {
-                            dgr[k] = d0;
-                            dgr[hidden + k] = d1;
-                            dgr[2 * hidden + k] = d2;
-                            dgr[3 * hidden + k] = d3;
-                        }
-                    }
-                }
-                if ng_c {
-                    let dcr = &mut ctar.data[r * hidden..(r + 1) * hidden];
-                    for k in 0..hidden {
-                        let d = dc_total[k] * f_v[k];
-                        if cpresent {
-                            dcr[k] += d;
-                        } else {
-                            dcr[k] = d;
-                        }
-                    }
+                    &all[r * hidden..(r + 1) * hidden]
                 }
             }
+            for r in 0..vg.rows {
+                let gr = &vg.data[r * 4 * hidden..(r + 1) * 4 * hidden];
+                let cpv = &vc.data[r * hidden..(r + 1) * hidden];
+                let (gh, gc): (&[f32], &[f32]) = if split {
+                    select_cell_grads(
+                        row(gh_all, r, hidden),
+                        row(gc_all, r, hidden),
+                        hp,
+                        cp,
+                        gh_sel,
+                        gc_sel,
+                    );
+                    (gh_sel, gc_sel)
+                } else {
+                    gh_all[r * 2 * hidden..(r + 1) * 2 * hidden].split_at(hidden)
+                };
+                let dg = ng_g.then(|| {
+                    (
+                        &mut gtar.data[r * 4 * hidden..(r + 1) * 4 * hidden],
+                        gpresent,
+                    )
+                });
+                let dc = ng_c.then(|| (&mut ctar.data[r * hidden..(r + 1) * hidden], cpresent));
+                cell_backward_row(gr, cpv, gh, gc, scratch, dg, dc);
+            }
         }
-        self.ws = ws;
+        self.arena.ws = ws;
         if ng_g {
             self.put_grad(gates, gtar);
         }
@@ -1135,7 +1387,7 @@ impl Plan {
     /// parameter gradients into `store`.
     pub(crate) fn backward(&mut self, loss_idx: usize, store: &mut ParamStore) {
         assert_eq!(
-            self.loss,
+            self.prog.loss,
             Some(loss_idx),
             "plan replay: backward from a different loss node than the plan \
              was compiled for"
@@ -1153,12 +1405,12 @@ impl Plan {
         store: &mut ParamStore,
         mut step: impl FnMut(&mut Plan, usize, &mut ParamStore),
     ) {
-        self.grad_present.fill(false);
+        self.arena.grad_present.fill(false);
         let (mut seed, _) = self.take_grad(loss_idx);
         seed.data[0] = 1.0;
         self.put_grad(loss_idx, seed);
         for i in (0..=loss_idx).rev() {
-            if self.steps[i].needs_grad {
+            if self.prog.steps[i].needs_grad {
                 step(self, i, store);
             }
         }
@@ -1168,24 +1420,24 @@ impl Plan {
     /// op: push its gradient contributions to its inputs (parameter
     /// leaves accumulate into `store`), in a fixed order per op.
     pub(crate) fn backward_step(&mut self, i: usize, store: &mut ParamStore) {
-        match self.steps[i].kind {
+        match self.prog.steps[i].kind {
             Kind::CellSlice => return,
             Kind::GateMatmul { parent } => {
-                if self.grad_present[parent as usize] {
+                if self.arena.grad_present[parent as usize] {
                     self.bwd_matmul(i, parent as usize);
                 }
                 return;
             }
             Kind::CellSplit { h_step, c_step } => {
                 let (hs, cs) = (h_step as usize, c_step as usize);
-                if self.grad_present[hs] || self.grad_present[cs] {
+                if self.arena.grad_present[hs] || self.arena.grad_present[cs] {
                     self.bwd_lstm(i, hs, cs, true);
                 }
                 return;
             }
             Kind::FusedGates { .. } => {
-                if self.grad_present[i] {
-                    let bias = match &self.steps[i].op {
+                if self.arena.grad_present[i] {
+                    let bias = match &self.prog.steps[i].op {
                         Op::AddAddRow(_, _, bias) => bias.index(),
                         _ => unreachable!(),
                     };
@@ -1195,10 +1447,10 @@ impl Plan {
             }
             Kind::Plain => {}
         }
-        if !self.grad_present[i] {
+        if !self.arena.grad_present[i] {
             return;
         }
-        match &self.steps[i].op {
+        match &self.prog.steps[i].op {
             Op::Input => {}
             Op::Param(pid) => {
                 let pid = *pid;
@@ -1294,7 +1546,7 @@ impl Plan {
             }
             Op::Mean(a) => {
                 let a = a.index();
-                let st = &self.steps[a];
+                let st = &self.prog.steps[a];
                 let n = (st.rows as usize * st.cols as usize).max(1) as f32;
                 let v = self.grad_ref(i).data[0] / n;
                 if self.needs(a) {
@@ -1368,7 +1620,7 @@ impl Plan {
     }
 
     fn bwd_concat(&mut self, i: usize, a: usize, b: usize) {
-        let ca = self.steps[a].cols as usize;
+        let ca = self.prog.steps[a].cols as usize;
         if self.needs(a) {
             let (mut m, present) = self.take_grad(a);
             let g = self.grad_ref(i);
@@ -1414,7 +1666,7 @@ impl Plan {
         }
         let (mut m, present) = self.take_grad(a);
         let g = self.grad_ref(i);
-        let cols = self.steps[a].cols as usize;
+        let cols = self.prog.steps[a].cols as usize;
         if present {
             for r in 0..g.rows {
                 let gr = &g.data[r * g.cols..(r + 1) * g.cols];
@@ -1447,7 +1699,7 @@ impl Plan {
         }
         let (mut m, present) = self.take_grad(a);
         let g = self.grad_ref(i);
-        let cols = self.steps[a].cols as usize;
+        let cols = self.prog.steps[a].cols as usize;
         if present {
             for d in m.data[..r0 * cols].iter_mut() {
                 *d += 0.0;
@@ -1471,7 +1723,7 @@ impl Plan {
         }
         let (mut m, present) = self.take_grad(a);
         let g = self.grad_ref(i);
-        let cols = self.steps[a].cols as usize;
+        let cols = self.prog.steps[a].cols as usize;
         for r in 0..m.rows {
             let s = g.data[r];
             let dr = &mut m.data[r * cols..(r + 1) * cols];
@@ -1515,13 +1767,14 @@ impl Plan {
         if !self.needs(x) {
             return;
         }
-        let (noise, a) = match &mut self.steps[i].op {
-            Op::NoisyRenorm { noise, a, .. } => (std::mem::take(noise), *a),
+        let (nc, a) = match &self.prog.steps[i].op {
+            Op::NoisyRenorm { noise, a, .. } => (*noise, *a),
             _ => unreachable!(),
         };
         let (mut m, present) = self.take_grad(x);
-        let mut ws = std::mem::take(&mut self.ws);
+        let mut ws = std::mem::take(&mut self.arena.ws);
         {
+            let noise = self.constant(nc);
             let g = self.grad_ref(i);
             let vx = self.val_ref(x);
             let (rows, cols) = (vx.rows, vx.cols);
@@ -1551,11 +1804,7 @@ impl Plan {
                 }
             }
         }
-        self.ws = ws;
-        match &mut self.steps[i].op {
-            Op::NoisyRenorm { noise: slot, .. } => *slot = noise,
-            _ => unreachable!(),
-        }
+        self.arena.ws = ws;
         self.put_grad(x, m);
     }
 
@@ -1563,14 +1812,13 @@ impl Plan {
         if !self.needs(x) {
             return;
         }
-        let (mask, scale) = match &mut self.steps[i].op {
-            Op::MaskedGroupMean { mask, scale, .. } => {
-                (std::mem::take(mask), std::mem::take(scale))
-            }
+        let (mc, sc) = match &self.prog.steps[i].op {
+            Op::MaskedGroupMean { mask, scale, .. } => (*mask, *scale),
             _ => unreachable!(),
         };
         let (mut m, present) = self.take_grad(x);
         {
+            let (mask, scale) = (self.constant(mc), self.constant(sc));
             let g = self.grad_ref(i);
             let cols = g.cols;
             for r in 0..g.rows {
@@ -1592,23 +1840,12 @@ impl Plan {
                 }
             }
         }
-        match &mut self.steps[i].op {
-            Op::MaskedGroupMean {
-                mask: mslot,
-                scale: sslot,
-                ..
-            } => {
-                *mslot = mask;
-                *sslot = scale;
-            }
-            _ => unreachable!(),
-        }
         self.put_grad(x, m);
     }
 
     fn bwd_mse(&mut self, i: usize, a: usize, b: usize) {
         let n = {
-            let st = &self.steps[a];
+            let st = &self.prog.steps[a];
             (st.rows as usize * st.cols as usize).max(1) as f32
         };
         let s = 2.0 * self.grad_ref(i).data[0] / n;
@@ -1646,12 +1883,13 @@ impl Plan {
         if !self.needs(l) {
             return;
         }
-        let targets = match &mut self.steps[i].op {
-            Op::BceWithLogits(_, t) => std::mem::take(t),
+        let tc = match &self.prog.steps[i].op {
+            Op::BceWithLogits(_, t) => *t,
             _ => unreachable!(),
         };
         let (mut m, present) = self.take_grad(l);
         {
+            let targets = self.constant(tc);
             let vl = self.val_ref(l);
             let n = vl.data.len().max(1) as f32;
             let s = self.grad_ref(i).data[0] / n;
@@ -1665,20 +1903,20 @@ impl Plan {
                 }
             }
         }
-        match &mut self.steps[i].op {
-            Op::BceWithLogits(_, t) => *t = targets,
-            _ => unreachable!(),
-        }
         self.put_grad(l, m);
     }
 
     fn bwd_weighted_sum(&mut self, i: usize) {
-        let terms = match &mut self.steps[i].op {
-            Op::WeightedSum(t) => std::mem::take(t),
+        let n_terms = match &self.prog.steps[i].op {
+            Op::WeightedSum(t) => t.len(),
             _ => unreachable!(),
         };
         let g0 = self.grad_ref(i).data[0];
-        for &(id, w) in &terms {
+        for k in 0..n_terms {
+            let (id, w) = match &self.prog.steps[i].op {
+                Op::WeightedSum(t) => t[k],
+                _ => unreachable!(),
+            };
             let j = id.index();
             if !self.needs(j) {
                 continue;
@@ -1691,25 +1929,22 @@ impl Plan {
             }
             self.put_grad(j, m);
         }
-        match &mut self.steps[i].op {
-            Op::WeightedSum(t) => *t = terms,
-            _ => unreachable!(),
-        }
     }
 
     fn bwd_gaussian_nll(&mut self, i: usize, mu: usize, sigma: usize) {
-        let target = match &mut self.steps[i].op {
-            Op::GaussianNll { target, .. } => std::mem::take(target),
+        let tc = match &self.prog.steps[i].op {
+            Op::GaussianNll { target, .. } => *target,
             _ => unreachable!(),
         };
         let n = {
-            let st = &self.steps[mu];
+            let st = &self.prog.steps[mu];
             (st.rows as usize * st.cols as usize).max(1) as f32
         };
         let s = self.grad_ref(i).data[0] / n;
         if self.needs(mu) {
             let (mut m, present) = self.take_grad(mu);
             let (vm, vs) = (self.val_ref(mu), self.val_ref(sigma));
+            let target = self.constant(tc);
             for k in 0..vm.data.len() {
                 let sd = vs.data[k].max(1e-6);
                 let v = s * (vm.data[k] - target.data[k]) / (sd * sd);
@@ -1724,6 +1959,7 @@ impl Plan {
         if self.needs(sigma) {
             let (mut m, present) = self.take_grad(sigma);
             let (vm, vs) = (self.val_ref(mu), self.val_ref(sigma));
+            let target = self.constant(tc);
             for k in 0..vm.data.len() {
                 let sd = vs.data[k].max(1e-6);
                 let d = target.data[k] - vm.data[k];
@@ -1735,10 +1971,6 @@ impl Plan {
                 }
             }
             self.put_grad(sigma, m);
-        }
-        match &mut self.steps[i].op {
-            Op::GaussianNll { target: t, .. } => *t = target,
-            _ => unreachable!(),
         }
     }
 
@@ -1803,37 +2035,127 @@ fn cell_forward<'a>(
     }
 }
 
-/// Effective `(gh, gc)` pair for the LSTM cell backward at element `k`.
+/// One row of the LSTM cell backward, given the effective gradients `gh`
+/// and `gc` of the row's new `h` and `c`: recompute the gate activations
+/// and `tanh(c)` into `scratch` (`6 * hidden`: activations, `tanh(c)`,
+/// `dc`), then write (flag `false`) or add (flag `true`) the gate
+/// pre-activation gradient into `dg` and the previous cell's into
+/// `dc_prev`. Each element is the composition's arithmetic in its order;
+/// the loops carry no per-element branch.
+fn cell_backward_row(
+    gr: &[f32],
+    cpv: &[f32],
+    gh: &[f32],
+    gc: &[f32],
+    scratch: &mut [f32],
+    dg: Option<(&mut [f32], bool)>,
+    dc_prev: Option<(&mut [f32], bool)>,
+) {
+    let hidden = cpv.len();
+    let (act, rest) = scratch.split_at_mut(4 * hidden);
+    let (ct, dc) = rest.split_at_mut(hidden);
+    cell_act(gr, act, hidden);
+    let (i_v, rest) = act.split_at(hidden);
+    let (f_v, rest) = rest.split_at(hidden);
+    let (cand, o_v) = rest.split_at(hidden);
+    for k in 0..hidden {
+        ct[k] = kernels::fast_tanh(f_v[k] * cpv[k] + i_v[k] * cand[k]);
+    }
+    for k in 0..hidden {
+        dc[k] = gc[k] + gh[k] * o_v[k] * (1.0 - ct[k] * ct[k]);
+    }
+    if let Some((dgr, add)) = dg {
+        let (d_i, rest) = dgr.split_at_mut(hidden);
+        let (d_f, rest) = rest.split_at_mut(hidden);
+        let (d_g, d_o) = rest.split_at_mut(hidden);
+        if add {
+            for k in 0..hidden {
+                d_i[k] += dc[k] * cand[k] * i_v[k] * (1.0 - i_v[k]);
+            }
+            for k in 0..hidden {
+                d_f[k] += dc[k] * cpv[k] * f_v[k] * (1.0 - f_v[k]);
+            }
+            for k in 0..hidden {
+                d_g[k] += dc[k] * i_v[k] * (1.0 - cand[k] * cand[k]);
+            }
+            for k in 0..hidden {
+                d_o[k] += gh[k] * ct[k] * o_v[k] * (1.0 - o_v[k]);
+            }
+        } else {
+            for k in 0..hidden {
+                d_i[k] = dc[k] * cand[k] * i_v[k] * (1.0 - i_v[k]);
+            }
+            for k in 0..hidden {
+                d_f[k] = dc[k] * cpv[k] * f_v[k] * (1.0 - f_v[k]);
+            }
+            for k in 0..hidden {
+                d_g[k] = dc[k] * i_v[k] * (1.0 - cand[k] * cand[k]);
+            }
+            for k in 0..hidden {
+                d_o[k] = gh[k] * ct[k] * o_v[k] * (1.0 - o_v[k]);
+            }
+        }
+    }
+    if let Some((dcr, add)) = dc_prev {
+        if add {
+            for k in 0..hidden {
+                dcr[k] += dc[k] * f_v[k];
+            }
+        } else {
+            for k in 0..hidden {
+                dcr[k] = dc[k] * f_v[k];
+            }
+        }
+    }
+}
+
+/// Effective `(gh, gc)` rows of a [`Kind::CellSplit`] cell's backward,
+/// written into `gh` and `gc`.
 ///
-/// For a [`Kind::CellSplit`] cell the two unfused `SliceCols` backwards
-/// would have assembled the `[h | c]` gradient by scattering the
-/// c-slice's gradient first (set) and then adding the h-slice's (add).
-/// Replicated exactly:
-/// when both slices contributed, `gh = 0.0 + gh_raw` and
+/// The two unfused `SliceCols` backwards would have assembled the
+/// `[h | c]` gradient by scattering the c-slice's gradient first (set)
+/// and then adding the h-slice's (add). Replicated exactly: when both
+/// slices contributed (`hp`, `cp`), `gh = 0.0 + gh_raw` and
 /// `gc = gc_raw + 0.0` (the adds matter for `-0.0`); a lone contribution
-/// keeps its raw bits and the other side is exactly `0.0`.
-#[inline]
-fn grad_pair(gh: &[f32], gc: &[f32], k: usize, hp: bool, cp: bool, split: bool) -> (f32, f32) {
-    if !split {
-        return (gh[k], gc[k]);
+/// keeps its raw bits and the other side is exactly `0.0`. An absent
+/// side's row is not read.
+fn select_cell_grads(
+    gh_raw: &[f32],
+    gc_raw: &[f32],
+    hp: bool,
+    cp: bool,
+    gh: &mut [f32],
+    gc: &mut [f32],
+) {
+    if hp && cp {
+        for (d, &g) in gh.iter_mut().zip(gh_raw) {
+            *d = 0.0 + g;
+        }
+        for (d, &g) in gc.iter_mut().zip(gc_raw) {
+            *d = g + 0.0;
+        }
+        return;
     }
-    match (hp, cp) {
-        (true, true) => (0.0 + gh[k], gc[k] + 0.0),
-        (true, false) => (gh[k], 0.0),
-        (false, true) => (0.0, gc[k]),
-        (false, false) => (0.0, 0.0),
+    if hp {
+        gh.copy_from_slice(gh_raw);
+    } else {
+        gh.fill(0.0);
+    }
+    if cp {
+        gc.copy_from_slice(gc_raw);
+    } else {
+        gc.fill(0.0);
     }
 }
 
-/// `Option<(Matrix, bool)>` helper: unwrap or provide placeholder
-/// values for the untaken branch (never read when the need flag is off).
-trait UnzipOrDefault {
-    fn unzip_or_default(self) -> (Matrix, bool);
-}
-
-impl UnzipOrDefault for Option<(Matrix, bool)> {
-    fn unzip_or_default(self) -> (Matrix, bool) {
-        self.unwrap_or((Matrix::default(), false))
+/// The per-run constants an op reads, in argument order.
+pub(crate) fn op_consts(op: &Op) -> [Option<Const>; 2] {
+    match op {
+        Op::NoisyRenorm { noise, .. } => [Some(*noise), None],
+        Op::MaskedGroupMean { mask, scale, .. } => [Some(*mask), Some(*scale)],
+        Op::BceWithLogits(_, targets) => [Some(*targets), None],
+        Op::GaussianNll { target, .. } => [Some(*target), None],
+        _ => [None, None],
     }
 }
 
@@ -1849,9 +2171,10 @@ struct Binding {
     elems: usize,
 }
 
-/// Compile recorded steps into a [`Plan`]: decide each step's [`Kind`],
-/// then assign its value and gradient buffers to arena slots.
-pub(crate) fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Plan {
+/// Compile recorded steps into a [`Program`]: decide each step's
+/// [`Kind`], then assign its value and gradient buffers to arena slots.
+/// Parameter values take no slot: a run reads them from its weight copy.
+fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Program {
     let n = nodes.len();
     let bwd = loss.is_some();
     let li = loss.unwrap_or(0);
@@ -1876,8 +2199,8 @@ pub(crate) fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Plan {
                 && matches!(nodes[b].op, Op::MatMul(..))
                 && consumers[a].len() == 1
                 && consumers[b].len() == 1
-                && !nodes[a].ext.get()
-                && !nodes[b].ext.get()
+                && !nodes[a].ext
+                && !nodes[b].ext
                 && kind[a] == Kind::Plain
                 && kind[b] == Kind::Plain
             {
@@ -1892,7 +2215,7 @@ pub(crate) fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Plan {
     }
     for i in 0..n {
         if let Op::LstmCell { hidden, .. } = nodes[i].op {
-            if nodes[i].ext.get() || consumers[i].len() != 2 {
+            if nodes[i].ext || consumers[i].len() != 2 {
                 continue;
             }
             let mut h_step = None;
@@ -1997,18 +2320,10 @@ pub(crate) fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Plan {
         }
     }
     for (i, node) in nodes.iter().enumerate() {
-        // Externally-read values and parameter leaves are pinned: ext
-        // reads can happen any time during replay, and param slots must
-        // survive across replays so the version-gated sync can skip
-        // re-copying.
-        if node.ext.get() || matches!(node.op, Op::Param(_)) {
+        // Externally-read values are pinned: ext reads can happen any
+        // time during replay.
+        if node.ext {
             val_end[i] = PINNED;
-        }
-        // Param values are written by `sync_params` at replay *start*
-        // (the step itself is a memoized no-op), so their slots are live
-        // from time 0 — never time-shared with any earlier binding.
-        if matches!(node.op, Op::Param(_)) {
-            val_start[i] = 0;
         }
     }
 
@@ -2053,7 +2368,7 @@ pub(crate) fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Plan {
     let mut bindings: Vec<Binding> = Vec::new();
     for (i, node) in nodes.iter().enumerate() {
         let elems = node.elems();
-        if !matches!(kind[i], Kind::GateMatmul { .. }) {
+        if !matches!(kind[i], Kind::GateMatmul { .. }) && !matches!(node.op, Op::Param(_)) {
             bindings.push(Binding {
                 step: i,
                 is_grad: false,
@@ -2182,30 +2497,28 @@ pub(crate) fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Plan {
 
     // Hoisted GEMM packs: any parameter consumed as a forward GEMM's B
     // operand (plain or gate-fused matmul) is packed once per store
-    // version in `sync_params` instead of once per kernel call.
-    let mut pack_of: Vec<u32> = vec![NONE; nodes.len()];
-    let mut pack_steps: Vec<u32> = Vec::new();
-    let mut pack_bufs: Vec<Vec<f32>> = Vec::new();
+    // version in its weight copy instead of once per kernel call.
+    let mut packs: Vec<ParamId> = Vec::new();
     for node in nodes.iter() {
         if let Op::MatMul(_, b) = node.op {
-            let bi = b.index();
-            if matches!(nodes[bi].op, Op::Param(_)) && pack_of[bi] == NONE {
-                pack_of[bi] = pack_steps.len() as u32;
-                pack_steps.push(bi as u32);
-                let (rows, cols) = (nodes[bi].rows as usize, nodes[bi].cols as usize);
-                pack_bufs.push(vec![0.0; kernels::packed_b_len(rows, cols)]);
+            if let Op::Param(pid) = nodes[b.index()].op {
+                if !packs.contains(&pid) {
+                    packs.push(pid);
+                }
             }
         }
     }
 
-    let slots: Vec<Matrix> = caps
-        .iter()
-        .map(|&cap| Matrix {
-            rows: 0,
-            cols: 0,
-            data: Vec::with_capacity(cap),
-        })
-        .collect();
+    let mut const_lens: Vec<usize> = Vec::new();
+    for node in nodes.iter() {
+        for c in op_consts(&node.op).into_iter().flatten() {
+            if const_lens.len() <= c.index() {
+                const_lens.resize(c.index() + 1, 0);
+            }
+            let (rows, cols) = c.shape();
+            const_lens[c.index()] = rows * cols;
+        }
+    }
 
     for (i, st) in nodes.iter_mut().enumerate() {
         st.kind = kind[i];
@@ -2213,22 +2526,15 @@ pub(crate) fn compile(mut nodes: Vec<Step>, loss: Option<usize>) -> Plan {
         st.grad_slot = grad_slots[i];
     }
 
-    let memo_cap = param_steps.len();
-    Plan {
-        grad_present: vec![false; n],
+    Program {
         steps: nodes,
-        slots,
         caps,
-        ws: vec![0.0; ws_len],
         ws_len,
+        const_lens,
         loss,
         param_steps,
-        param_memo: Vec::with_capacity(memo_cap),
-        pack_steps,
-        pack_bufs,
-        pack_of,
+        packs,
         ranges,
-        ..Plan::recording()
     }
 }
 
@@ -2244,7 +2550,7 @@ fn ws_need(steps: &[Step], i: usize, bwd: bool) -> usize {
             let tn = bwd && st.needs_grad && steps[b.index()].needs_grad;
             kernels::nn_ws_len(ac).max(if tn { kernels::tn_ws_len(ac, ar) } else { 0 })
         }
-        Op::LstmCell { hidden, .. } => 6 * hidden,
+        Op::LstmCell { hidden, .. } => 8 * hidden,
         Op::NoisyRenorm { .. } | Op::AddRow(..) | Op::AddAddRow(..) => st.cols as usize,
         _ => 0,
     }
@@ -2285,15 +2591,40 @@ pub fn fold_dims(iter: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// Maximum number of plans kept per cache; oldest evicted beyond it.
+/// Maximum number of programs kept per cache; oldest evicted beyond it.
 const PLAN_CACHE_CAP: usize = 64;
 
-/// A small keyed store of compiled plans. Plans are *taken* for
-/// execution (a plan is single-threaded while replaying) and put back
-/// afterwards, so one cache can serve concurrent shard workers.
+/// A small keyed store of compiled programs, with a pool of idle arenas
+/// and one weight copy per parameter store. A run borrows its program by
+/// `Arc` and is lent an arena, which it returns afterwards, so one cache
+/// serves concurrent shard workers: two runs of one key share its
+/// program and need two arenas only while both run.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    inner: Mutex<Vec<(PlanKey, Plan)>>,
+    inner: Mutex<Cached>,
+    weights: Arc<WeightPool>,
+}
+
+#[derive(Debug, Default)]
+struct Cached {
+    programs: Vec<(PlanKey, Arc<Program>)>,
+    /// Arenas no run holds, each fitted to the programs it has served.
+    idle: Vec<Arena>,
+}
+
+/// What a [`PlanCache`] holds, for diagnostics and tests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Compiled programs.
+    pub programs: usize,
+    /// Idle arenas in the pool (lent ones are not counted).
+    pub arenas: usize,
+    /// Heap bytes of the idle arenas.
+    pub arena_bytes: usize,
+    /// Weight copies: one per parameter store the programs have read.
+    pub weight_copies: usize,
+    /// Heap bytes of the weight copies (values and packs).
+    pub weight_bytes: usize,
 }
 
 impl PlanCache {
@@ -2302,11 +2633,11 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Execute the graph keyed by `key` once: replay its cached plan on
-    /// a hit; on a miss, record the graph and cache its compiled plan.
-    /// `build` runs the model code on the graph and returns its result
-    /// plus the loss node it ran backward from (`None` for forward-only
-    /// graphs).
+    /// Execute the graph keyed by `key` once: replay its cached program
+    /// in a lent arena on a hit; on a miss, record the graph and cache
+    /// its compiled program. `build` runs the model code on the graph and
+    /// returns its result plus the loss node it ran backward from (`None`
+    /// for forward-only graphs).
     ///
     /// `GENDT_SANITIZE` forces record mode, uncached: its per-op checks
     /// run only while recording.
@@ -2321,40 +2652,73 @@ impl PlanCache {
         out
     }
 
-    /// Remove and return the plan for `key`, if present. A miss releases
-    /// the arenas of the plans left in the cache: the tape recorded next
-    /// would otherwise stack on top of every idle arena. A released plan
-    /// reserves its arena again on its next replay.
+    /// A run of the program for `key`, if one is cached: the program,
+    /// an idle arena from the pool (or a new, empty one) and the cache's
+    /// weight copies. A miss drops the idle arenas: the tape recorded
+    /// next would otherwise stack on top of them. The next replay fits
+    /// a fresh arena.
     pub fn take(&self, key: &PlanKey) -> Option<Plan> {
         let mut inner = self.inner.lock();
-        match inner.iter().position(|(k, _)| k == key) {
-            Some(pos) => Some(inner.remove(pos).1),
-            None => {
-                for (_, plan) in inner.iter_mut() {
-                    plan.release();
-                }
-                None
-            }
-        }
+        let Some(prog) = inner
+            .programs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, p)| Arc::clone(p))
+        else {
+            inner.idle.clear();
+            return None;
+        };
+        let arena = inner.idle.pop().unwrap_or_default();
+        Some(Plan {
+            prog,
+            arena,
+            pool: Arc::clone(&self.weights),
+            weights: None,
+        })
     }
 
-    /// Store (or return) a plan under `key`.
+    /// Return a run: cache its program under `key` unless the key
+    /// already has one (two concurrent first runs compile a key twice;
+    /// the first program put stays), and pool its arena.
     pub fn put(&self, key: PlanKey, plan: Plan) {
+        let Plan { prog, arena, .. } = plan;
         let mut inner = self.inner.lock();
-        if inner.len() >= PLAN_CACHE_CAP {
-            inner.remove(0);
+        if !inner.programs.iter().any(|(k, _)| *k == key) {
+            if inner.programs.len() >= PLAN_CACHE_CAP {
+                inner.programs.remove(0);
+            }
+            inner.programs.push((key, prog));
         }
-        inner.push((key, plan));
+        if !arena.slots.is_empty() {
+            inner.idle.push(arena);
+        }
     }
 
-    /// Number of cached plans.
+    /// Number of cached programs.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().programs.len()
     }
 
-    /// True when no plans are cached.
+    /// True when no programs are cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Programs, idle arenas and weight copies held, with their bytes.
+    pub fn stats(&self) -> PlanCacheStats {
+        let (programs, arenas, arena_bytes) = {
+            let inner = self.inner.lock();
+            let bytes = inner.idle.iter().map(Arena::bytes).sum();
+            (inner.programs.len(), inner.idle.len(), bytes)
+        };
+        let (weight_copies, weight_bytes) = self.weights.usage();
+        PlanCacheStats {
+            programs,
+            arenas,
+            arena_bytes,
+            weight_copies,
+            weight_bytes,
+        }
     }
 }
 
@@ -2364,6 +2728,7 @@ mod tests {
     use crate::graph::Graph;
     use crate::params::Sgd;
     use crate::rng::Rng;
+    use gendt_sync::atomic::{AtomicUsize, Ordering};
 
     /// Constant tensors fed to the all-ops model (fresh per step in real
     /// training; here varied explicitly between replays).
@@ -2576,7 +2941,7 @@ mod tests {
         let d = mk_data(41);
         let (_, _, g_ref, loss_ref) = run_recorded(19, &d, 0);
         let plan = g_ref.into_plan(Some(loss_ref));
-        let kinds: Vec<&Kind> = plan.steps.iter().map(|s| &s.kind).collect();
+        let kinds: Vec<&Kind> = plan.prog.steps.iter().map(|s| &s.kind).collect();
         assert!(
             kinds.iter().any(|k| matches!(k, Kind::FusedGates { .. })),
             "gate assembly not fused"
@@ -2655,8 +3020,387 @@ mod tests {
         cache.put(key, plan);
         assert_eq!(cache.len(), 1);
         let p = cache.take(&key).expect("plan cached");
-        assert!(cache.is_empty());
+        let q = cache.take(&key).expect("program shared");
+        assert_eq!(
+            cache.len(),
+            1,
+            "a take lends the program, it does not remove it"
+        );
+        assert!(
+            Arc::ptr_eq(&p.prog, &q.prog),
+            "two runs of one key share its program"
+        );
         assert!(!p.is_empty());
+    }
+
+    /// Loss bits and every parameter gradient's bits.
+    type Bits = (u32, Vec<Vec<u32>>);
+
+    fn bits_of(loss: f32, grads: &ParamStore) -> Bits {
+        let g = grads
+            .iter()
+            .map(|p| p.grad.data.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (loss.to_bits(), g)
+    }
+
+    /// One training step of the all-ops model through `cache`: parameters
+    /// read from `store`, gradients into `grads`; `meet` runs once the
+    /// graph is built and backward has run, while the run still holds
+    /// its arena.
+    fn cached_step(
+        cache: &PlanCache,
+        store: &ParamStore,
+        ids: &[ParamId],
+        grads: &mut ParamStore,
+        d: &Data,
+        meet: impl FnOnce(),
+    ) -> Bits {
+        cache.run(PlanKey::new("all_ops", [0; 6]), |g| {
+            grads.zero_grad();
+            let loss = build_all_ops(g, store, ids, d);
+            let lv = g.value(loss).data[0];
+            g.backward(loss, grads);
+            meet();
+            (bits_of(lv, grads), Some(loss))
+        })
+    }
+
+    /// Both threads wait here until the other has arrived.
+    fn rendezvous(arrived: &AtomicUsize) {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        while arrived.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn concurrent_runs_of_one_key_share_one_program_on_two_arenas() {
+        let (store, ids) = mk_store(37);
+        let data = [mk_data(71), mk_data(72)];
+        let cache = PlanCache::new();
+        // Two threads inside `run` at once: first both recording (both
+        // miss, both compile; one program is kept), then both replaying.
+        let together = |cache: &PlanCache| -> Vec<Bits> {
+            let arrived = AtomicUsize::new(0);
+            std::thread::scope(|sc| {
+                let runs: Vec<_> = data
+                    .iter()
+                    .map(|d| {
+                        let (store, ids, arrived) = (&store, &ids, &arrived);
+                        sc.spawn(move || {
+                            let mut grads = store.clone();
+                            cached_step(cache, store, ids, &mut grads, d, || rendezvous(arrived))
+                        })
+                    })
+                    .collect();
+                runs.into_iter()
+                    .map(|h| h.join().expect("run thread"))
+                    .collect()
+            })
+        };
+        let recorded = together(&cache);
+        let stats = cache.stats();
+        assert_eq!((stats.programs, stats.arenas), (1, 0), "{stats:?}");
+        let replayed = together(&cache);
+        let stats = cache.stats();
+        assert_eq!((stats.programs, stats.arenas), (1, 2), "{stats:?}");
+        assert_eq!(stats.weight_copies, 1, "{stats:?}");
+        // The same two replays one after the other, on the pooled arenas.
+        let sequential: Vec<Bits> = data
+            .iter()
+            .map(|d| cached_step(&cache, &store, &ids, &mut store.clone(), d, || {}))
+            .collect();
+        assert_eq!(replayed, sequential);
+        assert_eq!(recorded, sequential);
+        assert_eq!(
+            cache.stats(),
+            stats,
+            "sequential replays reuse the two arenas"
+        );
+    }
+
+    /// A second program over the same store: a two-layer head with its
+    /// own shapes, so it binds the pooled arena differently.
+    fn build_head(g: &mut Graph, store: &ParamStore, ids: &[ParamId], d: &Data) -> NodeId {
+        let x = g.input_ref(&d.x);
+        let w = g.param(store, ids[0]);
+        let h = g.matmul(x, w);
+        let t = g.tanh(h);
+        let w2 = g.param(store, ids[2]);
+        let y = g.matmul(t, w2);
+        let s = g.slice_cols(y, 0, 4);
+        let r = g.slice_rows(s, 0, 2);
+        let tin = g.input_ref(&d.tgt);
+        g.mse_loss(r, tin)
+    }
+
+    /// One step of program `which` (0: all ops, 1: the head) through
+    /// `cache`, with its gradients in `grads`.
+    fn step_into(
+        which: usize,
+        cache: &PlanCache,
+        store: &ParamStore,
+        ids: &[ParamId],
+        d: &Data,
+        grads: &mut ParamStore,
+    ) -> Bits {
+        grads.zero_grad();
+        let key = PlanKey::new(["all_ops", "head"][which], [0; 6]);
+        cache.run(key, |g| {
+            let loss = if which == 0 {
+                build_all_ops(g, store, ids, d)
+            } else {
+                build_head(g, store, ids, d)
+            };
+            let lv = g.value(loss).data[0];
+            g.backward(loss, grads);
+            (bits_of(lv, grads), Some(loss))
+        })
+    }
+
+    fn step_of(
+        which: usize,
+        cache: &PlanCache,
+        store: &ParamStore,
+        ids: &[ParamId],
+        d: &Data,
+    ) -> Bits {
+        step_into(which, cache, store, ids, d, &mut store.clone())
+    }
+
+    #[test]
+    fn programs_alternating_on_one_pooled_arena_match_fresh_arenas() {
+        let (mut store, ids) = mk_store(43);
+        let cache = PlanCache::new();
+        let mut sgd = Sgd::new(0.05);
+        for step in 0..6u64 {
+            let which = (step % 2) as usize;
+            let d = mk_data(100 + step);
+            let mut grads = store.clone();
+            let pooled = step_into(which, &cache, &store, &ids, &d, &mut grads);
+            // The same step on a fresh arena: a new cache records it, then
+            // replays it on the first arena it lends.
+            let fresh = PlanCache::new();
+            let recorded = step_of(which, &fresh, &store, &ids, &d);
+            let replayed = step_of(which, &fresh, &store, &ids, &d);
+            assert_eq!(pooled, replayed, "step {step}: pooled arena vs fresh arena");
+            assert_eq!(pooled, recorded, "step {step}: replay vs recording");
+            // Train on the pooled run's gradients.
+            store.zero_grad();
+            store.accumulate_grads_from(&grads);
+            sgd.step(&mut store);
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.programs, stats.arenas, stats.weight_copies),
+            (2, 1, 1),
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn a_store_version_is_synced_once_per_cache() {
+        let (mut store, ids) = mk_store(47);
+        let d = mk_data(81);
+        let cache = PlanCache::new();
+        let syncs = |cache: &PlanCache| cache.weights.copies.lock().syncs;
+        // Recording reads the store directly; replays read the copy.
+        for which in [0, 1] {
+            step_of(which, &cache, &store, &ids, &d);
+        }
+        assert_eq!(syncs(&cache), 0);
+        for _ in 0..2 {
+            for which in [0, 1] {
+                step_of(which, &cache, &store, &ids, &d);
+            }
+        }
+        assert_eq!(syncs(&cache), 1, "one version, two programs, four replays");
+        sgd_step(&mut store);
+        for which in [0, 1] {
+            step_of(which, &cache, &store, &ids, &d);
+        }
+        assert_eq!(syncs(&cache), 2, "a new version is synced once");
+        // Another store with the same parameter ids gets its own copy.
+        let (other, _) = mk_store(48);
+        step_of(1, &cache, &other, &ids, &d);
+        assert_eq!(cache.stats().weight_copies, 2);
+        assert_eq!(syncs(&cache), 3);
+    }
+
+    fn sgd_step(store: &mut ParamStore) {
+        for p in 0..store.len() {
+            let id = ParamId(p);
+            store.value_mut(id).data.iter_mut().for_each(|v| *v *= 0.99);
+        }
+    }
+
+    #[test]
+    fn replays_leave_the_shared_program_unchanged() {
+        let (store, ids) = mk_store(53);
+        let cache = PlanCache::new();
+        let mut grads = store.clone();
+        cached_step(&cache, &store, &ids, &mut grads, &mk_data(90), || {});
+        let prog = cache
+            .take(&PlanKey::new("all_ops", [0; 6]))
+            .expect("program cached")
+            .prog;
+        let ops: Vec<Op> = prog.steps.iter().map(|s| s.op.clone()).collect();
+        // Fresh noise, masks and targets on every replay.
+        for seed in 91..94 {
+            cached_step(&cache, &store, &ids, &mut grads, &mk_data(seed), || {});
+        }
+        let after: Vec<Op> = prog.steps.iter().map(|s| s.op.clone()).collect();
+        assert_eq!(ops, after, "a replay changed an op of the shared program");
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// The LSTM cell backward as it was written per element — sources
+    /// chosen and set-or-add decided inside the loop — kept as the oracle
+    /// of [`select_cell_grads`] and [`cell_backward_row`].
+    #[allow(clippy::too_many_arguments)]
+    fn cell_backward_oracle(
+        gr: &[f32],
+        cpv: &[f32],
+        gh_row: &[f32],
+        gc_row: &[f32],
+        (hp, cp, split): (bool, bool, bool),
+        dgr: &mut [f32],
+        gpresent: bool,
+        dcr: &mut [f32],
+        cpresent: bool,
+    ) {
+        let hidden = cpv.len();
+        let mut act = vec![0.0; 4 * hidden];
+        let mut ct = vec![0.0; hidden];
+        let mut dc_total = vec![0.0; hidden];
+        cell_act(gr, &mut act, hidden);
+        let (i_v, rest) = act.split_at(hidden);
+        let (f_v, rest) = rest.split_at(hidden);
+        let (cand, o_v) = rest.split_at(hidden);
+        for k in 0..hidden {
+            ct[k] = kernels::fast_tanh(f_v[k] * cpv[k] + i_v[k] * cand[k]);
+        }
+        for k in 0..hidden {
+            let (gh_k, gc_k) = grad_pair(gh_row, gc_row, k, hp, cp, split);
+            dc_total[k] = gc_k + gh_k * o_v[k] * (1.0 - ct[k] * ct[k]);
+        }
+        for k in 0..hidden {
+            let (gh_k, _) = grad_pair(gh_row, gc_row, k, hp, cp, split);
+            let d0 = dc_total[k] * cand[k] * i_v[k] * (1.0 - i_v[k]);
+            let d1 = dc_total[k] * cpv[k] * f_v[k] * (1.0 - f_v[k]);
+            let d2 = dc_total[k] * i_v[k] * (1.0 - cand[k] * cand[k]);
+            let d3 = gh_k * ct[k] * o_v[k] * (1.0 - o_v[k]);
+            if gpresent {
+                dgr[k] += d0;
+                dgr[hidden + k] += d1;
+                dgr[2 * hidden + k] += d2;
+                dgr[3 * hidden + k] += d3;
+            } else {
+                dgr[k] = d0;
+                dgr[hidden + k] = d1;
+                dgr[2 * hidden + k] = d2;
+                dgr[3 * hidden + k] = d3;
+            }
+        }
+        for k in 0..hidden {
+            let d = dc_total[k] * f_v[k];
+            if cpresent {
+                dcr[k] += d;
+            } else {
+                dcr[k] = d;
+            }
+        }
+    }
+
+    /// The oracle's per-element choice of gradient sources.
+    fn grad_pair(gh: &[f32], gc: &[f32], k: usize, hp: bool, cp: bool, split: bool) -> (f32, f32) {
+        if !split {
+            return (gh[k], gc[k]);
+        }
+        match (hp, cp) {
+            (true, true) => (0.0 + gh[k], gc[k] + 0.0),
+            (true, false) => (gh[k], 0.0),
+            (false, true) => (0.0, gc[k]),
+            (false, false) => (0.0, 0.0),
+        }
+    }
+
+    #[test]
+    fn cell_backward_matches_the_per_element_oracle() {
+        let mut rng = Rng::seed_from(61);
+        let mut draw = |n: usize, lo: f64, hi: f64| -> Vec<f32> {
+            (0..n)
+                .map(|k| match k % 7 {
+                    // Signed zeros, where `0.0 + g` and `g + 0.0` differ
+                    // from `g`.
+                    2 => -0.0,
+                    5 => 0.0,
+                    _ => rng.uniform(lo, hi) as f32,
+                })
+                .collect()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for hidden in [1usize, 5, 8, 13] {
+            let cases: &[(bool, bool, bool)] = &[
+                (true, true, false),
+                (true, true, true),
+                (true, false, true),
+                (false, true, true),
+                (false, false, true),
+            ];
+            for &(hp, cp, split) in cases {
+                for (gadd, cadd) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let gr = draw(4 * hidden, -3.0, 3.0);
+                    let cpv = draw(hidden, -1.0, 1.0);
+                    let hc = draw(2 * hidden, -1.0, 1.0);
+                    // A split cell reads its slices' rows (an absent one
+                    // is empty); a plain cell the halves of its `[h | c]`.
+                    let (gh_raw, gc_raw) = if split {
+                        let (h, c) = hc.split_at(hidden);
+                        (if hp { h } else { &[][..] }, if cp { c } else { &[][..] })
+                    } else {
+                        hc.split_at(hidden)
+                    };
+                    let dg0 = draw(4 * hidden, -1.0, 1.0);
+                    let dc0 = draw(hidden, -1.0, 1.0);
+                    let (mut dg_want, mut dc_want) = (dg0.clone(), dc0.clone());
+                    cell_backward_oracle(
+                        &gr,
+                        &cpv,
+                        gh_raw,
+                        gc_raw,
+                        (hp, cp, split),
+                        &mut dg_want,
+                        gadd,
+                        &mut dc_want,
+                        cadd,
+                    );
+                    let (mut dg, mut dc) = (dg0.clone(), dc0.clone());
+                    let mut ws = vec![0.0; 8 * hidden];
+                    let (scratch, sel) = ws.split_at_mut(6 * hidden);
+                    let (gh_sel, gc_sel) = sel.split_at_mut(hidden);
+                    let (gh, gc): (&[f32], &[f32]) = if split {
+                        select_cell_grads(gh_raw, gc_raw, hp, cp, gh_sel, gc_sel);
+                        (gh_sel, gc_sel)
+                    } else {
+                        (gh_raw, gc_raw)
+                    };
+                    cell_backward_row(
+                        &gr,
+                        &cpv,
+                        gh,
+                        gc,
+                        scratch,
+                        Some((&mut dg, gadd)),
+                        Some((&mut dc, cadd)),
+                    );
+                    let case = format!("hidden {hidden}, {hp}/{cp}/{split}, add {gadd}/{cadd}");
+                    assert_eq!(bits(&dg), bits(&dg_want), "gate gradient, {case}");
+                    assert_eq!(bits(&dc), bits(&dc_want), "cell gradient, {case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,11 +45,13 @@ cargo run --release -p gendt-audit -- trace-smoke
 # Plan parity gate: compiled plans (how train and generate run) must be
 # bitwise-identical to record mode (every op unfused, one value buffer
 # per node, each gradient freed once its node has passed it on), forced
-# by GENDT_SANITIZE, for training (weights + loss trace)
-# and for single, batched and chunked generation, including cached
-# replays and a replay after a cache miss released the plan arenas. It
-# checks what can differ between the two: fusion, arena binding, and
-# replay of fresh inputs.
+# by GENDT_SANITIZE, for training (weights + loss trace) at an explicit
+# 2-thread budget, where both shards replay one shared program on two
+# pooled arenas, and for single, batched and chunked generation, including
+# cached replays in arenas the training programs last used and a replay
+# after a cache miss dropped the idle arenas. It checks what can differ
+# between the two: fusion, arena binding, arena lending, and replay of
+# fresh inputs.
 cargo run --release -p gendt-audit -- plan-parity
 
 # Golden gate for the paper tables: the quick evaluation (seed 42) must
@@ -84,7 +86,7 @@ cargo run --release -p gendt-audit -- chaos
 # mid-stream deadline yields a `deadline` trailer with a resumable
 # session, that draining refuses continuations of shed sessions with a
 # typed 503, that concurrent opens of one route share a single
-# context extraction (the worker's cache-miss counter rises by 1), and
+# route synthesis (the worker's cache-miss counter rises by 1), and
 # that a 4 h walk streamed one window per chunk with no window budget
 # arrives whole in one response of over 1 MiB, read by the workspace client,
 # with a `complete` trailer and chunks bitwise-equal to one-shot.
