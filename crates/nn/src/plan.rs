@@ -439,13 +439,6 @@ impl Plan {
         self.prog.caps.len()
     }
 
-    /// Heap bytes of the arena this plan holds (slots, workspace,
-    /// gradient flags and per-run constants): zero for a plan fresh from
-    /// compilation or lent a new arena, until a replay fits one.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.bytes()
-    }
-
     /// All binding intervals assigned by the liveness pass.
     pub fn live_ranges(&self) -> &[LiveRange] {
         &self.prog.ranges
