@@ -330,24 +330,22 @@ fn run_plan_parity() -> bool {
     // 2-thread budget runs the two shards at once on any runner: both
     // replay one shared program, each on its own pooled arena, and the
     // teacher-forced and free-running programs take turns on those
-    // arenas. The plan side records its batched generation program before
-    // training (generation reads the model, it does not change it), so
-    // its first replay after training runs in an arena a training
-    // program last used.
+    // arenas. Each side first generates a batch from the untrained model
+    // (generation reads the model, it does not change it): the plan side
+    // records its batched generation program there, so its first replay
+    // after training runs in an arena a training program last used.
     let threads = gendt_nn::num_threads();
     let train = |tape: bool| {
         gendt_nn::set_sanitize(tape);
         gendt_nn::set_num_threads(2);
         let mut model = GenDt::new(cfg.clone());
-        if !tape {
-            let _ = generate_series_batch(&model, &Kpi::DATASET_A, &items);
-        }
+        let untrained = series(generate_series_batch(&model, &Kpi::DATASET_A, &items));
         model.train(&pool);
         gendt_nn::set_num_threads(threads);
-        model
+        (model, untrained)
     };
-    let mut tape = train(true);
-    let mut plan = train(false);
+    let (mut tape, b_untrained) = train(true);
+    let (mut plan, b_recorded) = train(false);
     let weights = |m: &GenDt| -> Vec<Vec<f32>> {
         m.generator
             .store
@@ -357,6 +355,10 @@ fn run_plan_parity() -> bool {
             .collect()
     };
     let mse = |m: &GenDt| m.trace.iter().map(|t| t.mse).collect::<Vec<_>>();
+    check(
+        "generate_series_batch (recorded)",
+        b_untrained == b_recorded,
+    );
     check("train weights", weights(&tape) == weights(&plan));
     check("train loss trace", mse(&tape) == mse(&plan));
 

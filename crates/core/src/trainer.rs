@@ -264,14 +264,22 @@ impl GenDt {
                 *slot = Some(run_shard(s, grads));
             }
         } else {
+            // Shard 0 runs on this thread, the others on spawned ones.
+            // This thread usually reaches a new key first, so it records
+            // the key while the other shards wait for its program
+            // (`PlanCache::run`). The allocator keeps a heap per thread:
+            // with the recordings, and the first arenas they fit, all
+            // made on this thread, each reuses the memory the last one
+            // freed instead of growing another thread's heap.
             let run_shard = &run_shard;
             rayon::scope(|sc| {
-                for (s, (slot, grads)) in shard_outs
-                    .iter_mut()
-                    .zip(shard_grads.iter_mut())
-                    .enumerate()
-                {
-                    sc.spawn(move |_| *slot = Some(run_shard(s, grads)));
+                let mut shards = shard_outs.iter_mut().zip(shard_grads.iter_mut());
+                let first = shards.next();
+                for (s, (slot, grads)) in shards.enumerate() {
+                    sc.spawn(move |_| *slot = Some(run_shard(s + 1, grads)));
+                }
+                if let Some((slot, grads)) = first {
+                    *slot = Some(run_shard(0, grads));
                 }
             });
         }
@@ -604,12 +612,20 @@ mod tests {
     #[test]
     fn warm_training_cache_holds_one_weight_copy_per_store() {
         let cfg = tiny_cfg();
-        let pool = training_pool(&cfg);
+        // Windows that all see `max_cells` cells give every shard one
+        // batch shape: one teacher-forced and one free-running key.
+        let pool: Vec<Window> = training_pool(&cfg)
+            .into_iter()
+            .filter(|w| w.cells.len() == cfg.window.max_cells)
+            .collect();
+        assert!(pool.len() >= cfg.batch_size, "too few full windows");
         let mut model = GenDt::new(cfg);
         for _ in 0..4 {
             model.train_step(&pool);
         }
         let stats = model.plans.stats();
+        // Both shard keys, and the discriminator step's.
+        assert_eq!(stats.programs, 3, "{stats:?}");
         // Shard programs read the generator's store, the discriminator
         // step's program the discriminator's.
         assert_eq!(stats.weight_copies, 2, "{stats:?}");

@@ -361,25 +361,28 @@ impl Graph {
         check: impl FnOnce(&Op) -> bool,
         extra: Option<&Matrix>,
     ) -> Option<NodeId> {
-        self.r_step_with(expect, check, &[], extra)
+        self.r_step_with(expect, |op| check(op).then_some([]), [], extra)
     }
 
-    /// [`Graph::r_step`] for an op with per-run constants: once `check`
-    /// has matched their shapes, `consts` are written into the arena, in
-    /// the op's argument order, before the step evaluates.
-    fn r_step_with(
+    /// [`Graph::r_step`] for an op with per-run constants: `check` matches
+    /// the recorded op, shapes of its constants included, and returns the
+    /// op's [`Const`] handles for `consts`, pair by pair; each value is
+    /// written into the arena before the step evaluates.
+    fn r_step_with<const N: usize>(
         &mut self,
         expect: &'static str,
-        check: impl FnOnce(&Op) -> bool,
-        consts: &[&Matrix],
+        check: impl FnOnce(&Op) -> Option<[Const; N]>,
+        consts: [&Matrix; N],
         extra: Option<&Matrix>,
     ) -> Option<NodeId> {
         let i = self.cursor?;
         self.plan.expect_step(i, expect);
-        if !check(&self.plan.prog.steps[i].op) {
-            self.plan.diverged(i, expect);
+        let Some(handles) = check(&self.plan.prog.steps[i].op) else {
+            self.plan.diverged(i, expect)
+        };
+        for (c, v) in handles.into_iter().zip(consts) {
+            self.plan.write_const(c, v);
         }
-        self.plan.write_consts(i, consts);
         self.cursor = Some(i + 1);
         self.plan.eval(i, extra);
         Some(NodeId(i))
@@ -933,14 +936,22 @@ impl Graph {
         // replay writes this run's into its arena.
         if let Some(n) = self.r_step_with(
             "MaskedGroupMean",
-            |op| {
-                matches!(op, Op::MaskedGroupMean { x: x0, mask: m0, scale: s0, group: g0 }
-                    if *x0 == x
-                        && *g0 == group
-                        && m0.shape() == mask.shape()
-                        && s0.shape() == scale.shape())
+            |op| match op {
+                Op::MaskedGroupMean {
+                    x: x0,
+                    mask: m0,
+                    scale: s0,
+                    group: g0,
+                } if *x0 == x
+                    && *g0 == group
+                    && m0.shape() == mask.shape()
+                    && s0.shape() == scale.shape() =>
+                {
+                    Some([*m0, *s0])
+                }
+                _ => None,
             },
-            &[mask, scale],
+            [mask, scale],
             None,
         ) {
             return n;
@@ -995,8 +1006,13 @@ impl Graph {
     pub fn bce_with_logits(&mut self, logits: NodeId, targets: Matrix) -> NodeId {
         if let Some(n) = self.r_step_with(
             "BceWithLogits",
-            |op| matches!(op, Op::BceWithLogits(l0, t0) if *l0 == logits && t0.shape() == targets.shape()),
-            &[&targets],
+            |op| match op {
+                Op::BceWithLogits(l0, t0) if *l0 == logits && t0.shape() == targets.shape() => {
+                    Some([*t0])
+                }
+                _ => None,
+            },
+            [&targets],
             None,
         ) {
             return n;
@@ -1028,11 +1044,15 @@ impl Graph {
     pub fn gaussian_nll(&mut self, mu: NodeId, sigma: NodeId, target: Matrix) -> NodeId {
         if let Some(n) = self.r_step_with(
             "GaussianNll",
-            |op| {
-                matches!(op, Op::GaussianNll { mu: m0, sigma: s0, target: t0 }
-                    if *m0 == mu && *s0 == sigma && t0.shape() == target.shape())
+            |op| match op {
+                Op::GaussianNll {
+                    mu: m0,
+                    sigma: s0,
+                    target: t0,
+                } if *m0 == mu && *s0 == sigma && t0.shape() == target.shape() => Some([*t0]),
+                _ => None,
             },
-            &[&target],
+            [&target],
             None,
         ) {
             return n;

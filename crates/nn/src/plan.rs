@@ -33,6 +33,11 @@
 //!   execute. Two runs need two arenas only when they run at once (two
 //!   training shards); a teacher-forced and a free-running step of one
 //!   shard take turns on one.
+//! * **Record once.** A run that misses a key another run is recording
+//!   waits for that program and replays it, so concurrent first runs keep
+//!   one recording in memory, not one each. The recording run fits the
+//!   program's first arena itself, in the memory its recording has just
+//!   freed, and pools it for the runs that waited.
 //! * **One weight copy per store.** Parameter values and the hoisted GEMM
 //!   column packs of the weights are not arena state: a cache keeps one
 //!   copy per parameter store, keyed by the store's identity and synced
@@ -69,7 +74,7 @@ use crate::graph::{Const, Graph, NodeId, Op};
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
-use gendt_sync::Mutex;
+use gendt_sync::{Condvar, Mutex};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -720,18 +725,16 @@ impl Plan {
         self.put_val(i, m);
     }
 
-    /// Write step `i`'s per-run constants — the op's [`Const`]s in
-    /// argument order, paired with `values` — into the arena. The replaying
-    /// constructor has matched their shapes against the recording.
-    pub(crate) fn write_consts(&mut self, i: usize, values: &[&Matrix]) {
-        let handles = op_consts(&self.prog.steps[i].op);
-        for (c, v) in handles.into_iter().flatten().zip(values) {
-            let m = &mut self.arena.consts[c.index()];
-            m.rows = v.rows;
-            m.cols = v.cols;
-            m.data.clear();
-            m.data.extend_from_slice(&v.data);
-        }
+    /// Write `v` into per-run constant `c`. The replaying constructor has
+    /// matched `v`'s shape against the recorded one, so the write stays
+    /// within the capacity the arena was fitted to.
+    pub(crate) fn write_const(&mut self, c: Const, v: &Matrix) {
+        debug_assert_eq!(c.shape(), v.shape(), "per-run constant shape");
+        let m = &mut self.arena.consts[c.index()];
+        m.rows = v.rows;
+        m.cols = v.cols;
+        m.data.clear();
+        m.data.extend_from_slice(&v.data);
     }
 
     /// Per-run constant `c`, as last written.
@@ -2141,8 +2144,8 @@ fn select_cell_grads(
     }
 }
 
-/// The per-run constants an op reads, in argument order.
-pub(crate) fn op_consts(op: &Op) -> [Option<Const>; 2] {
+/// The per-run constants an op reads, for sizing them at compile time.
+fn op_consts(op: &Op) -> [Option<Const>; 2] {
     match op {
         Op::NoisyRenorm { noise, .. } => [Some(*noise), None],
         Op::MaskedGroupMean { mask, scale, .. } => [Some(*mask), Some(*scale)],
@@ -2584,25 +2587,63 @@ pub fn fold_dims(iter: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// Maximum number of programs kept per cache; oldest evicted beyond it.
+/// Maximum number of programs kept per cache; the least recently used is
+/// evicted beyond it.
 const PLAN_CACHE_CAP: usize = 64;
 
 /// A small keyed store of compiled programs, with a pool of idle arenas
 /// and one weight copy per parameter store. A run borrows its program by
 /// `Arc` and is lent an arena, which it returns afterwards, so one cache
 /// serves concurrent shard workers: two runs of one key share its
-/// program and need two arenas only while both run.
+/// program and need two arenas only while both run. A key is recorded
+/// once: a run that misses a key another run is recording waits for that
+/// program and replays it.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     inner: Mutex<Cached>,
+    /// Signalled when a recording ends: its program is cached, or its run
+    /// unwound.
+    recorded: Condvar,
     weights: Arc<WeightPool>,
 }
 
 #[derive(Debug, Default)]
 struct Cached {
+    /// Least recently used first.
     programs: Vec<(PlanKey, Arc<Program>)>,
     /// Arenas no run holds, each fitted to the programs it has served.
     idle: Vec<Arena>,
+    /// Keys a run is recording now.
+    recording: Vec<PlanKey>,
+    /// Recordings started and waits for another run's recording, for the
+    /// record-once test.
+    #[cfg(test)]
+    counts: (usize, usize),
+}
+
+impl Cached {
+    /// The program cached for `key`, marked most recently used.
+    fn touch(&mut self, key: &PlanKey) -> Option<Arc<Program>> {
+        let pos = self.programs.iter().position(|(k, _)| k == key)?;
+        let entry = self.programs.remove(pos);
+        let prog = Arc::clone(&entry.1);
+        self.programs.push(entry);
+        Some(prog)
+    }
+}
+
+/// A run's claim on recording `key`: dropped once the run has cached the
+/// program (or unwound), waking the runs that wait for it.
+struct Recording<'a> {
+    cache: &'a PlanCache,
+    key: PlanKey,
+}
+
+impl Drop for Recording<'_> {
+    fn drop(&mut self) {
+        self.cache.inner.lock().recording.retain(|k| *k != self.key);
+        self.cache.recorded.notify_all();
+    }
 }
 
 /// What a [`PlanCache`] holds, for diagnostics and tests.
@@ -2628,55 +2669,100 @@ impl PlanCache {
 
     /// Execute the graph keyed by `key` once: replay its cached program
     /// in a lent arena on a hit; on a miss, record the graph and cache
-    /// its compiled program. `build` runs the model code on the graph and
-    /// returns its result plus the loss node it ran backward from (`None`
-    /// for forward-only graphs).
+    /// its compiled program. A miss on a key another run is recording
+    /// waits for that run's program and replays it, so concurrent first
+    /// runs record a key once. `build` runs the model code on the graph
+    /// and returns its result plus the loss node it ran backward from
+    /// (`None` for forward-only graphs); it must not run its own key on
+    /// this cache.
     ///
     /// `GENDT_SANITIZE` forces record mode, uncached: its per-op checks
     /// run only while recording.
     pub fn run<R>(&self, key: PlanKey, build: impl FnOnce(&mut Graph) -> (R, Option<NodeId>)) -> R {
         let record_only = crate::sanitize::sanitize_enabled();
-        let plan = if record_only { None } else { self.take(&key) };
+        let (plan, recording) = match (!record_only).then(|| self.lend_or_record(key)) {
+            Some(Ok(plan)) => (Some(plan), None),
+            Some(Err(recording)) => (None, Some(recording)),
+            None => (None, None),
+        };
         let mut g = plan.map_or_else(Graph::new, Graph::replay);
         let (out, loss) = build(&mut g);
         if !record_only {
-            self.put(key, g.into_plan(loss));
+            let mut plan = g.into_plan(loss);
+            if recording.is_some() {
+                // Fit the program's first arena on this thread, in the
+                // memory the recording has just freed, and pool it for
+                // the runs that waited.
+                plan.begin_run();
+            }
+            self.put(key, plan);
         }
         out
     }
 
-    /// A run of the program for `key`, if one is cached: the program,
-    /// an idle arena from the pool (or a new, empty one) and the cache's
-    /// weight copies. A miss drops the idle arenas: the tape recorded
-    /// next would otherwise stack on top of them. The next replay fits
-    /// a fresh arena.
-    pub fn take(&self, key: &PlanKey) -> Option<Plan> {
+    /// A run of `key`'s program; on a miss no other run is recording, the
+    /// claim to record it (the idle arenas are dropped, as in
+    /// [`PlanCache::take`]). A miss another run is recording waits for
+    /// that recording to end.
+    fn lend_or_record(&self, key: PlanKey) -> Result<Plan, Recording<'_>> {
         let mut inner = self.inner.lock();
-        let Some(prog) = inner
-            .programs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, p)| Arc::clone(p))
-        else {
-            inner.idle.clear();
-            return None;
-        };
-        let arena = inner.idle.pop().unwrap_or_default();
-        Some(Plan {
+        loop {
+            if let Some(prog) = inner.touch(&key) {
+                return Ok(self.lend(&mut inner, prog));
+            }
+            if !inner.recording.contains(&key) {
+                break;
+            }
+            #[cfg(test)]
+            {
+                inner.counts.1 += 1;
+            }
+            inner = self.recorded.wait(inner);
+        }
+        inner.idle.clear();
+        inner.recording.push(key);
+        #[cfg(test)]
+        {
+            inner.counts.0 += 1;
+        }
+        Err(Recording { cache: self, key })
+    }
+
+    /// A run of `prog`: an idle arena from the pool (or a new, empty one)
+    /// and the cache's weight copies.
+    fn lend(&self, inner: &mut Cached, prog: Arc<Program>) -> Plan {
+        Plan {
             prog,
-            arena,
+            arena: inner.idle.pop().unwrap_or_default(),
             pool: Arc::clone(&self.weights),
             weights: None,
-        })
+        }
+    }
+
+    /// A run of the program for `key`, if one is cached: the program, an
+    /// idle arena from the pool (or a new, empty one) and the cache's
+    /// weight copies. A miss drops the idle arenas: the tape recorded
+    /// next would otherwise stack on top of them. Unlike
+    /// [`PlanCache::run`], a miss does not wait for a recording of `key`
+    /// in progress.
+    pub fn take(&self, key: &PlanKey) -> Option<Plan> {
+        let mut inner = self.inner.lock();
+        match inner.touch(key) {
+            Some(prog) => Some(self.lend(&mut inner, prog)),
+            None => {
+                inner.idle.clear();
+                None
+            }
+        }
     }
 
     /// Return a run: cache its program under `key` unless the key
-    /// already has one (two concurrent first runs compile a key twice;
-    /// the first program put stays), and pool its arena.
+    /// already has one (the first program put stays), mark the key most
+    /// recently used, and pool the run's arena.
     pub fn put(&self, key: PlanKey, plan: Plan) {
         let Plan { prog, arena, .. } = plan;
         let mut inner = self.inner.lock();
-        if !inner.programs.iter().any(|(k, _)| *k == key) {
+        if inner.touch(&key).is_none() {
             if inner.programs.len() >= PLAN_CACHE_CAP {
                 inner.programs.remove(0);
             }
@@ -3067,23 +3153,30 @@ mod tests {
         }
     }
 
+    /// Wait until a run of `cache` has waited for another's recording, or
+    /// ten seconds have passed.
+    fn until_a_run_waits(cache: &PlanCache) {
+        let start = std::time::Instant::now();
+        while cache.inner.lock().counts.1 == 0 && start.elapsed().as_secs() < 10 {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn concurrent_runs_of_one_key_share_one_program_on_two_arenas() {
         let (store, ids) = mk_store(37);
         let data = [mk_data(71), mk_data(72)];
         let cache = PlanCache::new();
-        // Two threads inside `run` at once: first both recording (both
-        // miss, both compile; one program is kept), then both replaying.
-        let together = |cache: &PlanCache| -> Vec<Bits> {
-            let arrived = AtomicUsize::new(0);
+        // Two threads inside `run` at once; `meet` runs inside both builds.
+        let together = |meet: &(dyn Fn() + Sync)| -> Vec<Bits> {
             std::thread::scope(|sc| {
                 let runs: Vec<_> = data
                     .iter()
                     .map(|d| {
-                        let (store, ids, arrived) = (&store, &ids, &arrived);
+                        let (cache, store, ids) = (&cache, &store, &ids);
                         sc.spawn(move || {
                             let mut grads = store.clone();
-                            cached_step(cache, store, ids, &mut grads, d, || rendezvous(arrived))
+                            cached_step(cache, store, ids, &mut grads, d, meet)
                         })
                     })
                     .collect();
@@ -3092,10 +3185,17 @@ mod tests {
                     .collect()
             })
         };
-        let recorded = together(&cache);
+        // First runs: one records; the other misses while it does, waits
+        // for its program and replays it on an arena of its own.
+        let first = together(&|| until_a_run_waits(&cache));
+        let (recordings, waits) = cache.inner.lock().counts;
+        assert_eq!(recordings, 1, "concurrent first runs record a key once");
+        assert!(waits >= 1, "the second first run waited for the recording");
         let stats = cache.stats();
-        assert_eq!((stats.programs, stats.arenas), (1, 0), "{stats:?}");
-        let replayed = together(&cache);
+        assert_eq!((stats.programs, stats.arenas), (1, 1), "{stats:?}");
+        // Then both replay at once, each on its own arena.
+        let arrived = AtomicUsize::new(0);
+        let replayed = together(&|| rendezvous(&arrived));
         let stats = cache.stats();
         assert_eq!((stats.programs, stats.arenas), (1, 2), "{stats:?}");
         assert_eq!(stats.weight_copies, 1, "{stats:?}");
@@ -3105,12 +3205,55 @@ mod tests {
             .map(|d| cached_step(&cache, &store, &ids, &mut store.clone(), d, || {}))
             .collect();
         assert_eq!(replayed, sequential);
-        assert_eq!(recorded, sequential);
+        assert_eq!(first, sequential);
         assert_eq!(
             cache.stats(),
             stats,
             "sequential replays reuse the two arenas"
         );
+        assert_eq!(cache.inner.lock().counts.0, 1, "no key recorded twice");
+    }
+
+    #[test]
+    fn a_recording_that_unwinds_hands_the_key_to_the_next_run() {
+        let (store, ids) = mk_store(39);
+        let d = mk_data(73);
+        let cache = PlanCache::new();
+        let key = PlanKey::new("all_ops", [0; 6]);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.run(key, |_| -> ((), Option<NodeId>) { panic!("build failed") })
+        }));
+        assert!(unwound.is_err());
+        assert!(cache.inner.lock().recording.is_empty());
+        let mut grads = store.clone();
+        cached_step(&cache, &store, &ids, &mut grads, &d, || {});
+        assert_eq!(cache.inner.lock().counts, (2, 0));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn the_least_recently_used_program_is_evicted() {
+        let (store, ids) = mk_store(41);
+        let cache = PlanCache::new();
+        let forward = |g: &mut Graph| {
+            let w = g.param(&store, ids[0]);
+            g.tanh(w);
+            ((), None)
+        };
+        let key = |i: u64| PlanKey::new("tanh", [i, 0, 0, 0, 0, 0]);
+        // Key 0 is used again after every new key, up to one past the cap.
+        cache.run(key(0), forward);
+        for i in 1..=PLAN_CACHE_CAP as u64 {
+            cache.run(key(i), forward);
+            cache.run(key(0), forward);
+        }
+        assert_eq!(cache.len(), PLAN_CACHE_CAP);
+        assert!(cache.take(&key(0)).is_some(), "the hot key stays cached");
+        assert!(
+            cache.take(&key(1)).is_none(),
+            "the key used longest ago is evicted"
+        );
+        assert_eq!(cache.inner.lock().counts.0, 1 + PLAN_CACHE_CAP);
     }
 
     /// A second program over the same store: a two-layer head with its
