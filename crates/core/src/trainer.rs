@@ -265,12 +265,11 @@ impl GenDt {
             }
         } else {
             // Shard 0 runs on this thread, the others on spawned ones.
-            // This thread usually reaches a new key first, so it records
-            // the key while the other shards wait for its program
-            // (`PlanCache::run`). The allocator keeps a heap per thread:
-            // with the recordings, and the first arenas they fit, all
-            // made on this thread, each reuses the memory the last one
-            // freed instead of growing another thread's heap.
+            // The allocator keeps a heap per thread, and a spawned thread
+            // takes over the heap of an exited one in no fixed order:
+            // running shard 0 here keeps its recordings and arenas in
+            // one heap from step to step, so each reuses the memory the
+            // last one freed instead of growing another heap.
             let run_shard = &run_shard;
             rayon::scope(|sc| {
                 let mut shards = shard_outs.iter_mut().zip(shard_grads.iter_mut());

@@ -33,11 +33,6 @@
 //!   execute. Two runs need two arenas only when they run at once (two
 //!   training shards); a teacher-forced and a free-running step of one
 //!   shard take turns on one.
-//! * **Record once.** A run that misses a key another run is recording
-//!   waits for that program and replays it, so concurrent first runs keep
-//!   one recording in memory, not one each. The recording run fits the
-//!   program's first arena itself, in the memory its recording has just
-//!   freed, and pools it for the runs that waited.
 //! * **One weight copy per store.** Parameter values and the hoisted GEMM
 //!   column packs of the weights are not arena state: a cache keeps one
 //!   copy per parameter store, keyed by the store's identity and synced
@@ -74,7 +69,7 @@ use crate::graph::{Const, Graph, NodeId, Op};
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
-use gendt_sync::{Condvar, Mutex};
+use gendt_sync::Mutex;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -2595,15 +2590,10 @@ const PLAN_CACHE_CAP: usize = 64;
 /// and one weight copy per parameter store. A run borrows its program by
 /// `Arc` and is lent an arena, which it returns afterwards, so one cache
 /// serves concurrent shard workers: two runs of one key share its
-/// program and need two arenas only while both run. A key is recorded
-/// once: a run that misses a key another run is recording waits for that
-/// program and replays it.
+/// program and need two arenas only while both run.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     inner: Mutex<Cached>,
-    /// Signalled when a recording ends: its program is cached, or its run
-    /// unwound.
-    recorded: Condvar,
     weights: Arc<WeightPool>,
 }
 
@@ -2613,12 +2603,6 @@ struct Cached {
     programs: Vec<(PlanKey, Arc<Program>)>,
     /// Arenas no run holds, each fitted to the programs it has served.
     idle: Vec<Arena>,
-    /// Keys a run is recording now.
-    recording: Vec<PlanKey>,
-    /// Recordings started and waits for another run's recording, for the
-    /// record-once test.
-    #[cfg(test)]
-    counts: (usize, usize),
 }
 
 impl Cached {
@@ -2629,20 +2613,6 @@ impl Cached {
         let prog = Arc::clone(&entry.1);
         self.programs.push(entry);
         Some(prog)
-    }
-}
-
-/// A run's claim on recording `key`: dropped once the run has cached the
-/// program (or unwound), waking the runs that wait for it.
-struct Recording<'a> {
-    cache: &'a PlanCache,
-    key: PlanKey,
-}
-
-impl Drop for Recording<'_> {
-    fn drop(&mut self) {
-        self.cache.inner.lock().recording.retain(|k| *k != self.key);
-        self.cache.recorded.notify_all();
     }
 }
 
@@ -2669,96 +2639,47 @@ impl PlanCache {
 
     /// Execute the graph keyed by `key` once: replay its cached program
     /// in a lent arena on a hit; on a miss, record the graph and cache
-    /// its compiled program. A miss on a key another run is recording
-    /// waits for that run's program and replays it, so concurrent first
-    /// runs record a key once. `build` runs the model code on the graph
-    /// and returns its result plus the loss node it ran backward from
-    /// (`None` for forward-only graphs); it must not run its own key on
-    /// this cache.
+    /// its compiled program. `build` runs the model code on the graph and
+    /// returns its result plus the loss node it ran backward from (`None`
+    /// for forward-only graphs).
     ///
     /// `GENDT_SANITIZE` forces record mode, uncached: its per-op checks
     /// run only while recording.
     pub fn run<R>(&self, key: PlanKey, build: impl FnOnce(&mut Graph) -> (R, Option<NodeId>)) -> R {
         let record_only = crate::sanitize::sanitize_enabled();
-        let (plan, recording) = match (!record_only).then(|| self.lend_or_record(key)) {
-            Some(Ok(plan)) => (Some(plan), None),
-            Some(Err(recording)) => (None, Some(recording)),
-            None => (None, None),
-        };
+        let plan = if record_only { None } else { self.take(&key) };
         let mut g = plan.map_or_else(Graph::new, Graph::replay);
         let (out, loss) = build(&mut g);
         if !record_only {
-            let mut plan = g.into_plan(loss);
-            if recording.is_some() {
-                // Fit the program's first arena on this thread, in the
-                // memory the recording has just freed, and pool it for
-                // the runs that waited.
-                plan.begin_run();
-            }
-            self.put(key, plan);
+            self.put(key, g.into_plan(loss));
         }
         out
     }
 
-    /// A run of `key`'s program; on a miss no other run is recording, the
-    /// claim to record it (the idle arenas are dropped, as in
-    /// [`PlanCache::take`]). A miss another run is recording waits for
-    /// that recording to end.
-    fn lend_or_record(&self, key: PlanKey) -> Result<Plan, Recording<'_>> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(prog) = inner.touch(&key) {
-                return Ok(self.lend(&mut inner, prog));
-            }
-            if !inner.recording.contains(&key) {
-                break;
-            }
-            #[cfg(test)]
-            {
-                inner.counts.1 += 1;
-            }
-            inner = self.recorded.wait(inner);
-        }
-        inner.idle.clear();
-        inner.recording.push(key);
-        #[cfg(test)]
-        {
-            inner.counts.0 += 1;
-        }
-        Err(Recording { cache: self, key })
-    }
-
-    /// A run of `prog`: an idle arena from the pool (or a new, empty one)
-    /// and the cache's weight copies.
-    fn lend(&self, inner: &mut Cached, prog: Arc<Program>) -> Plan {
-        Plan {
-            prog,
-            arena: inner.idle.pop().unwrap_or_default(),
-            pool: Arc::clone(&self.weights),
-            weights: None,
-        }
-    }
-
-    /// A run of the program for `key`, if one is cached: the program, an
-    /// idle arena from the pool (or a new, empty one) and the cache's
+    /// A run of the program for `key`, if one is cached: the program,
+    /// an idle arena from the pool (or a new, empty one) and the cache's
     /// weight copies. A miss drops the idle arenas: the tape recorded
-    /// next would otherwise stack on top of them. Unlike
-    /// [`PlanCache::run`], a miss does not wait for a recording of `key`
-    /// in progress.
+    /// next would otherwise stack on top of them. The next replay fits
+    /// a fresh arena.
     pub fn take(&self, key: &PlanKey) -> Option<Plan> {
         let mut inner = self.inner.lock();
-        match inner.touch(key) {
-            Some(prog) => Some(self.lend(&mut inner, prog)),
-            None => {
-                inner.idle.clear();
-                None
-            }
-        }
+        let Some(prog) = inner.touch(key) else {
+            inner.idle.clear();
+            return None;
+        };
+        let arena = inner.idle.pop().unwrap_or_default();
+        Some(Plan {
+            prog,
+            arena,
+            pool: Arc::clone(&self.weights),
+            weights: None,
+        })
     }
 
     /// Return a run: cache its program under `key` unless the key
-    /// already has one (the first program put stays), mark the key most
-    /// recently used, and pool the run's arena.
+    /// already has one (two concurrent first runs compile a key twice;
+    /// the first program put stays), mark the key most recently used,
+    /// and pool the run's arena.
     pub fn put(&self, key: PlanKey, plan: Plan) {
         let Plan { prog, arena, .. } = plan;
         let mut inner = self.inner.lock();
@@ -3153,30 +3074,23 @@ mod tests {
         }
     }
 
-    /// Wait until a run of `cache` has waited for another's recording, or
-    /// ten seconds have passed.
-    fn until_a_run_waits(cache: &PlanCache) {
-        let start = std::time::Instant::now();
-        while cache.inner.lock().counts.1 == 0 && start.elapsed().as_secs() < 10 {
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
     fn concurrent_runs_of_one_key_share_one_program_on_two_arenas() {
         let (store, ids) = mk_store(37);
         let data = [mk_data(71), mk_data(72)];
         let cache = PlanCache::new();
-        // Two threads inside `run` at once; `meet` runs inside both builds.
-        let together = |meet: &(dyn Fn() + Sync)| -> Vec<Bits> {
+        // Two threads inside `run` at once: first both recording (both
+        // miss, both compile; one program is kept), then both replaying.
+        let together = |cache: &PlanCache| -> Vec<Bits> {
+            let arrived = AtomicUsize::new(0);
             std::thread::scope(|sc| {
                 let runs: Vec<_> = data
                     .iter()
                     .map(|d| {
-                        let (cache, store, ids) = (&cache, &store, &ids);
+                        let (store, ids, arrived) = (&store, &ids, &arrived);
                         sc.spawn(move || {
                             let mut grads = store.clone();
-                            cached_step(cache, store, ids, &mut grads, d, meet)
+                            cached_step(cache, store, ids, &mut grads, d, || rendezvous(arrived))
                         })
                     })
                     .collect();
@@ -3185,17 +3099,10 @@ mod tests {
                     .collect()
             })
         };
-        // First runs: one records; the other misses while it does, waits
-        // for its program and replays it on an arena of its own.
-        let first = together(&|| until_a_run_waits(&cache));
-        let (recordings, waits) = cache.inner.lock().counts;
-        assert_eq!(recordings, 1, "concurrent first runs record a key once");
-        assert!(waits >= 1, "the second first run waited for the recording");
+        let recorded = together(&cache);
         let stats = cache.stats();
-        assert_eq!((stats.programs, stats.arenas), (1, 1), "{stats:?}");
-        // Then both replay at once, each on its own arena.
-        let arrived = AtomicUsize::new(0);
-        let replayed = together(&|| rendezvous(&arrived));
+        assert_eq!((stats.programs, stats.arenas), (1, 0), "{stats:?}");
+        let replayed = together(&cache);
         let stats = cache.stats();
         assert_eq!((stats.programs, stats.arenas), (1, 2), "{stats:?}");
         assert_eq!(stats.weight_copies, 1, "{stats:?}");
@@ -3205,30 +3112,12 @@ mod tests {
             .map(|d| cached_step(&cache, &store, &ids, &mut store.clone(), d, || {}))
             .collect();
         assert_eq!(replayed, sequential);
-        assert_eq!(first, sequential);
+        assert_eq!(recorded, sequential);
         assert_eq!(
             cache.stats(),
             stats,
             "sequential replays reuse the two arenas"
         );
-        assert_eq!(cache.inner.lock().counts.0, 1, "no key recorded twice");
-    }
-
-    #[test]
-    fn a_recording_that_unwinds_hands_the_key_to_the_next_run() {
-        let (store, ids) = mk_store(39);
-        let d = mk_data(73);
-        let cache = PlanCache::new();
-        let key = PlanKey::new("all_ops", [0; 6]);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.run(key, |_| -> ((), Option<NodeId>) { panic!("build failed") })
-        }));
-        assert!(unwound.is_err());
-        assert!(cache.inner.lock().recording.is_empty());
-        let mut grads = store.clone();
-        cached_step(&cache, &store, &ids, &mut grads, &d, || {});
-        assert_eq!(cache.inner.lock().counts, (2, 0));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -3241,19 +3130,20 @@ mod tests {
             ((), None)
         };
         let key = |i: u64| PlanKey::new("tanh", [i, 0, 0, 0, 0, 0]);
-        // Key 0 is used again after every new key, up to one past the cap.
+        // Key 0 is recorded first and used again after every new key.
         cache.run(key(0), forward);
-        for i in 1..=PLAN_CACHE_CAP as u64 {
+        for i in 1..PLAN_CACHE_CAP as u64 {
             cache.run(key(i), forward);
             cache.run(key(0), forward);
         }
+        // The cache is full: one more key evicts the one used longest ago.
+        cache.run(key(PLAN_CACHE_CAP as u64), forward);
         assert_eq!(cache.len(), PLAN_CACHE_CAP);
         assert!(cache.take(&key(0)).is_some(), "the hot key stays cached");
         assert!(
             cache.take(&key(1)).is_none(),
             "the key used longest ago is evicted"
         );
-        assert_eq!(cache.inner.lock().counts.0, 1 + PLAN_CACHE_CAP);
     }
 
     /// A second program over the same store: a two-layer head with its

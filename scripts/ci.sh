@@ -46,13 +46,12 @@ cargo run --release -p gendt-audit -- trace-smoke
 # bitwise-identical to record mode (every op unfused, one value buffer
 # per node, each gradient freed once its node has passed it on), forced
 # by GENDT_SANITIZE, for training (weights + loss trace) at an explicit
-# 2-thread budget, where one shard records each new key while the other
-# waits for its program and both then replay it on two pooled arenas, and
-# for single, batched and chunked generation, recorded and replayed,
-# including cached replays in arenas the training programs last used and
-# a replay after a cache miss dropped the idle arenas. It checks what can
-# differ between the two: fusion, arena binding, arena lending, and
-# replay of fresh inputs.
+# 2-thread budget, where both shards replay one shared program on two
+# pooled arenas, and for single, batched and chunked generation, recorded
+# and replayed, including cached replays in arenas the training programs
+# last used and a replay after a cache miss dropped the idle arenas. It
+# checks what can differ between the two: fusion, arena binding, arena
+# lending, and replay of fresh inputs.
 cargo run --release -p gendt-audit -- plan-parity
 
 # Golden gate for the paper tables: the quick evaluation (seed 42) must
