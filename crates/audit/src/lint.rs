@@ -180,7 +180,6 @@ const ERROR_TAXONOMY_FILES: &[&str] = &[
     "crates/fleet/src/forward.rs",
     "crates/fleet/src/membership.rs",
     "crates/fleet/src/supervisor.rs",
-    "crates/fleet/src/loadgen.rs",
     "crates/fleet/src/bin/gendt_fleet.rs",
 ];
 
@@ -761,7 +760,6 @@ const SYNC_FACADE_FILES: &[&str] = &[
     // The stream session table: sync-check's session_churn model
     // explores exactly this module's lock and gauge updates.
     "crates/serve/src/session.rs",
-    "crates/serve/src/bin/gendt_loadgen.rs",
     "crates/trace/src/lib.rs",
     "crates/trace/src/span.rs",
     "crates/trace/src/telemetry.rs",
@@ -778,7 +776,6 @@ const SYNC_FACADE_FILES: &[&str] = &[
     "crates/fleet/src/metrics.rs",
     "crates/fleet/src/forward.rs",
     "crates/fleet/src/supervisor.rs",
-    "crates/fleet/src/loadgen.rs",
     // Observability plumbing sits on every request path; its gates and
     // rings must stay visible to the interleaving checker.
     "crates/obs/src/traceid.rs",

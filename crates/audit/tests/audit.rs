@@ -525,7 +525,6 @@ mod tests {
     );
     // Remaining facade-migrated files, clean.
     write_fixture(&root, "crates/serve/src/cache.rs", CLEAN_FILE);
-    write_fixture(&root, "crates/serve/src/bin/gendt_loadgen.rs", CLEAN_FILE);
     write_fixture(&root, "crates/trace/src/lib.rs", CLEAN_FILE);
     write_fixture(&root, "crates/trace/src/telemetry.rs", CLEAN_FILE);
     write_fixture(&root, "crates/trace/src/oplog.rs", CLEAN_FILE);

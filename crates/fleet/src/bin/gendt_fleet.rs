@@ -1,20 +1,16 @@
 //! `gendt-fleet` — sharded multi-process GenDT serving.
 //!
 //! ```text
-//! gendt-fleet --models DIR [--workers N] [--addr HOST:PORT]
-//!             [--seed N] [--service-ms N]
+//! gendt-fleet --models DIR [--workers N] [--addr HOST:PORT] [--seed N]
 //! gendt-fleet smoke
-//! gendt-fleet bench [--out PATH] [--workers 1,2,4,8] [--quick]
-//!                   [--service-ms N] [--seed N] [--requests N]
 //! ```
 //!
 //! The default command spawns N worker processes (each today's
 //! single-node `gendt-serve` scheduler, unchanged), fronts them with
 //! the consistent-hash router, and serves `/v1/*` until
 //! `POST /v1/shutdown`. `smoke` is the CI gate: parity vs single-node,
-//! failover on a killed worker, typed envelopes throughout. `bench`
-//! measures throughput scaling across worker counts and grafts a
-//! `fleet` section onto `BENCH_serve.json`.
+//! failover on a killed worker, typed envelopes throughout, and no
+//! worker outliving a fleet that failed to start.
 //!
 //! The placement seed comes from `--seed`, falling back to the
 //! `GENDT_FLEET_SEED` env var, falling back to 1.
@@ -22,19 +18,22 @@
 #![forbid(unsafe_code)]
 
 use gendt_faults::{ErrorKind, GendtError};
-use gendt_fleet::loadgen::{bench_fleet, start_fleet, FleetBenchCfg};
-use gendt_fleet::supervisor::maybe_run_worker;
-use gendt_fleet::HttpForwarder;
+use gendt_fleet::{maybe_run_worker, start_fleet};
 use gendt_serve::http::{http_request, http_request_full};
-use std::process::ExitCode;
+use gendt_sync::{mpsc, thread};
+use std::io::Read;
+use std::net::TcpListener;
+use std::process::{Command, ExitCode, Stdio};
 use std::time::Duration;
 
+/// How long the smoke waits for a fleet that failed to start to close
+/// its stderr. Its workers inherit that stderr, so the pipe stays open
+/// while any of them runs.
+const ORPHAN_WAIT: Duration = Duration::from_secs(30);
+
 fn usage() -> String {
-    "usage: gendt-fleet --models DIR [--workers N] [--addr HOST:PORT] [--seed N] \
-     [--service-ms N]\n\
-     \x20      gendt-fleet smoke\n\
-     \x20      gendt-fleet bench [--out PATH] [--workers 1,2,4,8] [--quick] \
-     [--service-ms N] [--seed N] [--requests N]"
+    "usage: gendt-fleet --models DIR [--workers N] [--addr HOST:PORT] [--seed N]\n\
+     \x20      gendt-fleet smoke"
         .to_string()
 }
 
@@ -61,7 +60,6 @@ fn run_fleet(argv: &[String]) -> Result<(), GendtError> {
     let mut workers = 4usize;
     let mut addr = "127.0.0.1:8090".to_string();
     let mut seed = env_seed();
-    let mut service_ms = 0u64;
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -80,7 +78,6 @@ fn run_fleet(argv: &[String]) -> Result<(), GendtError> {
                     .clone()
             }
             "--seed" => seed = parse_num(&mut it, "--seed")?,
-            "--service-ms" => service_ms = parse_num(&mut it, "--service-ms")?,
             "--help" | "-h" => {
                 println!("{}", usage());
                 return Ok(());
@@ -93,48 +90,24 @@ fn run_fleet(argv: &[String]) -> Result<(), GendtError> {
         return Err(GendtError::config("--workers must be > 0"));
     }
 
-    let mut fleet = start_fleet(&models, workers, seed, service_ms)?;
-    // Rebind the router onto the requested public address: start_fleet
-    // binds an ephemeral port, which is right for smoke/bench but not
-    // for `gendt-fleet --addr`. Simplest correct move: start the
-    // public-facing router directly here instead.
-    if addr != "127.0.0.1:0" {
-        let metrics = fleet.router.metrics();
-        let old = std::mem::replace(
-            &mut fleet.router,
-            gendt_fleet::route_serve(
-                gendt_fleet::RouterCfg {
-                    addr: addr.clone(),
-                    seed,
-                    ..gendt_fleet::RouterCfg::new()
-                },
-                fleet.membership.clone(),
-                std::sync::Arc::new(gendt_fleet::HttpProbe),
-                std::sync::Arc::new(HttpForwarder),
-                metrics,
-            )?,
-        );
-        old.shutdown();
-    }
+    let fleet = start_fleet(&models, workers, &addr, seed, &[])?;
     println!(
         "gendt-fleet: routing {} worker(s) on http://{} (seed {seed})",
-        workers, fleet.router.addr
+        workers,
+        fleet.addr()
     );
     for w in &fleet.pool {
         println!("  {} -> http://{}", w.id, w.addr);
     }
-    let gendt_fleet::loadgen::Fleet {
-        mut pool, router, ..
-    } = fleet;
-    router.join();
-    let clean = gendt_fleet::drain_pool(&mut pool, &HttpForwarder);
+    let clean = fleet.join();
     println!("gendt-fleet stopped ({clean}/{workers} workers drained cleanly)");
     Ok(())
 }
 
 /// The CI smoke gate. Self-contained: trains a demo checkpoint in a
 /// temp dir, runs a 2-worker fleet plus a 1-worker reference, and
-/// checks parity, failover, and envelope discipline.
+/// checks parity, failover, and envelope discipline; then starts this
+/// binary on a busy address and checks that no worker outlives it.
 fn smoke() -> Result<(), GendtError> {
     let dir = std::env::temp_dir().join("gendt-fleet-smoke-models");
     let ckpt = dir.join("demo_a.json");
@@ -146,8 +119,8 @@ fn smoke() -> Result<(), GendtError> {
 
     // Reference: a single worker behind its own router (same seed), so
     // parity compares fleet routing against single-node output.
-    let reference = start_fleet(&models, 1, 7, 0)?;
-    let fleet = start_fleet(&models, 2, 7, 0)?;
+    let reference = start_fleet(&models, 1, "127.0.0.1:0", 7, &[])?;
+    let fleet = start_fleet(&models, 2, "127.0.0.1:0", 7, &[])?;
     let scenarios = ["walk", "bus", "tram", "city_drive", "highway"];
     let body_for = |scenario: &str| {
         format!(
@@ -265,128 +238,82 @@ fn smoke() -> Result<(), GendtError> {
             "smoke: router shutdown answered {status}"
         )));
     }
-    let gendt_fleet::loadgen::Fleet {
-        mut pool, router, ..
-    } = fleet;
-    router.join();
-    let survivors = pool.len();
-    let clean = gendt_fleet::drain_pool(&mut pool, &HttpForwarder);
+    let survivors = fleet.pool.len();
+    let clean = fleet.join();
     if clean < survivors {
         return Err(GendtError::internal(format!(
             "smoke: only {clean}/{survivors} surviving workers drained cleanly"
         )));
     }
     reference.shutdown();
+
+    // 6. A fleet whose router cannot bind exits non-zero and takes its
+    //    workers with it.
+    busy_address_leaves_no_workers(&models)?;
     println!("smoke: PASS");
     Ok(())
 }
 
-fn bench(argv: &[String]) -> Result<(), GendtError> {
-    let mut cfg = FleetBenchCfg::new();
-    cfg.seed = env_seed();
-    let mut out_path = "BENCH_serve.json".to_string();
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out_path = it
-                    .next()
-                    .ok_or_else(|| GendtError::config("--out needs a value"))?
-                    .clone()
-            }
-            "--workers" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| GendtError::config("--workers needs a value"))?;
-                cfg.worker_counts = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|_| GendtError::config(format!("--workers: bad count {s:?}")))
-                    })
-                    .collect::<Result<Vec<usize>, GendtError>>()?;
-            }
-            "--quick" => {
-                cfg.worker_counts = vec![1, 2];
-                cfg.requests = 64;
-                cfg.max_steps = 3;
-            }
-            "--service-ms" => cfg.service_ms = parse_num(&mut it, "--service-ms")?,
-            "--seed" => cfg.seed = parse_num(&mut it, "--seed")?,
-            "--requests" => cfg.requests = parse_num(&mut it, "--requests")?,
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return Ok(());
-            }
-            other => return Err(GendtError::config(format!("unknown flag {other}"))),
-        }
+/// Run this binary as a 2-worker fleet on an address the smoke holds.
+/// It must exit non-zero, and its stderr must reach EOF within
+/// [`ORPHAN_WAIT`]: the workers inherit that stderr, so a worker left
+/// running holds the pipe open.
+fn busy_address_leaves_no_workers(models: &str) -> Result<(), GendtError> {
+    let held = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| GendtError::from(e).wrap("smoke: holding a port"))?;
+    let addr = held
+        .local_addr()
+        .map_err(|e| GendtError::from(e).wrap("smoke: held port"))?
+        .to_string();
+    let exe = std::env::current_exe()
+        .map_err(|e| GendtError::from(e).wrap("cannot locate current executable"))?;
+    let mut child = Command::new(exe)
+        .args(["--models", models, "--workers", "2", "--addr", &addr])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .map_err(|e| GendtError::from(e).wrap("smoke: spawning a fleet on a busy address"))?;
+    let mut stderr = child
+        .stderr
+        .take()
+        .ok_or_else(|| GendtError::internal("smoke: no stderr pipe"))?;
+    let (tx, rx) = mpsc::channel::<String>();
+    let _reader = thread::spawn_named("smoke-busy-stderr", move || {
+        let mut text = String::new();
+        let _ = stderr.read_to_string(&mut text);
+        let _ = tx.send(text);
+    });
+    let text = rx.recv_timeout(ORPHAN_WAIT);
+    if text.is_err() {
+        // Reap the fleet below even if it is what still runs.
+        let _ = child.kill();
     }
-
-    let dir = std::env::temp_dir().join("gendt-fleet-bench-models");
-    for (i, name) in gendt_fleet::loadgen::BENCH_MODELS.iter().enumerate() {
-        let ckpt = dir.join(format!("{name}.json"));
-        if !ckpt.exists() {
-            eprintln!("bench: training demo checkpoint at {} ...", ckpt.display());
-            gendt_serve::demo::write_demo_model(&ckpt, 1 + i as u64)?;
-        }
+    let status = child
+        .wait()
+        .map_err(|e| GendtError::from(e).wrap("smoke: waiting for the busy-address fleet"))?;
+    let text = text.map_err(|_| {
+        GendtError::internal(format!(
+            "smoke busy address: stderr still open {ORPHAN_WAIT:?} after starting a fleet \
+             on {addr}: a worker outlived it"
+        ))
+    })?;
+    if status.success() {
+        return Err(GendtError::internal(format!(
+            "smoke busy address: a fleet on held {addr} exited 0"
+        )));
     }
-    let models = dir.to_string_lossy().into_owned();
-
-    let out = bench_fleet(&models, &cfg, &mut |line| println!("{line}"))?;
-    let json = merge_fleet_section(&out_path, &out)?;
-    std::fs::write(&out_path, &json)
-        .map_err(|e| GendtError::from(e).wrap(format!("writing {out_path}")))?;
-    println!("wrote fleet section to {out_path}");
+    println!(
+        "smoke: busy address -> {status}, no worker left ({})",
+        text.lines().next().unwrap_or("").trim()
+    );
     Ok(())
-}
-
-/// Graft the fleet section onto an existing bench artifact (preserving
-/// the single-node numbers `gendt-loadgen` wrote), or start a fresh
-/// artifact holding only the fleet section.
-fn merge_fleet_section(
-    path: &str,
-    out: &gendt_fleet::loadgen::FleetBenchOut,
-) -> Result<String, GendtError> {
-    let fleet_json = serde_json::to_string(out)
-        .map_err(|e| GendtError::internal(format!("encoding fleet results: {e}")))?;
-    let fleet_value: serde::Value = serde_json::from_str(&fleet_json)
-        .map_err(|e| GendtError::internal(format!("re-parsing fleet results: {e}")))?;
-
-    let mut doc: serde::Value = match std::fs::read_to_string(path) {
-        Ok(old) => serde_json::from_str(&old).unwrap_or(serde::Value::Map(Vec::new())),
-        Err(_) => serde::Value::Map(Vec::new()),
-    };
-    if !matches!(doc, serde::Value::Map(_)) {
-        doc = serde::Value::Map(Vec::new());
-    }
-    if let serde::Value::Map(entries) = &mut doc {
-        if entries.iter().all(|(k, _)| k != "bench_schema") {
-            entries.push((
-                "bench_schema".to_string(),
-                serde::Value::Int(gendt_trace::BENCH_SCHEMA as i128),
-            ));
-        }
-        if entries.iter().all(|(k, _)| k != "git_rev") {
-            entries.push((
-                "git_rev".to_string(),
-                serde::Value::Str(gendt_trace::git_rev()),
-            ));
-        }
-        match entries.iter_mut().find(|(k, _)| k == "fleet") {
-            Some((_, slot)) => *slot = fleet_value,
-            None => entries.push(("fleet".to_string(), fleet_value)),
-        }
-    }
-    serde_json::to_string_pretty(&doc)
-        .map_err(|e| GendtError::internal(format!("encoding merged artifact: {e}")))
 }
 
 fn run() -> Result<(), GendtError> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
         Some("smoke") => smoke(),
-        Some("bench") => bench(&argv[1..]),
         Some("--help") | Some("-h") => {
             println!("{}", usage());
             Ok(())

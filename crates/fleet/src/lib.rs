@@ -15,20 +15,17 @@
 //! - [`router`] — the front-end: deadline propagation, one-failover
 //!   retry, verbatim worker error envelopes, `/v1/fleet` introspection.
 //! - [`supervisor`] — spawns, supervises, and drains the worker pool
-//!   by re-exec'ing the `gendt-fleet` binary in worker mode.
-//! - [`loadgen`] — fleet-mode open-loop driver and saturation sweep
-//!   (the `fleet` section of `BENCH_serve.json`).
+//!   by re-exec'ing the `gendt-fleet` binary in worker mode, and starts
+//!   a router in front of it ([`start_fleet`]).
 //!
 //! Determinism story: routing is a pure function of
-//! `(seed, membership, model, scenario)`, worker seeds and the
-//! open-loop arrival schedule come from [`gendt_rng`]-style seeded
-//! streams, so a fleet run is replayable end-to-end.
+//! `(seed, membership, model, scenario)`, and every worker serves the
+//! same seeded world, so a fleet run is replayable end-to-end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod forward;
-pub mod loadgen;
 pub mod membership;
 pub mod metrics;
 pub mod ring;
@@ -40,4 +37,6 @@ pub use membership::{Membership, PollStats, Probe, RouteGrant, WorkerView};
 pub use metrics::FleetMetrics;
 pub use ring::{key_hash, Ring, DEFAULT_VNODES};
 pub use router::{dispatch_generate, route_serve, RouterCfg, RouterHandle};
-pub use supervisor::{drain_pool, maybe_run_worker, spawn_pool, WorkerProc, WorkerSpec};
+pub use supervisor::{
+    drain_pool, maybe_run_worker, spawn_pool, start_fleet, Fleet, WorkerProc, WorkerSpec,
+};

@@ -1,5 +1,6 @@
 //! Worker-pool supervision: spawn N worker processes, wait for each to
-//! report its bound address, and drain them gracefully on shutdown.
+//! report its bound address, front them with a router
+//! ([`start_fleet`]), and drain them gracefully on shutdown.
 //!
 //! Workers are the `gendt-fleet` binary re-exec'd with the
 //! [`WORKER_ENV`] variable set to a [`WorkerSpec`] JSON — no separate
@@ -7,9 +8,14 @@
 //! from any build directory. A worker runs [`gendt_serve::serve`] on
 //! `127.0.0.1:0`, prints `GENDT_FLEET_WORKER_READY <addr>` on stdout,
 //! and serves until `POST /shutdown` (the worker's own two-phase drain:
-//! healthz flips 503, new work sheds, in-flight flushes).
+//! healthz flips 503, new work sheds, in-flight flushes). A worker
+//! whose [`WorkerProc`] is dropped while it still runs is killed, so an
+//! early error return cannot orphan the pool.
 
-use crate::forward::Forwarder;
+use crate::forward::{Forwarder, HttpForwarder, HttpProbe};
+use crate::membership::Membership;
+use crate::metrics::FleetMetrics;
+use crate::router::{route_serve, RouterCfg, RouterHandle};
 use gendt_faults::GendtError;
 use gendt_serve::{serve, ServerCfg};
 use gendt_sync::mpsc;
@@ -18,6 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Env var carrying the [`WorkerSpec`] JSON; its presence switches the
@@ -33,52 +40,32 @@ const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
 /// How long [`drain_pool`] waits for a draining worker to exit.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(8);
 
+/// Scheduler queue capacity of each worker (the single-node default is
+/// 64). Every other server setting is [`ServerCfg::new`]'s.
+const WORKER_QUEUE_CAP: usize = 256;
+
 /// Everything a worker process needs to stand up its server.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorkerSpec {
     /// Directory of model checkpoints.
     pub models_dir: String,
-    /// Seed of the synthetic world served against.
-    pub world_seed: u64,
-    /// Most requests coalesced into one forward pass.
-    pub max_batch: usize,
-    /// Scheduler queue capacity.
-    pub queue_cap: usize,
-    /// Route cache capacity (entries).
-    pub cache_cap: usize,
-    /// Scheduler worker threads inside the process.
-    pub threads: usize,
-    /// Default per-request deadline, milliseconds (`0` = none).
-    pub default_deadline_ms: u64,
     /// This worker's index in the pool (`w<N>`); declared to the
     /// flight recorder so records attribute without plumbing.
     pub worker_index: usize,
 }
 
 impl WorkerSpec {
-    /// A spec matching the single-node quickstart defaults.
+    /// A spec serving the checkpoints in `models_dir`.
     pub fn new(models_dir: &str) -> WorkerSpec {
         WorkerSpec {
             models_dir: models_dir.to_string(),
-            world_seed: 1,
-            max_batch: 8,
-            queue_cap: 256,
-            cache_cap: 128,
-            threads: 1,
-            default_deadline_ms: 0,
             worker_index: 0,
         }
     }
 
     fn server_cfg(&self) -> ServerCfg {
         let mut cfg = ServerCfg::new(PathBuf::from(&self.models_dir));
-        cfg.addr = "127.0.0.1:0".to_string();
-        cfg.world_seed = self.world_seed;
-        cfg.sched.max_batch = self.max_batch;
-        cfg.sched.queue_cap = self.queue_cap;
-        cfg.cache_cap = self.cache_cap;
-        cfg.workers = self.threads;
-        cfg.default_deadline_ms = self.default_deadline_ms;
+        cfg.sched.queue_cap = WORKER_QUEUE_CAP;
         cfg
     }
 }
@@ -106,6 +93,17 @@ impl WorkerProc {
     /// Whether the process has exited.
     pub fn exited(&mut self) -> bool {
         matches!(self.child.try_wait(), Ok(Some(_)))
+    }
+}
+
+impl Drop for WorkerProc {
+    /// Kill and reap a worker that is still running, so no error path
+    /// between spawn and [`drain_pool`] leaves it orphaned.
+    fn drop(&mut self) {
+        if !self.exited() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
     }
 }
 
@@ -160,11 +158,18 @@ fn spawn_one(
     for (k, v) in extra_env {
         cmd.env(k, v);
     }
-    let mut child = cmd
+    let child = cmd
         .spawn()
         .map_err(|e| GendtError::from(e).wrap(format!("spawning worker {id}")))?;
+    // From here on, an error return drops `worker`, which kills it.
+    let mut worker = WorkerProc {
+        id: id.clone(),
+        addr: String::new(),
+        child,
+    };
 
-    let stdout = child
+    let stdout = worker
+        .child
         .stdout
         .take()
         .ok_or_else(|| GendtError::internal(format!("worker {id}: no stdout pipe")))?;
@@ -211,25 +216,20 @@ fn spawn_one(
     });
 
     match rx.recv_timeout(SPAWN_TIMEOUT) {
-        Ok(Ok(addr)) => Ok(WorkerProc { id, addr, child }),
-        Ok(Err(err)) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(err)
+        Ok(Ok(addr)) => {
+            worker.addr = addr;
+            Ok(worker)
         }
-        Err(_) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            Err(GendtError::timeout(format!(
-                "worker {id} did not report ready within {SPAWN_TIMEOUT:?}"
-            )))
-        }
+        Ok(Err(err)) => Err(err),
+        Err(_) => Err(GendtError::timeout(format!(
+            "worker {id} did not report ready within {SPAWN_TIMEOUT:?}"
+        ))),
     }
 }
 
 /// Spawn `n` workers from `spec`, each with `extra_env` applied on top
-/// of the worker baseline. Fails fast: on any spawn error, workers
-/// already started are killed.
+/// of the worker baseline. Fails fast: on any spawn error, dropping the
+/// partial pool kills the workers already started.
 pub fn spawn_pool(
     n: usize,
     spec: &WorkerSpec,
@@ -240,15 +240,9 @@ pub fn spawn_pool(
     }
     let mut pool: Vec<WorkerProc> = Vec::with_capacity(n);
     for i in 0..n {
-        match spawn_one(i, spec, extra_env) {
-            Ok(w) => pool.push(w),
-            Err(e) => {
-                for mut w in pool {
-                    let _ = w.kill();
-                }
-                return Err(e.wrap(format!("spawning pool of {n}")));
-            }
-        }
+        pool.push(
+            spawn_one(i, spec, extra_env).map_err(|e| e.wrap(format!("spawning pool of {n}")))?,
+        );
     }
     Ok(pool)
 }
@@ -279,16 +273,85 @@ pub fn drain_pool(pool: &mut Vec<WorkerProc>, forwarder: &dyn Forwarder) -> usiz
                 Ok(None) if gendt_sync::time::Instant::now() < deadline => {
                     thread::sleep(Duration::from_millis(20));
                 }
-                _ => {
-                    let _ = w.child.kill();
-                    let _ = w.child.wait();
-                    break;
-                }
+                _ => break,
             }
         }
     }
+    // Dropping a straggler kills it.
     pool.clear();
     clean
+}
+
+/// A running fleet: worker pool + router. [`Fleet::shutdown`] or
+/// [`Fleet::join`] tears it down in order; dropping it kills the
+/// workers.
+pub struct Fleet {
+    /// The spawned workers.
+    pub pool: Vec<WorkerProc>,
+    /// The running router.
+    pub router: RouterHandle,
+}
+
+impl Fleet {
+    /// Router bind address, `host:port`.
+    pub fn addr(&self) -> String {
+        self.router.addr.to_string()
+    }
+
+    /// Graceful teardown: stop the router, then drain the pool.
+    pub fn shutdown(mut self) {
+        self.router.shutdown();
+        drain_pool(&mut self.pool, &HttpForwarder);
+    }
+
+    /// Serve until a client posts `/v1/shutdown` to the router, then
+    /// drain the pool. Returns how many workers exited on their own.
+    pub fn join(mut self) -> usize {
+        self.router.join();
+        drain_pool(&mut self.pool, &HttpForwarder)
+    }
+}
+
+/// Spawn `n` workers over `models_dir`, each with `env` applied on top
+/// of the worker baseline, and start a router on `addr` in front of
+/// them that places keys with `seed`. Fails unless the router binds and
+/// every worker passes the initial health poll.
+pub fn start_fleet(
+    models_dir: &str,
+    n: usize,
+    addr: &str,
+    seed: u64,
+    env: &[(String, String)],
+) -> Result<Fleet, GendtError> {
+    let pool = spawn_pool(n, &WorkerSpec::new(models_dir), env)?;
+    let metrics = Arc::new(FleetMetrics::new());
+    let membership = Arc::new(Membership::new(seed, metrics.clone()));
+    for w in &pool {
+        membership.register(&w.id, &w.addr);
+    }
+    let cfg = RouterCfg {
+        addr: addr.to_string(),
+        seed,
+        ..RouterCfg::new()
+    };
+    // On an error, dropping `pool` kills the workers.
+    let router = route_serve(
+        cfg,
+        membership.clone(),
+        Arc::new(HttpProbe),
+        Arc::new(HttpForwarder),
+        metrics,
+    )
+    .map_err(|e| e.wrap("starting fleet router"))?;
+    let fleet = Fleet { pool, router };
+    let healthy = membership.healthy_count();
+    if healthy < n {
+        fleet.shutdown();
+        return Err(GendtError::unavailable(format!(
+            "only {healthy}/{n} workers passed the initial health poll"
+        )));
+    }
+    Ok(fleet)
 }
 
 #[cfg(test)]
@@ -297,12 +360,22 @@ mod tests {
 
     #[test]
     fn worker_spec_round_trips_through_json() {
-        let spec = WorkerSpec::new("/tmp/models");
+        let mut spec = WorkerSpec::new("/tmp/models");
+        spec.worker_index = 3;
         let json = serde_json::to_string(&spec).expect("serialize");
         let back: WorkerSpec = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back.models_dir, "/tmp/models");
-        assert_eq!(back.max_batch, 8);
-        assert_eq!(back.threads, 1);
+        assert_eq!(back.worker_index, 3);
+        // The server a worker runs: pinned so the pool serves as it did
+        // when each of these was a spec field.
+        let cfg = back.server_cfg();
+        assert_eq!(cfg.models_dir, PathBuf::from("/tmp/models"));
+        assert_eq!(cfg.addr, "127.0.0.1:0");
+        assert_eq!(cfg.sched.max_batch, 8);
+        assert_eq!(cfg.sched.queue_cap, 256);
+        assert_eq!(cfg.cache_cap, 128);
+        assert_eq!(cfg.workers, 1);
+        assert_eq!(cfg.world_seed, 1);
+        assert_eq!(cfg.default_deadline_ms, 0);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod batch;
 pub mod cache;
 pub mod demo;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
 pub mod registry;
 pub mod scheduler;

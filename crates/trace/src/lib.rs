@@ -32,7 +32,6 @@
 
 mod oplog;
 mod span;
-mod stamp;
 mod telemetry;
 
 pub use oplog::{op_table, record_op, render_op_table, reset_ops, OpStat, Phase};
@@ -40,7 +39,6 @@ pub use span::{
     chrome_trace_json, current_trace, drain_spans, export_chrome_trace, mark, snapshot_spans, span,
     span_arg, trace_scope, SpanEvent, SpanGuard, TraceScope,
 };
-pub use stamp::{git_rev, BENCH_SCHEMA};
 pub use telemetry::{set_telemetry_path, take_telemetry, Record};
 
 use gendt_sync::atomic::{AtomicU8, Ordering};

@@ -92,21 +92,29 @@ cargo run --release -p gendt-audit -- chaos
 # with a `complete` trailer and chunks bitwise-equal to one-shot.
 cargo run --release -p gendt-audit -- stream-smoke
 
-# Serving layer (crates/serve): one end-to-end request against an
-# in-process server, then a CI-sized load run and a CI-sized open-loop
-# stream-session run. Both write a scratch artifact under target/ci: the
-# committed BENCH_serve.json holds full-scale numbers and is regenerated
-# only at full scale.
-cargo run --release -p gendt-serve --bin gendt-loadgen -- --smoke
-mkdir -p target/ci
-cargo run --release -p gendt-serve --bin gendt-loadgen -- --quick --out target/ci/BENCH_serve.json
-cargo run --release -p gendt-serve --bin gendt-loadgen -- --stream --quick --out target/ci/BENCH_serve.json
+# Serving gate (crates/serve, crates/fleet): a short run of the
+# benchmark's generate and stream workloads, which serve a paper-shape
+# checkpoint through the real router and worker. Each run must exit 0
+# and end on a line reading "correct":true: every routed /v1/generate
+# body equals in-process generation, and streamed chunks equal the
+# one-shot series. perfbench refuses to run under any GENDT_* variable,
+# so none is set here.
+for workload in generate stream; do
+  last=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+  echo "perfbench $workload: $last"
+  case "$last" in
+    *'"correct":true'*) ;;
+    *) echo "ci: perfbench $workload did not read \"correct\":true" >&2; exit 1 ;;
+  esac
+done
 
 # Fleet gate (crates/fleet): router + 2 real worker processes. Asserts
 # bitwise parity with single-node serving across all five scenarios,
 # failover after killing a worker (typed retryable 503 envelopes, at
 # least one success, no stranded request), membership convergence on
-# /v1/fleet, and a clean two-phase drain.
+# /v1/fleet, a clean two-phase drain, and that a fleet started on a
+# busy address exits non-zero without leaving a worker running.
 cargo run --release -p gendt-fleet --bin gendt-fleet -- smoke
 
 # Observability gate (crates/obs): a 2-worker fleet with tracing on and
